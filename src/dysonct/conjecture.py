@@ -189,6 +189,9 @@ def guess_rat(samples: SampleSet, t: int, holdout: int = HOLDOUT) -> Optional[Ra
     hold_pts = samples.points[len(fit_pts) :]
     hold_vals = samples.values[len(fit_pts) :]
 
+    # the monomials of every split are a prefix of these, in the same order
+    all_monos = _monomials_up_to(nvars, t)
+    mono_vals = [[_eval_mono(p, m) for m in all_monos] for p in fit_pts]
     for d_num in range(t, -1, -1):
         d_den = t - d_num
         num_monos = _monomials_up_to(nvars, d_num)
@@ -199,10 +202,12 @@ def guess_rat(samples: SampleSet, t: int, holdout: int = HOLDOUT) -> Optional[Ra
                 f"need at least {unknowns + holdout} samples for t={t}, have "
                 f"{len(samples.points)}"
             )
+        # value * den(p) - num(p) = 0, scaled by the value's denominator
         rows = []
-        for p, f in zip(fit_pts, fit_vals):
-            row = [f * _eval_mono(p, m) for m in den_monos]
-            row += [Fraction(-_eval_mono(p, m)) for m in num_monos]
+        for vals, f in zip(mono_vals, fit_vals):
+            fn, fd = f.numerator, f.denominator
+            row = [fn * v for v in vals[: len(den_monos)]]
+            row += [-fd * v for v in vals[: len(num_monos)]]
             rows.append(row)
         basis = solve_nullspace(rows)
         if not basis:
@@ -316,8 +321,10 @@ def guess_dyson_with_details(
             if p not in points:
                 fresh.append(p)
         candidate = ClosedForm(n=n, b=b, R=form_r)
+        # a pole at a fresh point, where the constant term is finite, fails too
         if all(
-            candidate.evaluate(p) == oracle(n, p, b) for p in fresh
+            form_r.den.evaluate(p) != 0 and candidate.evaluate(p) == oracle(n, p, b)
+            for p in fresh
         ):
             details = GuessDetails(
                 t=t,

@@ -1,11 +1,9 @@
 """Exact nullspace computation for the rational-function fitter.
 
-Two strategies, both with exact results:
-
-* small systems: straight fraction-managed Gauss-Jordan over Fraction;
-* large systems: row reduction modulo several 31-bit primes (vectorized with
-  numpy int64), Chinese-remainder combination, rational reconstruction, and
-  a final exact big-integer verification M v = 0 of every basis vector.
+One strategy for every system size: row reduction modulo 31-bit primes
+(vectorized with numpy int64), Chinese-remainder combination extended by one
+prime per step, rational reconstruction, and a final exact big-integer
+verification M v = 0 of every basis vector.
 
 A nullity of zero modulo any prime already proves the exact nullspace is
 trivial, so failed fit degrees are rejected quickly; reconstructed vectors
@@ -15,13 +13,14 @@ are never trusted without the exact verification step.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
+from operator import mul
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-_MODULAR_THRESHOLD = 48  # columns; below this the pure-Fraction path is used
-_MAX_PRIMES = 24
+# 31-bit primes in descending order from 2**31 - 1, extended by _prime on demand
+_primes: List[int] = []
 
 
 def _is_prime(n: int) -> bool:
@@ -48,81 +47,24 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _primes_below_2_31(count: int) -> List[int]:
-    primes = []
-    n = 2**31 - 1
-    while len(primes) < count:
+def _prime(i: int) -> int:
+    """The i-th prime below 2**31, counting down from 2**31 - 1."""
+    n = _primes[-1] - 2 if _primes else 2**31 - 1
+    while len(_primes) <= i:
         if _is_prime(n):
-            primes.append(n)
+            _primes.append(n)
         n -= 2
-    return primes
-
-
-_PRIMES = _primes_below_2_31(_MAX_PRIMES)
+    return _primes[i]
 
 
 def _clear_row(row: Sequence[Fraction | int]) -> List[int]:
-    fracs = [Fraction(x) for x in row]
-    lcm = 1
-    for f in fracs:
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    ints = [int(f * lcm) for f in fracs]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
-
-
-def _canonical_vector(vec: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    """Scale to primitive integers with the first nonzero entry positive."""
-    lcm = 1
-    for f in vec:
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    ints = [int(f * lcm) for f in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    for v in ints:
-        if v:
-            if v < 0:
-                ints = [-x for x in ints]
-            break
-    return tuple(Fraction(v) for v in ints)
-
-
-def _nullspace_fraction(int_rows: List[List[int]], ncols: int) -> List[Tuple[Fraction, ...]]:
-    m = [[Fraction(x) for x in row] for row in int_rows]
-    nrows = len(m)
-    pivots: List[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, nrows) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -m[i][fc]
-        basis.append(_canonical_vector(v))
-    return basis
+    """The primitive integer row positively proportional to row."""
+    if not all(isinstance(x, int) for x in row):
+        fracs = [Fraction(x) for x in row]
+        common = lcm(*(f.denominator for f in fracs))
+        row = [f.numerator * (common // f.denominator) for f in fracs]
+    g = gcd(*row)
+    return [v // g for v in row] if g > 1 else list(row)
 
 
 def _rref_mod(matrix: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
@@ -131,19 +73,20 @@ def _rref_mod(matrix: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
-        col = m[r:, c]
-        nz = np.nonzero(col)[0]
+        nz = np.flatnonzero(m[r:, c])
         if nz.size == 0:
             continue
         pivot = r + int(nz[0])
         if pivot != r:
             m[[r, pivot]] = m[[pivot, r]]
+        # rows r and below are zero left of column c, so only columns c and
+        # beyond change
         inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        rows = np.nonzero(m[:, c])[0]
+        m[r, c:] = (m[r, c:] * inv) % p
+        rows = np.flatnonzero(m[:, c])
         rows = rows[rows != r]
         if rows.size:
-            m[rows] = (m[rows] - np.outer(m[rows, c], m[r])) % p
+            m[rows, c:] = (m[rows, c:] - np.outer(m[rows, c], m[r, c:])) % p
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -151,16 +94,9 @@ def _rref_mod(matrix: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
     return m, pivots
 
 
-def _crt_combine(residues: List[int], primes: List[int]) -> Tuple[int, int]:
-    x, mod = 0, 1
-    for r, p in zip(residues, primes):
-        inv = pow(mod % p, p - 2, p)
-        x = x + mod * ((r - x) % p * inv % p)
-        mod *= p
-    return x % mod, mod
-
-
-def _rational_reconstruct(x: int, mod: int) -> Fraction | None:
+def _rational_reconstruct(x: int, mod: int) -> Tuple[int, int] | None:
+    """(num, den) with den > 0, num = x den mod ``mod`` and both at most
+    sqrt(mod / 2) in size, or None if no such coprime pair exists."""
     bound = isqrt(mod // 2)
     r0, r1 = mod, x % mod
     t0, t1 = 0, 1
@@ -170,67 +106,98 @@ def _rational_reconstruct(x: int, mod: int) -> Fraction | None:
         t0, t1 = t1, t0 - q * t1
     if r1 > bound or abs(t1) > bound or t1 == 0 or gcd(r1, abs(t1)) != 1:
         return None
-    return Fraction(r1, t1)
+    return (r1, t1) if t1 > 0 else (-r1, -t1)
 
 
-def _verify(int_rows: List[List[int]], vec: Sequence[Fraction]) -> bool:
-    lcm = 1
-    for f in vec:
-        lcm = lcm * f.denominator // gcd(lcm, f.denominator)
-    ints = [int(f * lcm) for f in vec]
-    return all(sum(a * v for a, v in zip(row, ints)) == 0 for row in int_rows)
+def _verified_vector(
+    int_rows: List[List[int]], vec: Sequence[Tuple[int, int]]
+) -> Tuple[Fraction, ...] | None:
+    """The vector of (num, den) pairs scaled to primitive integers with its
+    first nonzero entry positive, or None unless every row annihilates it."""
+    common = lcm(*(den for _, den in vec))
+    ints = [num * (common // den) for num, den in vec]
+    if any(sum(map(mul, row, ints)) for row in int_rows):
+        return None
+    g = gcd(*ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(Fraction(v // g) for v in ints)
+
+
+class _PivotGroup:
+    """Mod-p reductions that share one pivot list, lifted by incremental CRT.
+
+    ``residues[j][i]`` is the entry of pivot row i in free column free[j] of
+    the reduced matrix, combined over every prime added so far, modulo
+    ``modulus``.
+    """
+
+    def __init__(self, pivots: List[int], ncols: int):
+        self.pivots = pivots
+        pivot_set = set(pivots)
+        self.free = [c for c in range(ncols) if c not in pivot_set]
+        self.residues: List[List[int]] = []
+        self.modulus = 1
+
+    def add(self, rref: np.ndarray, p: int) -> None:
+        block = rref[: len(self.pivots), self.free].T.tolist()
+        if self.modulus == 1:
+            self.residues = block
+        else:
+            mod = self.modulus
+            inv = pow(mod % p, -1, p)
+            self.residues = [
+                [x + mod * ((r - x) * inv % p) for x, r in zip(xs, rs)]
+                for xs, rs in zip(self.residues, block)
+            ]
+        self.modulus *= p
+
+    def reconstruct(self, int_rows: List[List[int]], ncols: int) -> List[Tuple[Fraction, ...]] | None:
+        """The exact basis if every entry reconstructs and every vector
+        verifies against the integer rows, else None."""
+        mod = self.modulus
+        basis: List[Tuple[Fraction, ...]] = []
+        for fc, column in zip(self.free, self.residues):
+            vec = [(0, 1)] * ncols
+            vec[fc] = (1, 1)
+            # pivot row i of the reduced matrix reads v[pc] + x v[fc] = 0
+            for pc, x in zip(self.pivots, column):
+                val = _rational_reconstruct(-x % mod, mod)
+                if val is None:
+                    return None
+                vec[pc] = val
+            verified = _verified_vector(int_rows, vec)
+            if verified is None:
+                return None
+            basis.append(verified)
+        return basis
 
 
 def _nullspace_modular(int_rows: List[List[int]], ncols: int) -> List[Tuple[Fraction, ...]]:
-    group_pivots: List[int] | None = None
-    group_primes: List[int] = []
-    group_bases: List[np.ndarray] = []
-    for p in _PRIMES:
+    group: _PivotGroup | None = None
+    i = 0
+    while True:
+        p = _prime(i)
+        i += 1
         matrix = np.array([[x % p for x in row] for row in int_rows], dtype=np.int64)
         rref, pivots = _rref_mod(matrix, p)
-        nullity = ncols - len(pivots)
-        if nullity == 0:
+        if len(pivots) == ncols:
             return []  # full column rank mod p implies full rank over Q
-        if group_pivots is None or len(pivots) > len(group_pivots):
-            # higher rank wins: primes showing lower rank were unlucky
-            group_pivots, group_primes, group_bases = pivots, [], []
-        if pivots != group_pivots:
+        # Over Q the rank is at least the rank mod p and, at equal rank, each
+        # pivot is at most its mod-p counterpart; a prime that loses on either
+        # count is unlucky, one that wins shows the previous group was.
+        if (
+            group is None
+            or len(pivots) > len(group.pivots)
+            or (len(pivots) == len(group.pivots) and pivots < group.pivots)
+        ):
+            group = _PivotGroup(pivots, ncols)
+        elif pivots != group.pivots:
             continue
-        group_primes.append(p)
-        group_bases.append(rref)
-        basis = _try_reconstruct(int_rows, ncols, group_pivots, group_primes, group_bases)
+        group.add(rref, p)
+        basis = group.reconstruct(int_rows, ncols)
         if basis is not None:
             return basis
-    # modular attempts exhausted; fall back to the exact slow path
-    return _nullspace_fraction(int_rows, ncols)
-
-
-def _try_reconstruct(
-    int_rows: List[List[int]],
-    ncols: int,
-    pivots: List[int],
-    primes: List[int],
-    rrefs: List[np.ndarray],
-) -> List[Tuple[Fraction, ...]] | None:
-    free = [c for c in range(ncols) if c not in pivots]
-    basis: List[Tuple[Fraction, ...]] = []
-    for fc in free:
-        vec: List[Fraction] = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            residues = [int(r[i, fc]) for r in rrefs]
-            if len(primes) == 1:
-                x, mod = residues[0], primes[0]
-            else:
-                x, mod = _crt_combine(residues, primes)
-            val = _rational_reconstruct((-x) % mod, mod)
-            if val is None:
-                return None
-            vec[pc] = val
-        if not _verify(int_rows, vec):
-            return None
-        basis.append(_canonical_vector(vec))
-    return basis
 
 
 def solve_nullspace(rows: Sequence[Sequence[Fraction | int]]) -> List[Tuple[Fraction, ...]]:
@@ -253,6 +220,4 @@ def solve_nullspace(rows: Sequence[Sequence[Fraction | int]]) -> List[Tuple[Frac
             for i in range(ncols)
         ]
         return ident
-    if ncols <= _MODULAR_THRESHOLD:
-        return _nullspace_fraction(int_rows, ncols)
     return _nullspace_modular(int_rows, ncols)

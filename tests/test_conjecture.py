@@ -181,3 +181,26 @@ def test_guess_exhausted_carries_samples():
     assert err.max_t == 0
     assert len(err.samples.points) > 0
     assert err.b == (2, -1, -1)
+
+
+def test_pole_at_fresh_point_fails_validation():
+    # The t = 1 fit samples the first 13 grid points and validates on the
+    # next ones. The oracle agrees with 1/L on every point except the first
+    # fresh one, where L vanishes and the oracle stays finite, so the t = 1
+    # candidate must be rejected rather than evaluated at its pole.
+    b = (0, 0, 0)
+    weights = (1, 10, 100)  # L = 0 at no other grid point these fits reach
+    first_fresh = sample_grid(3, b, 14)[-1]
+    K = sum(w * x for w, x in zip(weights, first_fresh))
+
+    def oracle(n, p, b):
+        L = sum(w * x for w, x in zip(weights, p)) - K
+        return multinomial(p) * Fraction(1, L) if L else 0
+
+    with pytest.raises(GuessExhausted):
+        guess_dyson(3, b, max_t=1, use_ansatz=False, oracle=oracle)
+    form, details = guess_dyson_with_details(3, b, max_t=3, use_ansatz=False, oracle=oracle)
+    a = _vars(3)
+    L = a[0] + 10 * a[1] + 100 * a[2] - Poly.const(3, K)
+    assert form.R == RatFunc.make(Poly.const(3, 1), L)
+    assert details.t == 2

@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
-from dysonct.linalg import _MODULAR_THRESHOLD, solve_nullspace
+from dysonct.linalg import solve_nullspace
 
 
 def test_identity_has_trivial_nullspace():
@@ -42,10 +43,89 @@ def test_random_exactness_small():
                 assert sum(Fraction(x) * v for x, v in zip(row, vec)) == 0
 
 
+def _reference_nullspace(rows):
+    """Nullspace basis by Gauss-Jordan elimination over Fraction, one vector
+    per free column, scaled like solve_nullspace's (primitive integers, first
+    nonzero entry positive)."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    ncols = len(m[0])
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for i, pc in enumerate(pivots):
+            vec[pc] = -m[i][fc]
+        common = lcm(*(v.denominator for v in vec))
+        ints = [int(v * common) for v in vec]
+        g = gcd(*ints)
+        if next(v for v in ints if v) < 0:
+            g = -g
+        basis.append(tuple(Fraction(v, g) for v in ints))
+    return basis
+
+
+def _random_matrix(rng):
+    ncols = rng.randint(1, 12)
+    nrows = rng.randint(1, 14)
+    kind = rng.choice(("full", "low_rank", "fractions"))
+    if kind == "low_rank":
+        # a product through a narrow inner dimension has rank at most k
+        k = rng.randint(0, ncols - 1)
+        left = [[rng.randint(-6, 6) for _ in range(k)] for _ in range(nrows)]
+        right = [[rng.randint(-6, 6) for _ in range(ncols)] for _ in range(k)]
+        rows = [
+            [sum(a * b for a, b in zip(lrow, col)) for col in zip(*right)] if k else [0] * ncols
+            for lrow in left
+        ]
+    elif kind == "fractions":
+        rows = [
+            [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(ncols)]
+            for _ in range(nrows)
+        ]
+    else:
+        rows = [[rng.randint(-9, 9) for _ in range(ncols)] for _ in range(nrows)]
+    for _ in range(rng.randint(0, 2)):
+        rows.insert(rng.randint(0, len(rows)), [0] * ncols)
+    return rows
+
+
+def test_random_bases_match_fraction_reference():
+    rng = random.Random(11)
+    nullities = set()
+    for _ in range(200):
+        rows = _random_matrix(rng)
+        expected = _reference_nullspace(rows)
+        assert solve_nullspace(rows) == expected, rows
+        nullities.add(len(expected))
+    # the sample covers trivial, partial and full nullspaces
+    assert 0 in nullities and len(nullities) >= 5
+
+
+def test_prime_sized_entry_is_not_mistaken_for_zero():
+    # the first prime, 2**31 - 1, kills the leading entry and moves the pivot
+    # to column 1; the basis must come from the primes that keep column 0
+    assert solve_nullspace([[2**31 - 1, 1]]) == [(1, -(2**31 - 1))]
+
+
 def test_modular_path_recovers_known_kernel():
-    # enough columns to trigger the modular strategy; kernel built by design
+    # a wide system with a kernel built by design
     rng = random.Random(5)
-    cols = _MODULAR_THRESHOLD + 12
+    cols = 60
     w = [rng.randint(-50, 50) for _ in range(cols - 1)]
     rows = []
     for _ in range(cols + 6):
@@ -65,7 +145,7 @@ def test_modular_path_recovers_known_kernel():
 
 def test_modular_path_trivial_nullspace():
     rng = random.Random(9)
-    cols = _MODULAR_THRESHOLD + 5
+    cols = 53
     rows = [[rng.randint(-1000, 1000) for _ in range(cols)] for _ in range(cols + 8)]
     assert solve_nullspace(rows) == []
 
