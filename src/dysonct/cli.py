@@ -3,7 +3,8 @@
 Subcommands: ct (exact constant term), guess (conjecture a closed form),
 prove / write-paper (certify and emit a proof document), turbo (complexity
 sweep).  Exit codes: 0 success, 1 usage, 2 mathematical failure (no fit or
-failed proof), 3 I/O failure.  The store path comes from --store, then the
+failed proof), 3 I/O failure (including a malformed store), 4 internal error
+(any other exception).  The store path comes from --store, then the
 DYSON_STORE environment variable, then ./dyson-store.json.
 """
 
@@ -27,6 +28,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_MATH = 2
 EXIT_IO = 3
+EXIT_INTERNAL = 4
 
 
 class _UsageError(Exception):
@@ -134,6 +136,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def _cmd_ct(args) -> int:

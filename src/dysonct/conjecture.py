@@ -166,25 +166,25 @@ def _eval_mono(point: Tuple[int, ...], mono: Tuple[int, ...]) -> int:
     return v
 
 
-def guess_rat(samples: SampleSet, t: int, holdout: int = HOLDOUT) -> Optional[RatFunc]:
+def guess_rat(samples: SampleSet, t: int) -> Optional[RatFunc]:
     """Fit a rational function of total degree exactly t to the samples.
 
     For each split (d_num, d_den) with d_num + d_den = t, in the order
     (t, 0), (t-1, 1), ..., (0, t): solve value * den(a) - num(a) = 0 on the
     fitting points, reject candidates whose denominator vanishes at any
-    sample point, and keep a survivor only if it reproduces the held-out
-    values exactly.  Returns None when no split admits a fit; raises
-    AmbiguousFit when a nullspace of dimension > 1 holds inequivalent
-    candidates (the caller should supply more samples).
+    sample point, and keep a survivor only if it reproduces the last HOLDOUT
+    samples, held out of the fit, exactly.  Returns None when no split
+    admits a fit; raises AmbiguousFit when a nullspace of dimension > 1 holds
+    inequivalent candidates (the caller should supply more samples).
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
     if not samples.points:
         raise ValueError("empty sample set")
     nvars = len(samples.points[0])
-    if len(samples.points) <= holdout:
+    if len(samples.points) <= HOLDOUT:
         raise ValueError("not enough samples for the held-out margin")
-    fit_pts = samples.points[:-holdout] if holdout else samples.points
+    fit_pts = samples.points[:-HOLDOUT]
     fit_vals = samples.values[: len(fit_pts)]
     hold_pts = samples.points[len(fit_pts) :]
     hold_vals = samples.values[len(fit_pts) :]
@@ -199,7 +199,7 @@ def guess_rat(samples: SampleSet, t: int, holdout: int = HOLDOUT) -> Optional[Ra
         unknowns = len(num_monos) + len(den_monos)
         if len(fit_pts) < unknowns:
             raise ValueError(
-                f"need at least {unknowns + holdout} samples for t={t}, have "
+                f"need at least {unknowns + HOLDOUT} samples for t={t}, have "
                 f"{len(samples.points)}"
             )
         # value * den(p) - num(p) = 0, scaled by the value's denominator

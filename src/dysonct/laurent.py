@@ -57,72 +57,23 @@ class DysonInstance:
 class LaurentPoly:
     """Sparse Laurent polynomial with integer coefficients.
 
-    Exponents may be negative; they stay tiny (bounded by sum(a) + max|b|)
-    even when the coefficients grow huge.
+    Only multiplication and coefficient lookup are provided: enough to
+    expand a product literally, as an independent reference for the
+    constant-term engine.
     """
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: Dict[Exponents, int] | None = None):
-        clean: Dict[Exponents, int] = {}
-        if terms:
-            for mono, c in terms.items():
-                mono = tuple(mono)
-                if len(mono) != nvars:
-                    raise ValueError(f"exponent vector {mono} has wrong length")
-                if c:
-                    clean[mono] = int(c)
+    def __init__(self, nvars: int, terms: Dict[Exponents, int]):
         self.nvars = nvars
-        self.terms = clean
-
-    @classmethod
-    def _raw(cls, nvars: int, terms: Dict[Exponents, int]) -> "LaurentPoly":
-        p = object.__new__(cls)
-        p.nvars = nvars
-        p.terms = terms
-        return p
+        self.terms = {tuple(mono): int(c) for mono, c in terms.items() if c}
 
     @classmethod
     def one(cls, nvars: int) -> "LaurentPoly":
-        return cls._raw(nvars, {(0,) * nvars: 1})
-
-    @classmethod
-    def monomial(cls, nvars: int, expo: Exponents, coeff: int = 1) -> "LaurentPoly":
-        return cls(nvars, {tuple(expo): coeff})
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return cls(nvars, {(0,) * nvars: 1})
 
     def coefficient(self, expo: Exponents) -> int:
         return self.terms.get(tuple(expo), 0)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LaurentPoly)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.nvars != other.nvars:
-            raise ValueError("mismatched variable counts")
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, 0) + c
-            if s:
-                out[mono] = s
-            elif mono in out:
-                del out[mono]
-        return LaurentPoly._raw(self.nvars, out)
-
-    def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw(self.nvars, {m: -c for m, c in self.terms.items()})
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if self.nvars != other.nvars:
@@ -131,32 +82,8 @@ class LaurentPoly:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 mono = tuple(x + y for x, y in zip(m1, m2))
-                s = out.get(mono, 0) + c1 * c2
-                if s:
-                    out[mono] = s
-                elif mono in out:
-                    del out[mono]
-        return LaurentPoly._raw(self.nvars, out)
-
-    def exponent_range(self, var: int) -> Tuple[int, int]:
-        if not self.terms:
-            return (0, 0)
-        exps = [m[var] for m in self.terms]
-        return (min(exps), max(exps))
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({self.nvars}, {len(self.terms)} terms)"
-
-
-def coeff_slice(p: LaurentPoly, var: int, exponent: int) -> LaurentPoly:
-    """Terms whose ``var``-exponent equals ``exponent``, with that variable removed."""
-    if not 0 <= var < p.nvars:
-        raise ValueError(f"variable index {var} out of range")
-    out: Dict[Exponents, int] = {}
-    for mono, c in p.terms.items():
-        if mono[var] == exponent:
-            out[mono[:var] + mono[var + 1 :]] = c
-    return LaurentPoly._raw(p.nvars - 1, out)
+                out[mono] = out.get(mono, 0) + c1 * c2
+        return LaurentPoly(self.nvars, out)
 
 
 # ----------------------------------------------------------------------

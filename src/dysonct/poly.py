@@ -353,19 +353,6 @@ def binomial_poly(nvars: int, var: int, m: int) -> Poly:
     return result.scale(Fraction(1, factorial(m)))
 
 
-def poly_arith(p: Poly, q: Poly, op: str) -> Poly:
-    """Dispatcher for the three ring operations; raises on mismatched nvars."""
-    if p.nvars != q.nvars:
-        raise ValueError(f"mismatched variable counts {p.nvars} != {q.nvars}")
-    if op == "add":
-        return p + q
-    if op == "sub":
-        return p - q
-    if op == "mul":
-        return p * q
-    raise ValueError(f"unknown op {op!r}")
-
-
 # ----------------------------------------------------------------------
 # exact division and gcd
 

@@ -9,11 +9,14 @@ checking, as identities of rational functions in canonical form:
   coefficients of P_k,
 * the initial value at a = 0,
 
-together with a guarantee that R's reduced denominator cannot vanish at any
+together with a proof that R's reduced denominator cannot vanish at any
 nonnegative integer point (so the rational identities imply the integer
-ones).  Identity checking is cross-multiplied polynomial comparison over Q:
-a complete symbolic proof, not sampling.  Boundary dependencies are proved
-recursively, bottoming out in the built-in n = 2 closed form.
+ones): the denominator must split into linear forms with nonnegative
+coefficients and positive constants, and a form whose denominator does not
+split that way is not certified.  Identity checking is cross-multiplied
+polynomial comparison over Q: a complete symbolic proof, not sampling.
+Boundary dependencies are proved recursively, bottoming out in the built-in
+n = 2 closed form.
 """
 
 from __future__ import annotations
@@ -101,6 +104,21 @@ def c2_closed_form(b: Sequence[int]) -> ClosedForm:
 # the four checks
 
 
+def _cross_products(dens: List[Poly], nvars: int) -> Tuple[Poly, List[Poly]]:
+    """The product of ``dens`` and, for each i, the product of all but dens[i]."""
+    prefix = [Poly.const(nvars, 1)]
+    for d in dens:
+        prefix.append(prefix[-1] * d)
+    others: List[Poly] = []
+    suffix = Poly.const(nvars, 1)
+    for i in range(len(dens) - 1, -1, -1):
+        others.append(prefix[i] * suffix)
+        if i:
+            suffix = suffix * dens[i]
+    others.reverse()
+    return prefix[-1], others
+
+
 def check_recursion(form: ClosedForm) -> CheckOutcome:
     """Verify R(a) = sum_i (a_i / (a_1+...+a_n)) R(a - e_i) symbolically.
 
@@ -117,20 +135,11 @@ def check_recursion(form: ClosedForm) -> CheckOutcome:
     for i in range(n):
         s = s + Poly.variable(n, i)
     shifted = [(num.shift_var(i, -1), den.shift_var(i, -1)) for i in range(n)]
-    dens = [d for _, d in shifted]
-    prefix = [Poly.const(n, 1)]
-    for d in dens:
-        prefix.append(prefix[-1] * d)
-    suffix = [Poly.const(n, 1)]
-    for d in reversed(dens):
-        suffix.append(suffix[-1] * d)
-    suffix.reverse()
-    all_dens = prefix[-1]
+    all_dens, others = _cross_products([d for _, d in shifted], n)
     lhs_poly = num * s * all_dens
     rhs_poly = Poly.zero(n)
     for i in range(n):
-        others = prefix[i] * suffix[i + 1]
-        rhs_poly = rhs_poly + Poly.variable(n, i) * shifted[i][0] * den * others
+        rhs_poly = rhs_poly + Poly.variable(n, i) * shifted[i][0] * den * others[i]
     if lhs_poly == rhs_poly:
         return CheckOutcome(ok=True, check="recursion", lhs=R, rhs=R)
     diff = RatFunc.make(lhs_poly - rhs_poly, s * den * all_dens)
@@ -187,19 +196,11 @@ def check_boundary(form: ClosedForm, k: int, resolver: FormResolver) -> CheckOut
     if missing:
         raise UnresolvedDependencyError(missing)
 
-    dens = [f.R.den for f in lower]
-    prefix = [Poly.const(n - 1, 1)]
-    for d in dens:
-        prefix.append(prefix[-1] * d)
-    suffix = [Poly.const(n - 1, 1)]
-    for d in reversed(dens):
-        suffix.append(suffix[-1] * d)
-    suffix.reverse()
-    den_rhs = prefix[-1]
+    den_rhs, others = _cross_products([f.R.den for f in lower], n - 1)
     num_rhs = Poly.zero(n - 1)
-    for i, (term, low) in enumerate(zip(expansion.terms, lower)):
+    for term, low, other in zip(expansion.terms, lower, others):
         coeff = term.coeff.drop_var(k)
-        num_rhs = num_rhs + coeff * low.R.num * (prefix[i] * suffix[i + 1])
+        num_rhs = num_rhs + coeff * low.R.num * other
     ok = lhs.num * den_rhs == num_rhs * lhs.den
     lhs_canon = RatFunc.make(lhs.num, lhs.den)
     if ok:
@@ -214,31 +215,20 @@ def check_boundary(form: ClosedForm, k: int, resolver: FormResolver) -> CheckOut
 def check_initial(form: ClosedForm) -> CheckOutcome:
     """Verify d_n(0; b) = 1 when b = 0 and 0 otherwise.
 
-    The reduced canonical R is evaluated at a = 0.  If its denominator
-    happens to vanish there, the value is taken as the limit along the
-    diagonal a = (t, ..., t) and the outcome is flagged in the note.
+    The reduced canonical R is evaluated at a = 0; a denominator vanishing
+    there fails the check (``prove`` rules that out earlier, by denominator
+    safety).
     """
     n = form.n
     expected = Fraction(1) if all(x == 0 for x in form.b) else Fraction(0)
     R = form.R
-    note = ""
-    if R.is_zero():
-        value = Fraction(0)
-    else:
-        zeros = (0,) * n
-        den0 = R.den.evaluate(zeros)
-        if den0 != 0:
-            value = R.num.evaluate(zeros) / den0
-        else:
-            note = "limit"
-            value = _diagonal_limit_at_zero(R)
-            if value is None:
-                return CheckOutcome(
-                    ok=False,
-                    check="initial",
-                    lhs=R,
-                    note="diverges along the diagonal at a = 0",
-                )
+    zeros = (0,) * n
+    den0 = R.den.evaluate(zeros)
+    if den0 == 0:
+        return CheckOutcome(
+            ok=False, check="initial", lhs=R, note="denominator vanishes at a = 0"
+        )
+    value = R.num.evaluate(zeros) / den0
     ok = value == expected
     return CheckOutcome(
         ok=ok,
@@ -246,31 +236,7 @@ def check_initial(form: ClosedForm) -> CheckOutcome:
         lhs=RatFunc.const(n, value),
         rhs=RatFunc.const(n, expected),
         difference=None if ok else RatFunc.const(n, value - expected),
-        note=note,
     )
-
-
-def _diagonal_limit_at_zero(R: RatFunc) -> Optional[Fraction]:
-    def restrict(p: Poly) -> Dict[int, Fraction]:
-        out: Dict[int, Fraction] = {}
-        for mono, c in p.terms.items():
-            d = sum(mono)
-            out[d] = out.get(d, Fraction(0)) + c
-        return {d: c for d, c in out.items() if c != 0}
-
-    num_t = restrict(R.num)
-    den_t = restrict(R.den)
-    if not den_t:
-        return None
-    if not num_t:
-        return Fraction(0)
-    ord_num = min(num_t)
-    ord_den = min(den_t)
-    if ord_num > ord_den:
-        return Fraction(0)
-    if ord_num == ord_den:
-        return num_t[ord_num] / den_t[ord_den]
-    return None
 
 
 # ----------------------------------------------------------------------
@@ -341,34 +307,29 @@ def linear_factors(p: Poly) -> Optional[Tuple[List[LinearForm], Fraction]]:
 @dataclass
 class DenominatorSafety:
     ok: bool
-    guarantee: str  # "syntactic" or "grid"
     factors: Optional[List[LinearForm]] = None
     constant: Optional[Fraction] = None
-    witness: Optional[Tuple[int, ...]] = None
+
+    @property
+    def guarantee(self) -> str:
+        return "syntactic" if self.ok else "none"
 
 
 def check_denominator_safety(form: ClosedForm) -> DenominatorSafety:
     """Certify that R's reduced denominator is nonzero at nonnegative integer a.
 
-    First a syntactic test: the denominator splits into linear forms with
-    nonnegative coefficients and strictly positive constants (then it is
-    positive everywhere on the grid).  If that fails, an exhaustive check on
-    the finite grid 0 <= a_i <= sum|b_i| + n is run instead and reported as
-    the weaker guarantee.
+    The only accepted argument is syntactic: the denominator splits into
+    linear forms with nonnegative coefficients and strictly positive
+    constants, times a positive constant, so it is positive on the whole
+    nonnegative orthant.  Any other denominator gives ``ok=False``, even one
+    that happens to have no nonnegative integer zero.
     """
-    den = form.R.den
-    split = linear_factors(den)
+    split = linear_factors(form.R.den)
     if split is not None:
         factors, const = split
         if const > 0 and all(f.is_positive_on_grid() for f in factors):
-            return DenominatorSafety(
-                ok=True, guarantee="syntactic", factors=factors, constant=const
-            )
-    bound = sum(abs(x) for x in form.b) + form.n
-    for point in itertools.product(range(bound + 1), repeat=form.n):
-        if den.evaluate(point) == 0:
-            return DenominatorSafety(ok=False, guarantee="grid", witness=point)
-    return DenominatorSafety(ok=True, guarantee="grid")
+            return DenominatorSafety(ok=True, factors=factors, constant=const)
+    return DenominatorSafety(ok=False)
 
 
 # ----------------------------------------------------------------------
@@ -389,8 +350,6 @@ class ProofCertificate:
     boundary_ok: Tuple[bool, ...]
     initial_ok: bool
     denominator_safe: bool
-    denominator_guarantee: str
-    initial_limit_used: bool
     base_case: bool
     dependencies: Tuple["ProofCertificate", ...]
     identities: dict = field(default_factory=dict)
@@ -413,8 +372,10 @@ class ProofCertificate:
             "boundary_ok": list(self.boundary_ok),
             "initial_ok": self.initial_ok,
             "denominator_safe": self.denominator_safe,
-            "denominator_guarantee": self.denominator_guarantee,
-            "initial_limit_used": self.initial_limit_used,
+            # the only guarantee denominator safety certifies; the two keys
+            # keep the stored certificate format unchanged
+            "denominator_guarantee": "syntactic",
+            "initial_limit_used": False,
             "base_case": self.base_case,
             "dependency_b": [list(dep.form.b) for dep in self.dependencies],
             "dependencies": [dep.to_json() for dep in self.dependencies],
@@ -430,10 +391,8 @@ class Resolver:
     forms actually required sampling and fitting.
     """
 
-    def __init__(self, max_t: int = 12, use_ansatz: bool = True, oracle=None):
+    def __init__(self, max_t: int = 12):
         self.max_t = max_t
-        self.use_ansatz = use_ansatz
-        self.oracle = oracle
         self.forms: Dict[Tuple[int, Tuple[int, ...]], ClosedForm] = {}
         self.certificates: Dict[Tuple[int, Tuple[int, ...]], ProofCertificate] = {}
         self.guess_calls = 0
@@ -448,7 +407,7 @@ class Resolver:
         elif sum(b) != 0:
             form = ClosedForm(n=n, b=b, R=RatFunc.zero(n))
         else:
-            form = guess_dyson(n, b, self.max_t, self.use_ansatz, self.oracle)
+            form = guess_dyson(n, b, self.max_t)
             self.guess_calls += 1
         self.forms[key] = form
         return form
@@ -508,8 +467,6 @@ def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCe
             boundary_ok=(True, True),
             initial_ok=True,
             denominator_safe=True,
-            denominator_guarantee="syntactic",
-            initial_limit_used=False,
             base_case=True,
             dependencies=(),
             identities={"base_case": "binomial-theorem closed form for n = 2"},
@@ -534,7 +491,7 @@ def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCe
             CheckOutcome(
                 ok=False,
                 check="denominator-safety",
-                note=f"denominator vanishes at {safety.witness}",
+                note="denominator does not split into positive linear factors",
             ),
         )
     recursion = check_recursion(form)
@@ -556,8 +513,6 @@ def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCe
         boundary_ok=tuple(True for _ in range(n)),
         initial_ok=True,
         denominator_safe=True,
-        denominator_guarantee=safety.guarantee,
-        initial_limit_used=initial.note == "limit",
         base_case=False,
         dependencies=dependencies,
         identities={

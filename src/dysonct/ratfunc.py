@@ -175,21 +175,6 @@ class RatFunc:
         return f"RatFunc({self.num!r} / {self.den!r})"
 
 
-def ratfunc_arith(r: RatFunc, s: RatFunc, op: str) -> RatFunc:
-    """Dispatcher for field operations; division by zero is a domain error."""
-    if r.nvars != s.nvars:
-        raise ValueError(f"mismatched variable counts {r.nvars} != {s.nvars}")
-    if op == "add":
-        return r + s
-    if op == "sub":
-        return r - s
-    if op == "mul":
-        return r * s
-    if op == "div":
-        return r / s
-    raise ValueError(f"unknown op {op!r}")
-
-
 def rising_factorial(y: LinearForm, h: int) -> RatFunc:
     """The rising factorial (y)_h as a reduced rational function.
 

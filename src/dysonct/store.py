@@ -5,11 +5,13 @@ The store file is a versioned, human-inspectable archive: one entry per
 obtained (guessed / permuted / reduced / base), and the full certificate
 tree.  Saving is deterministic (sorted entries, sorted keys), so re-saving a
 loaded store reproduces the file byte for byte; writes go through a lock
-file so concurrent commands cannot interleave.
+file so concurrent commands cannot interleave, and replace the file
+atomically, so a failed or interrupted save leaves the old file as it was.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import time
@@ -24,7 +26,8 @@ STORE_ENV = "DYSON_STORE"
 
 
 class StoreIOError(Exception):
-    """Raised for lock or file-system failures around the store."""
+    """Raised for lock or file-system failures around the store, and for
+    store files that cannot be read back as entries."""
 
 
 @dataclass
@@ -96,8 +99,7 @@ class ResultStore:
         payload = json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
         with _locked(path):
             try:
-                with open(path, "w") as fh:
-                    fh.write(payload)
+                _replace_file(path, payload)
             except OSError as exc:
                 raise StoreIOError(f"cannot write store {path}: {exc}") from exc
 
@@ -111,13 +113,38 @@ class ResultStore:
             return store
         except (OSError, json.JSONDecodeError) as exc:
             raise StoreIOError(f"cannot read store {path}: {exc}") from exc
-        if data.get("version") != SCHEMA_VERSION:
-            raise StoreIOError(
-                f"store {path} has unsupported version {data.get('version')!r}"
-            )
-        for raw in data.get("entries", []):
-            store.add(StoreEntry.from_json(raw))
+        version = data.get("version") if isinstance(data, dict) else None
+        if version != SCHEMA_VERSION:
+            raise StoreIOError(f"store {path} has unsupported version {version!r}")
+        entries = data.get("entries", [])
+        if not isinstance(entries, list):
+            raise StoreIOError(f"store {path} has no entry list")
+        for index, raw in enumerate(entries):
+            try:
+                store.add(StoreEntry.from_json(raw))
+            except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+                label = f"entry {index}"
+                if isinstance(raw, dict):
+                    label += f" (n={raw.get('n')!r}, b={raw.get('b')!r})"
+                raise StoreIOError(f"store {path} has a malformed {label}: {exc!r}") from exc
         return store
+
+
+def _replace_file(path: str, payload: str) -> None:
+    """Write ``payload`` to a temporary file beside ``path``, make it durable,
+    then rename it onto ``path``.  Callers hold the store lock, so the
+    temporary name is theirs alone; on any failure it is removed again."""
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+        raise
 
 
 def store_path(explicit: Optional[str] = None) -> str:

@@ -100,7 +100,6 @@ def _matching_permutation(src: Tuple[int, ...], dst: Tuple[int, ...]) -> Tuple[i
 @dataclass(frozen=True)
 class ReductionTerm:
     sign: int
-    a_shift: Tuple[int, ...]
     b_shift: Tuple[int, ...]
 
 
@@ -108,15 +107,14 @@ class ReductionTerm:
 class ReductionRelation:
     """The index-raising identity instantiated at a base vector b.
 
-    Left side: c_n(a + e_n; b) (a-shift ``lhs_a_shift``).  Right side: the
-    signed terms below, enumerated over subsets S of {1..n-1} in binary
-    order; the last term (S full) has the unique highest-complexity shift
-    and is what the sweep solves for.
+    Left side: c_n(a + e_n; b).  Right side: the signed terms below,
+    enumerated over subsets S of {1..n-1} in binary order; the last term
+    (S full) has the unique highest-complexity shift and is what the sweep
+    solves for.
     """
 
     n: int
     b: Tuple[int, ...]
-    lhs_a_shift: Tuple[int, ...]
     terms: Tuple[ReductionTerm, ...]
 
     def resolved_targets(self) -> List[Tuple[int, Tuple[int, ...]]]:
@@ -132,7 +130,6 @@ def reduction_relation(n: int, b: Sequence[int]) -> ReductionRelation:
         raise ValueError("reduction relation needs n >= 2")
     b = tuple(b)
     terms = []
-    zeros = (0,) * n
     for mask in range(2 ** (n - 1)):
         members = [i for i in range(n - 1) if mask >> i & 1]
         shift = [0] * n
@@ -140,9 +137,8 @@ def reduction_relation(n: int, b: Sequence[int]) -> ReductionRelation:
             shift[i] -= 1
         shift[n - 1] += len(members)
         sign = -1 if len(members) % 2 else 1
-        terms.append(ReductionTerm(sign=sign, a_shift=zeros, b_shift=tuple(shift)))
-    lhs = tuple(0 if i < n - 1 else 1 for i in range(n))
-    return ReductionRelation(n=n, b=b, lhs_a_shift=lhs, terms=tuple(terms))
+        terms.append(ReductionTerm(sign=sign, b_shift=tuple(shift)))
+    return ReductionRelation(n=n, b=b, terms=tuple(terms))
 
 
 Lookup = Callable[[Tuple[int, ...]], Optional[ClosedForm]]

@@ -1,7 +1,10 @@
+import json
+
 import pytest
 
+import dysonct.cli as cli
 from conftest import latex_balanced
-from dysonct.cli import EXIT_IO, EXIT_MATH, EXIT_OK, EXIT_USAGE, main
+from dysonct.cli import EXIT_INTERNAL, EXIT_IO, EXIT_MATH, EXIT_OK, EXIT_USAGE, main
 from dysonct.store import ResultStore
 
 
@@ -114,3 +117,24 @@ def test_io_failure_exit_code(tmp_path, capsys):
     )
     assert code == EXIT_IO
     capsys.readouterr()
+
+
+def test_malformed_store_entry_exit_code(tmp_path, capsys):
+    assert main(["turbo", "-n", "2", "-C", "1", "--store", "s.json"]) == EXIT_OK
+    path = tmp_path / "s.json"
+    data = json.loads(path.read_text())
+    del data["entries"][0]["R"]
+    path.write_text(json.dumps(data))
+    capsys.readouterr()
+    assert main(["turbo", "-n", "2", "-C", "1", "--store", "s.json"]) == EXIT_IO
+    assert "malformed entry 0" in capsys.readouterr().err
+
+
+def test_unexpected_exception_exit_code(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("simulated defect")
+
+    monkeypatch.setattr(cli, "turbo_dyson", broken)
+    assert main(["turbo", "-n", "2", "-C", "1"]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert err == "internal error: RuntimeError: simulated defect\n"

@@ -5,8 +5,6 @@ import pytest
 from conftest import literal_ct
 from dysonct.laurent import (
     DysonInstance,
-    LaurentPoly,
-    coeff_slice,
     ct,
     multinomial,
     pk_expansion,
@@ -102,24 +100,6 @@ def test_boundary_cross_check():
                     assert coeff.denominator == 1
                     rhs += int(coeff) * ct(2, rest, term.shifted_b)
                 assert lhs == rhs, (b, k, a)
-
-
-def test_coeff_slice_examples():
-    p = LaurentPoly(2, {(0, 0): 2, (1, -1): -1, (-1, 1): -1})
-    assert coeff_slice(p, 0, 0) == LaurentPoly(1, {(0,): 2})
-    assert coeff_slice(p, 0, 1) == LaurentPoly(1, {(-1,): -1})
-    assert coeff_slice(p, 0, 99).is_zero()
-
-
-def test_coeff_slice_reconstitution():
-    p = LaurentPoly(2, {(0, 0): 2, (1, -1): -1, (-1, 1): -1, (2, 1): 5})
-    lo, hi = p.exponent_range(0)
-    rebuilt = LaurentPoly(2, {})
-    for e in range(lo, hi + 1):
-        piece = coeff_slice(p, 0, e)
-        lifted = LaurentPoly(2, {(e,) + m: c for m, c in piece.terms.items()})
-        rebuilt = rebuilt + lifted
-    assert rebuilt == p
 
 
 def test_pk_expansion_2m1m1_data():

@@ -78,8 +78,6 @@ def test_invalid_certificate_refused(cert_2m1m1):
         boundary_ok=(False, False, False),
         initial_ok=False,
         denominator_safe=False,
-        denominator_guarantee="grid",
-        initial_limit_used=False,
         base_case=False,
         dependencies=(),
     )

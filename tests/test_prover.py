@@ -164,12 +164,14 @@ def test_initial_examples():
     assert check_initial(form5).ok
 
 
-def test_initial_limit_fallback_is_flagged():
+def test_initial_fails_when_denominator_vanishes_at_zero():
+    # R = 2 a_1 / (a_1 + a_2) has no value at a = 0, although its limit
+    # along the diagonal is the expected 1
     a1, a2 = Poly.variable(2, 0), Poly.variable(2, 1)
-    form = ClosedForm(2, (0, 0), RatFunc.make(a1, a1 + a2))
+    form = ClosedForm(2, (0, 0), RatFunc.make(a1 * 2, a1 + a2))
     out = check_initial(form)
-    assert out.note == "limit"
-    assert not out.ok  # diagonal limit is 1/2, not the expected 1
+    assert not out.ok
+    assert out.difference is None
 
 
 def test_denominator_safety_syntactic():
@@ -190,17 +192,17 @@ def test_denominator_safety_grid_failure():
     form = ClosedForm(2, (0, 0), RatFunc.make(Poly.const(2, 1), a1 - a2))
     result = check_denominator_safety(form)
     assert not result.ok
-    assert result.witness is not None
-    assert (a1 - a2).evaluate(result.witness) == 0
+    assert result.factors is None
 
 
-def test_denominator_safety_grid_fallback_positive():
-    # irreducible quadratic denominator: syntactic test fails, grid check passes
+def test_denominator_safety_rejects_nonsplitting_positive_denominator():
+    # a_1^2 + a_2 + 1 has no zero on the nonnegative grid, but it does not
+    # split into linear factors, so nothing proves that: not certified
     a1, a2 = Poly.variable(2, 0), Poly.variable(2, 1)
     den = a1 * a1 + a2 + Poly.const(2, 1)
     form = ClosedForm(2, (0, 0), RatFunc.make(Poly.const(2, 1), den))
     result = check_denominator_safety(form)
-    assert result.ok and result.guarantee == "grid"
+    assert not result.ok and result.guarantee != "syntactic"
 
 
 def test_linear_factors_reassembles_product():
@@ -250,6 +252,16 @@ def test_prove_n4_end_to_end():
     assert cert.form.evaluate((2, 1, 1, 1)) == ct(4, (2, 1, 1, 1), (1, -1, 0, 0))
 
 
+def test_prove_rejects_denominator_without_linear_split():
+    a = _vars(3)
+    den = a[0] * a[0] + a[1] + Poly.const(3, 1)
+    resolver = Resolver()
+    resolver.add_form(ClosedForm(3, (0, 0, 0), RatFunc.make(Poly.const(3, 1), den)))
+    with pytest.raises(ProofError) as info:
+        prove(3, (0, 0, 0), resolver)
+    assert info.value.outcome.check == "denominator-safety"
+
+
 def test_prove_failure_gives_counterexample_report():
     resolver = Resolver()
     resolver.add_form(ClosedForm(3, (2, -1, -1), RatFunc.one(3)))
@@ -292,7 +304,7 @@ def test_mutated_denominator_check_blocks_certificate(monkeypatch):
     def failing(form):
         from dysonct.prover import DenominatorSafety
 
-        return DenominatorSafety(ok=False, guarantee="grid", witness=(0, 0, 0))
+        return DenominatorSafety(ok=False)
 
     monkeypatch.setattr(prover_module, "check_denominator_safety", failing)
     with pytest.raises(ProofError):

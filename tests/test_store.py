@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+import dysonct.store as store_module
 from dysonct.prover import Resolver, prove
 from dysonct.store import ResultStore, StoreEntry, StoreIOError, _locked, store_path
 from dysonct.turbo import turbo_dyson
@@ -38,6 +39,12 @@ def test_missing_file_loads_empty(tmp_path):
 def test_version_mismatch_rejected(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"version": 99, "entries": []}))
+    with pytest.raises(StoreIOError):
+        ResultStore.load(str(path))
+    path.write_text("[]")
+    with pytest.raises(StoreIOError):
+        ResultStore.load(str(path))
+    path.write_text(json.dumps({"version": 1, "entries": 5}))
     with pytest.raises(StoreIOError):
         ResultStore.load(str(path))
 
@@ -90,3 +97,41 @@ def test_certificate_survives_serialization(tmp_path):
     assert entry.form.R == cert.form.R
     assert entry.certificate["boundary_ok"] == [True, True, True]
     assert len(entry.certificate["dependencies"]) == 3
+
+
+def test_failed_save_keeps_old_file_and_leaves_no_temporary(tmp_path, monkeypatch):
+    path = tmp_path / "s.json"
+    ResultStore().save(str(path))
+    raw = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("simulated rename failure")
+
+    monkeypatch.setattr(store_module.os, "replace", failing_replace)
+    with pytest.raises(StoreIOError):
+        _small_store().save(str(path))
+    assert path.read_bytes() == raw
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
+
+def _write_store_with_entry(path, mutate):
+    store = _small_store()
+    store.save(str(path))
+    data = json.loads(path.read_text())
+    mutate(data["entries"][1])
+    path.write_text(json.dumps(data))
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda entry: entry.pop("provenance"),
+        lambda entry: entry["R"].__setitem__("num_terms", [[1, 1]]),
+    ],
+    ids=["missing-key", "bad-term-list"],
+)
+def test_malformed_entry_rejected(tmp_path, mutate):
+    path = tmp_path / "bad.json"
+    _write_store_with_entry(path, mutate)
+    with pytest.raises(StoreIOError, match="malformed entry 1"):
+        ResultStore.load(str(path))

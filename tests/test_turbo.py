@@ -81,7 +81,6 @@ def test_reduction_relation_n3_terms():
         (0, -1, 1),
         (-1, -1, 2),
     ]
-    assert rel.lhs_a_shift == (0, 0, 1)
 
 
 def test_reduction_relation_resolved_targets():
