@@ -11,8 +11,14 @@ into one binomial power,
 
 keeps the intermediate slices small while remaining a plain exact expansion;
 coefficients are arbitrary-precision integers throughout, so nothing can
-overflow.  Also here: the symbolic Taylor coefficients P_k used by the
-boundary conditions of the proof engine.
+overflow.
+
+The constant term is unchanged when the pairs (a_i, b_i) are relabeled
+together, so every instance is first reduced to one canonical arrangement:
+the pairs sorted ascending.  That arrangement is the key of the one cache
+and also the elimination order, so the variables with the smallest
+exponents are retired first.  Also here: the symbolic Taylor coefficients
+P_k used by the boundary conditions of the proof engine.
 """
 
 from __future__ import annotations
@@ -90,51 +96,53 @@ class LaurentPoly:
 # constant-term extraction
 
 
+def _signed_row(ah: int, aj: int) -> List[int]:
+    """(-1)^m C(a_h + a_j, a_h + m) for m = -a_h .. a_j, indexed by a_h + m."""
+    s = ah + aj
+    return [-comb(s, k) if (k - ah) & 1 else comb(s, k) for k in range(s + 1)]
+
+
 @lru_cache(maxsize=200000)
 def _ct_cached(n: int, a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
-    # DP state: accumulated exponents of the still-active variables h..n-1,
-    # mapped to integer coefficients.  Processing variable h absorbs every
-    # pair factor (h, j), keeps only the slice with x_h-exponent b_h, and
-    # retires x_h.
+    # Callers pass the canonical arrangement (see ct_bruteforce); the DP
+    # itself is correct for any arrangement.  DP state: accumulated
+    # exponents of the still-active variables h..n-1, mapped to integer
+    # coefficients.  Processing variable h absorbs every pair factor (h, j),
+    # keeps only the slice with x_h-exponent b_h, and retires x_h.
     state: Dict[Tuple[int, ...], int] = {(0,) * n: 1}
     for h in range(n - 1):
-        partners = list(range(h + 1, n))
+        ah = a[h]
         # pair (h, j) with summand index m in [-a_h, a_j] contributes
-        # (-1)^m C(a_h + a_j, a_h + m) and exponents +m to x_h, -m to x_j
-        lows = [-a[h]] * len(partners)
-        highs = [a[j] for j in partners]
-        suffix_lo = [0] * (len(partners) + 1)
-        suffix_hi = [0] * (len(partners) + 1)
-        for i in range(len(partners) - 1, -1, -1):
-            suffix_lo[i] = suffix_lo[i + 1] + lows[i]
-            suffix_hi[i] = suffix_hi[i + 1] + highs[i]
+        # rows[idx][a_h + m] and exponents +m to x_h, -m to x_j
+        highs = a[h + 1 :]
+        rows = [_signed_row(ah, aj) for aj in highs]
+        last = len(highs)
+        # bounds on the m-sum over partners idx..last-1, for pruning
+        suffix_lo = [-ah * (last - i) for i in range(last + 1)]
+        suffix_hi = [sum(highs[i:]) for i in range(last + 1)]
         new_state: Dict[Tuple[int, ...], int] = {}
+
+        def walk(idx: int, need: int, rest: Tuple[int, ...], key: Tuple[int, ...], coeff: int):
+            if idx == last - 1:
+                # the last partner takes the whole remaining need
+                if -ah <= need <= highs[idx]:
+                    key += (rest[idx] - need,)
+                    s = new_state.get(key, 0) + coeff * rows[idx][ah + need]
+                    if s:
+                        new_state[key] = s
+                    elif key in new_state:
+                        del new_state[key]
+                return
+            # prune m-ranges that cannot reach the target slice
+            lo = max(-ah, need - suffix_hi[idx + 1])
+            hi = min(highs[idx], need - suffix_lo[idx + 1])
+            row = rows[idx]
+            e = rest[idx]
+            for m in range(lo, hi + 1):
+                walk(idx + 1, need - m, rest, key + (e - m,), coeff * row[ah + m])
+
         for key, coeff in state.items():
-            need = b[h] - key[0]
-            rest = key[1:]
-
-            def walk(idx: int, need: int, rest: Tuple[int, ...], coeff: int):
-                if idx == len(partners):
-                    if need == 0:
-                        s = new_state.get(rest, 0) + coeff
-                        if s:
-                            new_state[rest] = s
-                        elif rest in new_state:
-                            del new_state[rest]
-                    return
-                # prune m-ranges that cannot reach the target slice
-                lo = max(lows[idx], need - suffix_hi[idx + 1])
-                hi = min(highs[idx], need - suffix_lo[idx + 1])
-                s = a[h] + a[partners[idx]]
-                for m in range(lo, hi + 1):
-                    c = comb(s, a[h] + m)
-                    if m & 1:
-                        c = -c
-                    nr = list(rest)
-                    nr[idx] -= m
-                    walk(idx + 1, need - m, tuple(nr), coeff * c)
-
-            walk(0, need, rest, coeff)
+            walk(0, b[h] - key[0], key[1:], (), coeff)
         state = new_state
         if not state:
             return 0
@@ -145,9 +153,15 @@ def ct_bruteforce(inst: DysonInstance) -> int:
     """Coefficient of x_1^{b_1}...x_n^{b_n} in F_n(x; a; 0).
 
     Equivalently the constant term of F_n(x; a; b); computed by exact
-    expansion with variable-by-variable coefficient elimination.
+    expansion with variable-by-variable coefficient elimination.  Relabeling
+    the pairs (a_i, b_i) together leaves the constant term unchanged, so the
+    pairs are first sorted ascending (by a_i, then b_i).  That canonical
+    arrangement is both the cache key, shared by every relabeling, and the
+    elimination order: the variables with the smallest exponents are
+    absorbed first, which keeps the intermediate slices small.
     """
-    return _ct_cached(inst.n, inst.a, inst.b)
+    a, b = zip(*sorted(zip(inst.a, inst.b)))
+    return _ct_cached(inst.n, a, b)
 
 
 def ct(n: int, a, b) -> int:

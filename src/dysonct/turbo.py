@@ -23,7 +23,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .conjecture import ClosedForm, GuessError
 from .poly import Poly
-from .prover import ProofError, Resolver, c2_closed_form, prove
+from .prover import (
+    MalformedFormError,
+    ProofError,
+    Resolver,
+    UnresolvedDependencyError,
+    c2_closed_form,
+    prove,
+)
 from .ratfunc import RatFunc
 from .store import ResultStore, StoreEntry
 
@@ -262,7 +269,7 @@ def turbo_dyson(
                     elapsed=time.perf_counter() - started,
                 )
             )
-        except (ProofError, GuessError) as exc:
+        except (ProofError, GuessError, MalformedFormError, UnresolvedDependencyError) as exc:
             result.lines.append(
                 SweepLine(
                     b=b,

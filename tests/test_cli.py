@@ -3,8 +3,10 @@ import json
 import pytest
 
 import dysonct.cli as cli
+import dysonct.turbo as turbo
 from conftest import latex_balanced
 from dysonct.cli import EXIT_INTERNAL, EXIT_IO, EXIT_MATH, EXIT_OK, EXIT_USAGE, main
+from dysonct.prover import MalformedFormError, UnresolvedDependencyError
 from dysonct.store import ResultStore
 
 
@@ -138,3 +140,30 @@ def test_unexpected_exception_exit_code(monkeypatch, capsys):
     assert main(["turbo", "-n", "2", "-C", "1"]) == EXIT_INTERNAL
     err = capsys.readouterr().err
     assert err == "internal error: RuntimeError: simulated defect\n"
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [
+        UnresolvedDependencyError([(1, -1)]),
+        MalformedFormError("denominator of R vanishes identically at a_1 = 0"),
+    ],
+    ids=["unresolved-dependency", "malformed-form"],
+)
+def test_turbo_records_failed_entry_and_keeps_the_rest(tmp_path, monkeypatch, capsys, exc):
+    bad = (0, -1, 1)
+    real_prove = turbo.prove
+
+    def prove_failing_once(n, b, resolver):
+        if tuple(b) == bad:
+            raise exc
+        return real_prove(n, b, resolver)
+
+    monkeypatch.setattr(turbo, "prove", prove_failing_once)
+    assert main(["turbo", "-n", "3", "-C", "1", "--store", "s.json"]) == EXIT_MATH
+    out = capsys.readouterr().out
+    assert f"FAILED: {exc}" in out
+    assert "6 new entries" in out
+    store = ResultStore.load(str(tmp_path / "s.json"))
+    assert len(store) == 6
+    assert (3, bad) not in store

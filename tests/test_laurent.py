@@ -5,6 +5,7 @@ import pytest
 from conftest import literal_ct
 from dysonct.laurent import (
     DysonInstance,
+    _ct_cached,
     ct,
     multinomial,
     pk_expansion,
@@ -63,6 +64,42 @@ def test_relabeling_symmetry_n4_sample():
         base = ct(4, a, b)
         for perm in itertools.permutations(range(4)):
             assert ct(4, tuple(a[p] for p in perm), tuple(b[p] for p in perm)) == base
+
+
+def _zero_sum(n, bound):
+    return [b for b in itertools.product(range(-bound, bound + 1), repeat=n) if sum(b) == 0]
+
+
+def test_raw_dp_is_invariant_under_relabeling():
+    # the kernel itself, bypassing the canonical arrangement and the cache:
+    # every arrangement of the pairs (a_i, b_i) must give the literal value
+    raw = _ct_cached.__wrapped__
+    cases = [
+        (n, a, b)
+        for n in (2, 3)
+        for a in itertools.product(range(3), repeat=n)
+        for b in _zero_sum(n, 2)
+    ]
+    cases += [(4, a, b) for a in itertools.product(range(2), repeat=4) for b in _zero_sum(4, 1)]
+    for n, a, b in cases:
+        expected = literal_ct(n, a, b)
+        for perm in itertools.permutations(range(n)):
+            pa = tuple(a[p] for p in perm)
+            pb = tuple(b[p] for p in perm)
+            assert raw(n, pa, pb) == expected, (n, pa, pb)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [((3, 1, 4, 2), (1, -1, 2, -2)), ((1, 2, 1, 0), (1, 0, -1, 0))],
+    ids=["distinct-a", "tied-a"],
+)
+def test_all_arrangements_share_one_cache_entry(a, b):
+    _ct_cached.cache_clear()
+    for perm in itertools.permutations(range(4)):
+        ct(4, tuple(a[p] for p in perm), tuple(b[p] for p in perm))
+    info = _ct_cached.cache_info()
+    assert (info.misses, info.hits) == (1, 23)
 
 
 def test_zero_sum_law():
