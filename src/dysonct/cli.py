@@ -205,11 +205,12 @@ def _cmd_prove(args) -> int:
     out_path = args.out or _default_doc_name(args.n, tuple(args.b), args.format)
     with open(out_path, "w") as fh:
         fh.write(document)
-    _store_certificate_tree(store, cert, "guessed")
-    store.save(path)
+    added = _store_certificate_tree(store, cert, "guessed")
+    if added:
+        store.save(path)
     print(f"certified {fmt_d_symbol(args.n, args.b, ASCII)}")
     print(f"document written to {out_path}")
-    print(f"store updated at {path}")
+    print(f"store {'updated' if added else 'unchanged'} at {path}")
     return EXIT_OK
 
 
@@ -224,7 +225,8 @@ def _cmd_turbo(args) -> int:
     started = time.perf_counter()
     result = turbo_dyson(args.n, args.complexity, store=store, resolver=resolver)
     elapsed = time.perf_counter() - started
-    store.save(path)
+    if result.added:
+        store.save(path)
     width = max((len(fmt_b_vector(l.b, ASCII)) for l in result.lines), default=8)
     for line in result.lines:
         label = fmt_b_vector(line.b, ASCII).ljust(width)

@@ -13,8 +13,10 @@ together with a proof that R's reduced denominator cannot vanish at any
 nonnegative integer point (so the rational identities imply the integer
 ones): the denominator must split into linear forms with nonnegative
 coefficients and positive constants, and a form whose denominator does not
-split that way is not certified.  Identity checking is cross-multiplied
-polynomial comparison over Q: a complete symbolic proof, not sampling.
+split that way is not certified.  Each identity is checked as a polynomial
+comparison over Q, a complete symbolic proof, not sampling: the recursion is
+cleared by the lcm of the shifted linear factors of R's denominator, the
+boundary identity by cross-multiplying its denominators.
 Boundary dependencies are proved recursively, bottoming out in the built-in
 n = 2 closed form.
 """
@@ -22,13 +24,14 @@ n = 2 closed form.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .conjecture import ClosedForm, guess_dyson
 from .laurent import pk_expansion
-from .poly import LinearForm, Poly, exact_div, make_primitive
+from .poly import LinearForm, Poly, exact_div, make_primitive, poly_gcd
 from .ratfunc import RatFunc, rising_factorial
 
 FormResolver = Callable[[Tuple[int, ...]], ClosedForm]
@@ -119,31 +122,80 @@ def _cross_products(dens: List[Poly], nvars: int) -> Tuple[Poly, List[Poly]]:
     return prefix[-1], others
 
 
+def _factor_multiset(den: Poly) -> Tuple[Counter, Fraction]:
+    """``den`` as a constant c times the product of a multiset of Poly
+    factors: its linear forms when ``linear_factors`` splits it, otherwise
+    the whole primitive denominator as one opaque factor."""
+    split = linear_factors(den)
+    if split is not None:
+        factors, c = split
+        return Counter(f.to_poly() for f in factors), c
+    prim = make_primitive(den)
+    return Counter([prim]), den.leading_coeff() / prim.leading_coeff()
+
+
+def _product(nvars: int, factors: Counter) -> Poly:
+    out = Poly.const(nvars, 1)
+    for f in factors.elements():
+        out = out * f
+    return out
+
+
+def _over(num: Poly, factors: Counter, c: Fraction) -> RatFunc:
+    """num / (c * prod factors) in canonical form, reduced one factor at a
+    time: a linear factor is irreducible, so it either divides num or is
+    coprime to it, and only an opaque factor needs a gcd."""
+    den = Poly.const(num.nvars, c)
+    for f in factors.elements():
+        try:
+            num = exact_div(num, f)
+        except ArithmeticError:
+            if f.total_degree() > 1:
+                g = poly_gcd(num, f)
+                num, f = exact_div(num, g), exact_div(f, g)
+            den = den * f
+    return RatFunc._rescale(num, den)
+
+
 def check_recursion(form: ClosedForm) -> CheckOutcome:
     """Verify R(a) = sum_i (a_i / (a_1+...+a_n)) R(a - e_i) symbolically.
 
     The multinomial shift rule multinomial(a - e_i)/multinomial(a) = a_i/sum(a)
     is exact, so this is precisely the constant-term recursion divided by the
-    multinomial.  Both sides are compared after clearing denominators.
+    multinomial.  Both sides are cleared by the lcm of the shifted linear
+    factors: R's denominator is c * prod F, F_i is the multiset F shifted by
+    -e_i, L = lcm(F, F_1, ..., F_n) as multisets, and the check is the
+    polynomial identity
+
+        num * s * prod(L - F) == sum_i a_i * num(a - e_i) * prod(L - F_i)
+
+    with s = a_1+...+a_n; the constant c cancels.  A denominator that does
+    not split is one opaque factor, so the check is exact for every form.  A
+    failing check reports its difference over s * c * prod L.
     """
     n = form.n
     R = form.R
     if R.is_zero():
         return CheckOutcome(ok=True, check="recursion", lhs=R, rhs=R, note="zero form")
-    num, den = R.num, R.den
+    num = R.num
+    factors, c = _factor_multiset(R.den)
+    shifted = [Counter({f.shift_var(i, -1): m for f, m in factors.items()}) for i in range(n)]
+    lcm = Counter(factors)
+    for f_i in shifted:
+        lcm |= f_i
     s = Poly.zero(n)
     for i in range(n):
         s = s + Poly.variable(n, i)
-    shifted = [(num.shift_var(i, -1), den.shift_var(i, -1)) for i in range(n)]
-    all_dens, others = _cross_products([d for _, d in shifted], n)
-    lhs_poly = num * s * all_dens
+    lhs_poly = num * (s * _product(n, lcm - factors))
     rhs_poly = Poly.zero(n)
-    for i in range(n):
-        rhs_poly = rhs_poly + Poly.variable(n, i) * shifted[i][0] * den * others[i]
+    for i, f_i in enumerate(shifted):
+        term = Poly.variable(n, i) * _product(n, lcm - f_i)
+        rhs_poly = rhs_poly + num.shift_var(i, -1) * term
     if lhs_poly == rhs_poly:
         return CheckOutcome(ok=True, check="recursion", lhs=R, rhs=R)
-    diff = RatFunc.make(lhs_poly - rhs_poly, s * den * all_dens)
-    rhs = RatFunc.make(rhs_poly, s * den * all_dens)
+    cleared = lcm + Counter([s])
+    diff = _over(lhs_poly - rhs_poly, cleared, c)
+    rhs = _over(rhs_poly, cleared, c)
     return CheckOutcome(ok=False, check="recursion", lhs=R, rhs=rhs, difference=diff)
 
 

@@ -95,6 +95,28 @@ def test_turbo_summary_and_idempotence(tmp_path, capsys):
     assert "0 new entries" in out
 
 
+def test_cached_turbo_and_prove_leave_the_store_file_alone(tmp_path, capsys):
+    sweep = ["turbo", "-n", "3", "-C", "1", "--store", "s.json"]
+    certify = ["prove", "-n", "3", "-b", "1,-1,0", "--store", "s.json"]
+    assert main(sweep) == EXIT_OK
+    assert main(certify) == EXIT_OK  # adds the n = 2 dependencies
+    assert "store updated at s.json" in capsys.readouterr().out
+    path = tmp_path / "s.json"
+
+    def state():
+        info = path.stat()
+        return info.st_ino, info.st_mtime_ns, path.read_bytes()
+
+    before = state()
+    assert main(sweep) == EXIT_OK
+    assert "0 new entries" in capsys.readouterr().out
+    assert state() == before
+    assert main(certify) == EXIT_OK
+    assert "store unchanged at s.json" in capsys.readouterr().out
+    assert state() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["proof_n3_b1_m1_0.md", "s.json"]
+
+
 def test_turbo_n2_store_contents(tmp_path, capsys):
     assert main(["turbo", "-n", "2", "-C", "2", "--store", "c2.json"]) == EXIT_OK
     capsys.readouterr()

@@ -21,6 +21,8 @@ from dysonct.prover import (
     prove,
 )
 from dysonct.ratfunc import RatFunc
+from dysonct.store import ResultStore
+from dysonct.turbo import turbo_dyson
 
 
 def _vars(n):
@@ -99,6 +101,102 @@ def test_recursion_symbolic_agrees_with_pointwise():
                 pointwise = False
                 break
         assert symbolic == pointwise
+
+
+def _recursion_holds_by_product(form):
+    """Reference verdict: the recursion cleared by R's denominator times the
+    product of every shifted denominator, with no factoring at all."""
+    n, num, den = form.n, form.R.num, form.R.den
+    s = sum(_vars(n), Poly.zero(n))
+    shifted = [(num.shift_var(i, -1), den.shift_var(i, -1)) for i in range(n)]
+    lhs = num * s
+    for _, d in shifted:
+        lhs = lhs * d
+    rhs = Poly.zero(n)
+    for i, (num_i, _) in enumerate(shifted):
+        term = _vars(n)[i] * num_i * den
+        for j, (_, d) in enumerate(shifted):
+            if j != i:
+                term = term * d
+        rhs = rhs + term
+    return lhs == rhs
+
+
+@pytest.fixture(scope="module")
+def sweep_forms_n3():
+    store = ResultStore()
+    turbo_dyson(3, 2, store=store, resolver=Resolver())
+    return [entry.form for entry in store if entry.n == 3]
+
+
+def _recursion_residue(R, p):
+    """R(p) - sum_i p_i/s R(p - e_i), s = p_1+...+p_n, by exact evaluation."""
+    s = sum(p)
+    rhs = sum(
+        Fraction(x, s) * R.evaluate(tuple(y - (i == j) for j, y in enumerate(p)))
+        for i, x in enumerate(p)
+    )
+    return R.evaluate(p) - rhs
+
+
+POINTS = [(1, 1, 1), (2, 1, 3), (1, 4, 2), (3, 3, 1), (5, 2, 2)]
+
+
+def test_recursion_agrees_with_product_of_shifted_denominators(sweep_forms_n3):
+    a = _vars(3)
+    one = Poly.const(3, 1)
+    assert len(sweep_forms_n3) == 19
+    for form in sweep_forms_n3:
+        assert check_recursion(form).ok and _recursion_holds_by_product(form)
+    raise_a1 = RatFunc.make(one + a[0], one + one + a[0])
+    variants = {
+        "R + a_1": lambda R: R + RatFunc.from_poly(a[0]),
+        "R(a + e_1)": lambda R: R.shift_var(0, 1),
+        "R (1+a_1)/(2+a_1)": lambda R: R * raise_a1,
+    }
+    rejected = {}
+    for name, make in variants.items():
+        for form in sweep_forms_n3:
+            wrong = ClosedForm(3, form.b, make(form.R))
+            verdict = _recursion_holds_by_product(wrong)
+            assert check_recursion(wrong).ok == verdict, (name, form.b)
+            rejected[name] = rejected.get(name, 0) + (not verdict)
+    # only the constant form for b = 0 survives the shift
+    assert rejected == {"R + a_1": 19, "R(a + e_1)": 18, "R (1+a_1)/(2+a_1)": 19}
+    # a repeated linear factor, and a denominator that does not split
+    for den in ((one + a[0]) * (one + a[0]), a[0] * a[0] + a[1] + one):
+        for num in (one, a[1], a[0] * a[1] + a[2]):
+            R = RatFunc.make(num, den)
+            out = check_recursion(ClosedForm(3, (0, 0, 0), R))
+            assert out.ok == _recursion_holds_by_product(ClosedForm(3, (0, 0, 0), R))
+            assert not out.ok
+            for p in POINTS:
+                assert out.difference.evaluate(p) == _recursion_residue(R, p)
+    # solutions over an opaque denominator: a_1/s is R for the multinomial
+    # at a - e_1, and a_2/(1+a_1) the one at a + e_1 - e_2
+    s = a[0] + a[1] + a[2]
+    R = RatFunc.make(a[0], s) + RatFunc.make(a[1], one + a[0])
+    assert linear_factors(R.den) is None
+    for R, holds in ((R, True), (R + RatFunc.from_poly(a[0]), False)):
+        form = ClosedForm(3, (0, 0, 0), R)
+        assert check_recursion(form).ok == _recursion_holds_by_product(form) == holds
+
+
+def test_recursion_failure_reports_the_pointwise_difference():
+    # a wrong complexity-3 form, whose difference was slow to reduce over
+    # the product of every shifted denominator
+    resolver = Resolver()
+    right = resolver.form(3, (3, -2, -1))
+    R = right.R + RatFunc.from_poly(_vars(3)[0])
+    resolver.add_form(ClosedForm(3, (3, -2, -1), R))
+    with pytest.raises(ProofError) as info:
+        prove(3, (3, -2, -1), resolver)
+    outcome = info.value.outcome
+    assert outcome.check == "recursion" and not outcome.ok
+    for p in POINTS:
+        residue = _recursion_residue(R, p)
+        assert outcome.difference.evaluate(p) == residue
+        assert outcome.rhs.evaluate(p) == R.evaluate(p) - residue
 
 
 # ----------------------------------------------------------------------
