@@ -134,11 +134,12 @@ def sample_grid(n: int, b: Sequence[int], count: int) -> List[Tuple[int, ...]]:
     """
     if count < 1:
         raise ValueError("count must be positive")
-    return list(itertools.islice(_grid_iter(n, tuple(b)), count))
+    b = tuple(b)
+    return list(itertools.islice(_grid_iter(n, b, ansatz_factor(b).value), count))
 
 
-def _grid_iter(n: int, b: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
-    factor = ansatz_factor(b).value
+def _grid_iter(n: int, b: Tuple[int, ...], factor: RatFunc) -> Iterator[Tuple[int, ...]]:
+    """The sampling sequence of sample_grid; ``factor`` is b's ansatz factor."""
     lo = max(2, max((abs(x) for x in b), default=0))
     for top in itertools.count(lo + n - 1):
         for rest in itertools.combinations(range(lo, top), n - 1):
@@ -282,8 +283,10 @@ def guess_dyson_with_details(
         details = GuessDetails(t=0, samples_used=0, residual=RatFunc.zero(n), used_ansatz=use_ansatz)
         return zero, details
 
-    factor = ansatz_factor(b).value if use_ansatz else RatFunc.one(n)
-    grid = _grid_iter(n, b)
+    ansatz = ansatz_factor(b).value
+    # the grid skips the ansatz factor's zeros and poles even when unused
+    factor = ansatz if use_ansatz else RatFunc.one(n)
+    grid = _grid_iter(n, b, ansatz)
     points: List[Tuple[int, ...]] = []
     values: List[Fraction] = []
 

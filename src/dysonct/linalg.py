@@ -111,7 +111,7 @@ def _rational_reconstruct(x: int, mod: int) -> Tuple[int, int] | None:
 
 def _verified_vector(
     int_rows: List[List[int]], vec: Sequence[Tuple[int, int]]
-) -> Tuple[Fraction, ...] | None:
+) -> Tuple[int, ...] | None:
     """The vector of (num, den) pairs scaled to primitive integers with its
     first nonzero entry positive, or None unless every row annihilates it."""
     common = lcm(*(den for _, den in vec))
@@ -121,7 +121,7 @@ def _verified_vector(
     g = gcd(*ints)
     if next(v for v in ints if v) < 0:
         g = -g
-    return tuple(Fraction(v // g) for v in ints)
+    return tuple(v // g for v in ints)
 
 
 class _PivotGroup:
@@ -152,11 +152,11 @@ class _PivotGroup:
             ]
         self.modulus *= p
 
-    def reconstruct(self, int_rows: List[List[int]], ncols: int) -> List[Tuple[Fraction, ...]] | None:
+    def reconstruct(self, int_rows: List[List[int]], ncols: int) -> List[Tuple[int, ...]] | None:
         """The exact basis if every entry reconstructs and every vector
         verifies against the integer rows, else None."""
         mod = self.modulus
-        basis: List[Tuple[Fraction, ...]] = []
+        basis: List[Tuple[int, ...]] = []
         for fc, column in zip(self.free, self.residues):
             vec = [(0, 1)] * ncols
             vec[fc] = (1, 1)
@@ -173,7 +173,7 @@ class _PivotGroup:
         return basis
 
 
-def _nullspace_modular(int_rows: List[List[int]], ncols: int) -> List[Tuple[Fraction, ...]]:
+def _nullspace_modular(int_rows: List[List[int]], ncols: int) -> List[Tuple[int, ...]]:
     group: _PivotGroup | None = None
     i = 0
     while True:
@@ -200,11 +200,12 @@ def _nullspace_modular(int_rows: List[List[int]], ncols: int) -> List[Tuple[Frac
             return basis
 
 
-def solve_nullspace(rows: Sequence[Sequence[Fraction | int]]) -> List[Tuple[Fraction, ...]]:
+def solve_nullspace(rows: Sequence[Sequence[Fraction | int]]) -> List[Tuple[int, ...]]:
     """Exact basis of {v : M v = 0}, canonically scaled; empty list if trivial.
 
-    Basis vectors are scaled to primitive integer entries with the first
-    nonzero entry positive, so results are reproducible across runs.
+    Basis vectors are tuples of Python ints, scaled to be primitive (their
+    gcd is 1) with the first nonzero entry positive, so results are
+    reproducible across runs.
     """
     rows = list(rows)
     if not rows:
@@ -215,9 +216,5 @@ def solve_nullspace(rows: Sequence[Sequence[Fraction | int]]) -> List[Tuple[Frac
     int_rows = [_clear_row(r) for r in rows]
     int_rows = [r for r in int_rows if any(r)]
     if not int_rows:
-        ident = [
-            tuple(Fraction(1 if i == j else 0) for j in range(ncols))
-            for i in range(ncols)
-        ]
-        return ident
+        return [tuple(int(i == j) for j in range(ncols)) for i in range(ncols)]
     return _nullspace_modular(int_rows, ncols)

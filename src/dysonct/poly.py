@@ -1,27 +1,33 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A polynomial in the symbolic variables a_1..a_n is stored as a map from
-exponent tuples (one nonnegative int per variable) to Fraction coefficients.
-Zero coefficients are never stored, so structural equality of the term maps
-is polynomial equality.  Monomials are ordered graded-lexicographically with
-a_1 > a_2 > ... > a_n; that order fixes every canonical form in the package.
+A polynomial in the symbolic variables a_1..a_n is stored as integer
+coefficients over one positive integer denominator: a map from exponent
+tuples (one nonnegative int per variable) to nonzero ints, plus ``den``, kept
+in lowest terms (the gcd of ``den`` and every coefficient is 1; the zero
+polynomial has ``den == 1``).  That form is unique, so structural equality is
+polynomial equality, and every operation runs on Python ints: ``Fraction``
+appears only where rationals come in (constructors, ``scale``, evaluation
+points) or go out (the coefficient accessors and ``evaluate``'s result).
+This is the integer-coefficient representation of Monagan and Pearce
+("Sparse polynomial division using a heap", JSC 2011) with the content of
+the denominator kept beside the map.  Monomials are ordered
+graded-lexicographically with a_1 > a_2 > ... > a_n; that order fixes every
+canonical form in the package.
 
-The gcd machinery at the bottom (content extraction + primitive-part
-pseudo-remainder sequences) is what lets rational functions be kept fully
-reduced, which the proof engine relies on.
+The gcd machinery at the bottom (content extraction + subresultant
+pseudo-remainder sequences over Z) is what lets rational functions be kept
+fully reduced, which the proof engine relies on.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from math import comb, factorial, gcd, lcm
+from operator import add
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
-
-# BigRat: every exact scalar in the package is a stdlib Fraction.
-BigRat = Fraction
 
 
 def glex_key(mono: Monomial) -> tuple:
@@ -29,31 +35,64 @@ def glex_key(mono: Monomial) -> tuple:
     return (sum(mono), mono)
 
 
-class Poly:
-    """Sparse exact polynomial over Q in a fixed number of variables."""
+def _rational(x) -> Fraction | int:
+    """``x`` as an object with integer ``numerator`` and ``denominator``."""
+    return x if isinstance(x, (int, Fraction)) else Fraction(x)
 
-    __slots__ = ("nvars", "terms")
+
+def _lowest(coeffs: Dict[Monomial, int], den: int) -> Tuple[Dict[Monomial, int], int]:
+    """coeffs / den with the common factor of den and every coefficient removed."""
+    if not coeffs:
+        return coeffs, 1
+    if den != 1:
+        g = gcd(den, *coeffs.values())
+        if g != 1:
+            coeffs = {m: c // g for m, c in coeffs.items()}
+            den //= g
+    return coeffs, den
+
+
+def _powers(p: int, q: int, d: int) -> List[int]:
+    """[p^e q^(d-e) for e = 0..d]: the powers of p/q up to d over q^d."""
+    return [p**e * q ** (d - e) for e in range(d + 1)]
+
+
+class Poly:
+    """Sparse exact polynomial over Q in a fixed number of variables:
+    ``sum(coeffs[m] * a^m for m in coeffs) / den`` in lowest terms."""
+
+    __slots__ = ("nvars", "coeffs", "den")
 
     def __init__(self, nvars: int, terms: Mapping[Monomial, Fraction | int] | None = None):
-        clean: Dict[Monomial, Fraction] = {}
+        clean: Dict[Monomial, Fraction | int] = {}
         if terms:
             for mono, coeff in terms.items():
                 mono = tuple(mono)
                 if len(mono) != nvars or any(e < 0 for e in mono):
                     raise ValueError(f"bad exponent vector {mono} for nvars={nvars}")
-                c = coeff if isinstance(coeff, Fraction) else Fraction(coeff)
-                if c != 0:
+                c = _rational(coeff)
+                if c:
                     clean[mono] = c
+        den = lcm(*(c.denominator for c in clean.values()))
         self.nvars = nvars
-        self.terms = clean
+        self.coeffs, self.den = _lowest(
+            {m: c.numerator * (den // c.denominator) for m, c in clean.items()}, den
+        )
 
     @classmethod
-    def _raw(cls, nvars: int, terms: Dict[Monomial, Fraction]) -> "Poly":
-        # Internal constructor: caller guarantees clean keys and no zeros.
+    def _raw(cls, nvars: int, coeffs: Dict[Monomial, int], den: int = 1) -> "Poly":
+        # Internal constructor: caller guarantees clean keys, no zero
+        # coefficients and lowest terms.
         p = object.__new__(cls)
         p.nvars = nvars
-        p.terms = terms
+        p.coeffs = coeffs
+        p.den = den
         return p
+
+    @classmethod
+    def _reduced(cls, nvars: int, coeffs: Dict[Monomial, int], den: int) -> "Poly":
+        # Internal constructor: clean keys and no zero coefficients, den > 0.
+        return cls._raw(nvars, *_lowest(coeffs, den))
 
     # ------------------------------------------------------------------
     # constructors
@@ -64,55 +103,58 @@ class Poly:
 
     @classmethod
     def const(cls, nvars: int, value: Fraction | int) -> "Poly":
-        c = Fraction(value)
+        c = _rational(value)
         if c == 0:
             return cls.zero(nvars)
-        return cls._raw(nvars, {(0,) * nvars: c})
+        return cls._raw(nvars, {(0,) * nvars: c.numerator}, c.denominator)
 
     @classmethod
     def variable(cls, nvars: int, idx: int) -> "Poly":
         if not 0 <= idx < nvars:
             raise ValueError(f"variable index {idx} out of range for nvars={nvars}")
         mono = tuple(1 if i == idx else 0 for i in range(nvars))
-        return cls._raw(nvars, {mono: Fraction(1)})
+        return cls._raw(nvars, {mono: 1})
 
     # ------------------------------------------------------------------
     # predicates and views
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self.terms)
+        return all(sum(m) == 0 for m in self.coeffs)
 
     def constant_value(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
+        return Fraction(self.coeffs.get((0,) * self.nvars, 0), self.den)
 
     def total_degree(self) -> int:
-        if not self.terms:
+        if not self.coeffs:
             return 0
-        return max(sum(m) for m in self.terms)
+        return max(sum(m) for m in self.coeffs)
 
     def degree_in(self, var: int) -> int:
-        if not self.terms:
+        if not self.coeffs:
             return 0
-        return max(m[var] for m in self.terms)
+        return max(m[var] for m in self.coeffs)
 
     def leading_monomial(self) -> Monomial | None:
-        if not self.terms:
+        if not self.coeffs:
             return None
-        return max(self.terms, key=glex_key)
+        return max(self.coeffs, key=glex_key)
 
     def leading_coeff(self) -> Fraction:
         lm = self.leading_monomial()
-        return Fraction(0) if lm is None else self.terms[lm]
+        return Fraction(0) if lm is None else Fraction(self.coeffs[lm], self.den)
 
     def sorted_terms(self) -> list[tuple[Monomial, Fraction]]:
         """Terms in glex-descending order (the canonical serialization order)."""
-        return sorted(self.terms.items(), key=lambda kv: glex_key(kv[0]), reverse=True)
+        return [(m, Fraction(c, self.den)) for m, c in self._sorted_coeffs()]
+
+    def _sorted_coeffs(self) -> list[tuple[Monomial, int]]:
+        return sorted(self.coeffs.items(), key=lambda kv: glex_key(kv[0]), reverse=True)
 
     def coefficient(self, mono: Monomial) -> Fraction:
-        return self.terms.get(tuple(mono), Fraction(0))
+        return Fraction(self.coeffs.get(tuple(mono), 0), self.den)
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -121,56 +163,53 @@ class Poly:
         if self.nvars != other.nvars:
             raise ValueError(f"mismatched variable counts {self.nvars} != {other.nvars}")
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """self + sign * other over the least common denominator."""
         self._check_compatible(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, Fraction(0)) + c
+        g = gcd(self.den, other.den)
+        f_self, f_other = other.den // g, sign * (self.den // g)
+        out = {m: c * f_self for m, c in self.coeffs.items()} if f_self != 1 else dict(self.coeffs)
+        get = out.get
+        for mono, c in other.coeffs.items():
+            s = get(mono, 0) + c * f_other
             if s:
                 out[mono] = s
-            elif mono in out:
+            else:
                 del out[mono]
-        return Poly._raw(self.nvars, out)
+        return Poly._reduced(self.nvars, out, self.den * f_self)
+
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        self._check_compatible(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            s = out.get(mono, Fraction(0)) - c
-            if s:
-                out[mono] = s
-            elif mono in out:
-                del out[mono]
-        return Poly._raw(self.nvars, out)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Poly":
-        return Poly._raw(self.nvars, {m: -c for m, c in self.terms.items()})
+        return Poly._raw(self.nvars, {m: -c for m, c in self.coeffs.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check_compatible(other)
-        if not self.terms or not other.terms:
-            return Poly.zero(self.nvars)
-        out: Dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                mono = tuple(x + y for x, y in zip(m1, m2))
-                s = out.get(mono, Fraction(0)) + c1 * c2
-                if s:
-                    out[mono] = s
-                elif mono in out:
-                    del out[mono]
-        return Poly._raw(self.nvars, out)
+        out: Dict[Monomial, int] = {}
+        get = out.get
+        for m1, c1 in self.coeffs.items():
+            for m2, c2 in other.coeffs.items():
+                mono = tuple(map(add, m1, m2))
+                out[mono] = get(mono, 0) + c1 * c2
+        out = {m: c for m, c in out.items() if c}
+        return Poly._reduced(self.nvars, out, self.den * other.den)
 
     def __rmul__(self, other):
         return self.__mul__(other)
 
     def scale(self, c: Fraction | int) -> "Poly":
-        c = Fraction(c)
+        c = _rational(c)
         if c == 0:
             return Poly.zero(self.nvars)
-        return Poly._raw(self.nvars, {m: v * c for m, v in self.terms.items()})
+        num = c.numerator
+        out = {m: v * num for m, v in self.coeffs.items()}
+        return Poly._reduced(self.nvars, out, self.den * c.denominator)
 
     def __pow__(self, e: int) -> "Poly":
         if e < 0:
@@ -188,11 +227,12 @@ class Poly:
         return (
             isinstance(other, Poly)
             and self.nvars == other.nvars
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.coeffs == other.coeffs
         )
 
     def __hash__(self) -> int:
-        return hash((self.nvars, frozenset(self.terms.items())))
+        return hash((self.nvars, self.den, frozenset(self.coeffs.items())))
 
     # ------------------------------------------------------------------
     # evaluation and substitution
@@ -200,59 +240,64 @@ class Poly:
     def evaluate(self, values: Sequence[Fraction | int]) -> Fraction:
         if len(values) != self.nvars:
             raise ValueError("wrong number of values")
-        vals = [Fraction(v) for v in values]
-        total = Fraction(0)
-        for mono, coeff in self.terms.items():
-            term = coeff
-            for e, v in zip(mono, vals):
-                if e:
-                    term *= v**e
-            total += term
-        return total
+        if not self.coeffs:
+            return Fraction(0)
+        # each value p/q enters as p^e q^(d-e) over q^d, d the degree in it
+        den = self.den
+        tables = []
+        for v, d in zip(values, map(max, zip(*self.coeffs))):
+            v = _rational(v)
+            tables.append(_powers(v.numerator, v.denominator, d))
+            den *= v.denominator**d
+        total = 0
+        for mono, c in self.coeffs.items():
+            for table, e in zip(tables, mono):
+                c *= table[e]
+            total += c
+        return Fraction(total, den)
 
     def substitute(self, assignment: Mapping[int, Fraction | int]) -> "Poly":
         """Partially evaluate some variables; the result keeps nvars slots."""
         if not assignment:
             return self
-        out: Dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
-            c = coeff
-            new_mono = list(mono)
-            for var, val in assignment.items():
-                e = mono[var]
-                if e:
-                    c *= Fraction(val) ** e
-                new_mono[var] = 0
-            if c == 0:
-                continue
-            key = tuple(new_mono)
-            s = out.get(key, Fraction(0)) + c
-            if s:
-                out[key] = s
-            elif key in out:
-                del out[key]
-        return Poly._raw(self.nvars, out)
+        den = self.den
+        tables = []
+        for var, val in assignment.items():
+            val = _rational(val)
+            d = self.degree_in(var)
+            tables.append((var, _powers(val.numerator, val.denominator, d)))
+            den *= val.denominator**d
+        out: Dict[Monomial, int] = {}
+        for mono, c in self.coeffs.items():
+            key = list(mono)
+            for var, table in tables:
+                c *= table[mono[var]]
+                key[var] = 0
+            key = tuple(key)
+            out[key] = out.get(key, 0) + c
+        out = {m: c for m, c in out.items() if c}
+        return Poly._reduced(self.nvars, out, den)
 
     def shift_var(self, var: int, delta: int) -> "Poly":
         """Substitute a_var -> a_var + delta (binomial expansion per term)."""
         if delta == 0:
             return self
-        out: Dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
+        rows: Dict[int, List[int]] = {}
+        out: Dict[Monomial, int] = {}
+        get = out.get
+        for mono, c in self.coeffs.items():
             e = mono[var]
-            for r in range(e + 1):
-                c = coeff * comb(e, r) * Fraction(delta) ** (e - r)
-                if c == 0:
-                    continue
-                new_mono = list(mono)
-                new_mono[var] = r
-                key = tuple(new_mono)
-                s = out.get(key, Fraction(0)) + c
-                if s:
-                    out[key] = s
-                elif key in out:
-                    del out[key]
-        return Poly._raw(self.nvars, out)
+            row = rows.get(e)
+            if row is None:
+                row = rows[e] = [comb(e, r) * delta ** (e - r) for r in range(e + 1)]
+            head, tail = mono[:var], mono[var + 1 :]
+            for r, w in enumerate(row):
+                key = head + (r,) + tail
+                out[key] = get(key, 0) + c * w
+        out = {m: c for m, c in out.items() if c}
+        # the shift is invertible over Z[a], so the content, and with it the
+        # lowest-terms denominator, is unchanged
+        return Poly._raw(self.nvars, out, self.den)
 
     def permute_vars(self, perm: Sequence[int]) -> "Poly":
         """Return q with q(a_0,...,a_{n-1}) = self(a_{perm[0]}, ..., a_{perm[n-1]}).
@@ -262,33 +307,37 @@ class Poly:
         """
         if sorted(perm) != list(range(self.nvars)):
             raise ValueError(f"{perm} is not a permutation of 0..{self.nvars - 1}")
-        out: Dict[Monomial, Fraction] = {}
-        for mono, coeff in self.terms.items():
+        out: Dict[Monomial, int] = {}
+        for mono, coeff in self.coeffs.items():
             new_mono = [0] * self.nvars
             for j, e in enumerate(mono):
                 new_mono[perm[j]] = e
             out[tuple(new_mono)] = coeff
-        return Poly._raw(self.nvars, out)
+        return Poly._raw(self.nvars, out, self.den)
 
     def drop_var(self, var: int) -> "Poly":
         """Remove a variable the polynomial does not actually use."""
         if self.degree_in(var):
             raise ValueError(f"polynomial still involves variable {var}")
-        out = {m[:var] + m[var + 1 :]: c for m, c in self.terms.items()}
-        return Poly._raw(self.nvars - 1, out)
+        out = {m[:var] + m[var + 1 :]: c for m, c in self.coeffs.items()}
+        return Poly._raw(self.nvars - 1, out, self.den)
 
     def insert_var(self, var: int) -> "Poly":
         """Add an unused variable slot at position ``var``."""
-        out = {m[:var] + (0,) + m[var:]: c for m, c in self.terms.items()}
-        return Poly._raw(self.nvars + 1, out)
+        out = {m[:var] + (0,) + m[var:]: c for m, c in self.coeffs.items()}
+        return Poly._raw(self.nvars + 1, out, self.den)
 
     # ------------------------------------------------------------------
     # serialization
 
     def to_json_terms(self) -> list:
-        return [
-            [c.numerator, c.denominator, list(m)] for m, c in self.sorted_terms()
-        ]
+        """[numerator, denominator, monomial] per term, each coefficient in
+        lowest terms, in glex-descending order."""
+        out = []
+        for m, c in self._sorted_coeffs():
+            g = gcd(c, self.den)
+            out.append([c // g, self.den // g, list(m)])
+        return out
 
     @classmethod
     def from_json_terms(cls, nvars: int, data: Iterable) -> "Poly":
@@ -296,7 +345,7 @@ class Poly:
         return cls(nvars, terms)
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.coeffs:
             return "Poly(0)"
         parts = []
         for mono, c in self.sorted_terms():
@@ -322,14 +371,14 @@ class LinearForm:
         return len(self.coeffs)
 
     def to_poly(self) -> Poly:
-        terms: Dict[Monomial, Fraction] = {}
+        terms: Dict[Monomial, int] = {}
         if self.constant:
-            terms[(0,) * self.nvars] = Fraction(self.constant)
+            terms[(0,) * self.nvars] = self.constant
         for i, c in enumerate(self.coeffs):
             if c:
                 mono = tuple(1 if j == i else 0 for j in range(self.nvars))
-                terms[mono] = Fraction(c)
-        return Poly(self.nvars, terms)
+                terms[mono] = c
+        return Poly._raw(self.nvars, terms)
 
     def shift(self, delta: int) -> "LinearForm":
         return LinearForm(self.constant + delta, self.coeffs)
@@ -357,74 +406,86 @@ def binomial_poly(nvars: int, var: int, m: int) -> Poly:
 # exact division and gcd
 
 
+def _content(p: Poly) -> int:
+    """The gcd of p's integer coefficients, signed like its leading one."""
+    g = gcd(*p.coeffs.values())
+    return -g if p.coeffs[p.leading_monomial()] < 0 else g
+
+
 def exact_div(p: Poly, q: Poly) -> Poly:
-    """Exact polynomial division p / q; raises ArithmeticError if not exact."""
+    """Exact polynomial division p / q; raises ArithmeticError if not exact.
+
+    p's integer numerator is divided over Z by the primitive part of q's.
+    By Gauss's lemma a quotient over Q by a primitive divisor has integer
+    coefficients, so the first step whose quotient coefficient is not an
+    integer already shows that the division is not exact.  q's content and
+    both denominators are applied to the quotient at the end.
+    """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     p._check_compatible(q)
     if p.is_zero():
         return Poly.zero(p.nvars)
     lm_q = q.leading_monomial()
-    lc_q = q.terms[lm_q]
-    rem = dict(p.terms)
-    quot: Dict[Monomial, Fraction] = {}
+    deg_q = sum(lm_q)
+    cont = _content(q)
+    lc_q = q.coeffs[lm_q] // cont
+    tail_q = [(sum(m), m, c // cont) for m, c in q.coeffs.items() if m != lm_q]
+    # the remainder is keyed by glex_key, so max() compares plain tuples
+    rem = {(sum(m), m): c for m, c in p.coeffs.items()}
+    quot: Dict[Monomial, int] = {}
     while rem:
-        lm_r = max(rem, key=glex_key)
+        key = max(rem)
+        deg, lm_r = key
         diff = tuple(a - b for a, b in zip(lm_r, lm_q))
         if any(d < 0 for d in diff):
             raise ArithmeticError("division is not exact")
-        c = rem[lm_r] / lc_q
+        c, r = divmod(rem.pop(key), lc_q)
+        if r:
+            raise ArithmeticError("division is not exact")
         quot[diff] = c
-        for m2, c2 in q.terms.items():
-            mono = tuple(a + b for a, b in zip(diff, m2))
-            s = rem.get(mono, Fraction(0)) - c * c2
+        deg -= deg_q
+        for d2, m2, c2 in tail_q:
+            key = (deg + d2, tuple(map(add, diff, m2)))
+            s = rem.get(key, 0) - c * c2
             if s:
-                rem[mono] = s
-            elif mono in rem:
-                del rem[mono]
-    return Poly._raw(p.nvars, quot)
-
-
-def _frac_content(p: Poly) -> Fraction:
-    """Positive rational c with p/c integer-primitive (content 1)."""
-    num_gcd = 0
-    den_lcm = 1
-    for c in p.terms.values():
-        num_gcd = gcd(num_gcd, abs(c.numerator))
-        den_lcm = den_lcm * c.denominator // gcd(den_lcm, c.denominator)
-    return Fraction(num_gcd, den_lcm)
+                rem[key] = s
+            else:
+                del rem[key]
+    # p / q = (P / den_p) / (cont * Q' / den_q) = (P / Q') * den_q / (den_p * cont)
+    f = q.den if cont > 0 else -q.den
+    if f != 1:
+        quot = {m: c * f for m, c in quot.items()}
+    return Poly._reduced(p.nvars, quot, p.den * abs(cont))
 
 
 def make_primitive(p: Poly) -> Poly:
     """Scale to integer coefficients with content 1 and positive leading coeff."""
     if p.is_zero():
         return p
-    c = _frac_content(p)
-    q = p.scale(1 / c)
-    if q.leading_coeff() < 0:
-        q = -q
-    return q
+    g = _content(p)
+    if g == 1 and p.den == 1:
+        return p
+    return Poly._raw(p.nvars, {m: c // g for m, c in p.coeffs.items()})
 
 
 def _coeffs_in_var(p: Poly, var: int) -> Dict[int, Poly]:
     """View p as univariate in ``var``: degree -> coefficient polynomial."""
-    out: Dict[int, Dict[Monomial, Fraction]] = {}
-    for mono, c in p.terms.items():
-        d = mono[var]
-        rest = list(mono)
-        rest[var] = 0
-        out.setdefault(d, {})[tuple(rest)] = c
-    return {d: Poly._raw(p.nvars, t) for d, t in out.items()}
+    out: Dict[int, Dict[Monomial, int]] = {}
+    for mono, c in p.coeffs.items():
+        out.setdefault(mono[var], {})[mono[:var] + (0,) + mono[var + 1 :]] = c
+    return {d: Poly._reduced(p.nvars, t, p.den) for d, t in out.items()}
 
 
-def _from_coeffs_in_var(nvars: int, var: int, coeffs: Dict[int, Poly]) -> Poly:
-    out: Dict[Monomial, Fraction] = {}
-    for d, poly in coeffs.items():
-        for mono, c in poly.terms.items():
-            mo = list(mono)
-            mo[var] += d
-            out[tuple(mo)] = c
-    return Poly._raw(nvars, out)
+def _lead_in_var(p: Poly, var: int) -> Tuple[int, Poly]:
+    """p's degree in ``var`` and the coefficient polynomial of that degree."""
+    d = p.degree_in(var)
+    lead = {
+        mono[:var] + (0,) + mono[var + 1 :]: c
+        for mono, c in p.coeffs.items()
+        if mono[var] == d
+    }
+    return d, Poly._reduced(p.nvars, lead, p.den)
 
 
 def _content_in_var(p: Poly, var: int) -> Poly:
@@ -439,13 +500,11 @@ def _content_in_var(p: Poly, var: int) -> Poly:
 
 def _prem(p: Poly, q: Poly, var: int) -> Poly:
     """Pseudo-remainder of p by q with respect to ``var``."""
-    dq = q.degree_in(var)
-    lq = _coeffs_in_var(q, var)[dq]
+    dq, lq = _lead_in_var(q, var)
     r = p
     e = p.degree_in(var) - dq + 1
     while not r.is_zero() and r.degree_in(var) >= dq:
-        dr = r.degree_in(var)
-        lr = _coeffs_in_var(r, var)[dr]
+        dr, lr = _lead_in_var(r, var)
         shift = Poly.variable(p.nvars, var) ** (dr - dq)
         r = r * lq - q * lr * shift
         e -= 1
@@ -457,8 +516,9 @@ def _prem(p: Poly, q: Poly, var: int) -> Poly:
 def poly_gcd(p: Poly, q: Poly) -> Poly:
     """Gcd over Q[a_1..a_n], returned integer-primitive with positive lead.
 
-    Content extraction plus a primitive pseudo-remainder sequence; exactness
-    throughout, no floating point anywhere.
+    Content extraction in a variable of least degree, then the subresultant
+    pseudo-remainder sequence in it over Z[other variables] (Collins 1967;
+    Brown and Traub 1971); exactness throughout, no floating point anywhere.
     """
     if p.is_zero():
         return make_primitive(q)
@@ -467,9 +527,11 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     p._check_compatible(q)
     if p.is_constant() or q.is_constant():
         return Poly.const(p.nvars, 1)
-    var = next(
-        i for i in range(p.nvars) if p.degree_in(i) > 0 or q.degree_in(i) > 0
-    )
+    p, q = make_primitive(p), make_primitive(q)
+    # the remainder sequence runs in a variable of least degree; one that
+    # only one side has comes first, as it reduces to a content gcd at once
+    degrees = [sorted((p.degree_in(i), q.degree_in(i))) + [i] for i in range(p.nvars)]
+    var = min(d for d in degrees if d[1] > 0)[2]
     if p.degree_in(var) == 0:
         return poly_gcd(p, _content_in_var(q, var))
     if q.degree_in(var) == 0:
@@ -481,13 +543,21 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
     b = make_primitive(exact_div(q, cont_q))
     if a.degree_in(var) < b.degree_in(var):
         a, b = b, a
+    # dividing each pseudo-remainder by lead * h^delta, a known factor of
+    # it, keeps the coefficients small without a content gcd at every step
+    one = Poly.const(p.nvars, 1)
+    lead = h = one
     while True:
+        delta = a.degree_in(var) - b.degree_in(var)
         r = _prem(a, b, var)
         if r.is_zero():
             g = exact_div(b, _content_in_var(b, var))
             break
         if r.degree_in(var) == 0:
-            g = Poly.const(p.nvars, 1)
+            g = one
             break
-        a, b = b, make_primitive(exact_div(r, _content_in_var(r, var)))
+        a, b = b, exact_div(r, lead * h**delta)
+        lead = _lead_in_var(a, var)[1]
+        if delta:
+            h = exact_div(lead**delta, h ** (delta - 1))
     return make_primitive(poly_gcd(cont_p, cont_q) * g)

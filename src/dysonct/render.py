@@ -105,10 +105,11 @@ def _factor_for_display(p: Poly, style: str) -> Optional[Tuple[Fraction, str]]:
     """Try to render p as const * monomial * product of linear forms."""
     if p.is_zero():
         return None
-    mins = [min(m[i] for m in p.terms) for i in range(p.nvars)]
+    terms = p.sorted_terms()
+    mins = [min(m[i] for m, _ in terms) for i in range(p.nvars)]
     core = Poly(
         p.nvars,
-        {tuple(e - lo for e, lo in zip(m, mins)): c for m, c in p.terms.items()},
+        {tuple(e - lo for e, lo in zip(m, mins)): c for m, c in terms},
     )
     split = linear_factors(core)
     if split is None:

@@ -26,11 +26,13 @@ def test_fraction_entries():
     rows = [[Fraction(1, 2), Fraction(1, 3)]]
     (vec,) = solve_nullspace(rows)
     assert Fraction(1, 2) * vec[0] + Fraction(1, 3) * vec[1] == 0
+    assert vec == (2, -3) and all(type(v) is int for v in vec)
 
 
 def test_zero_matrix_gives_full_basis():
     basis = solve_nullspace([[0, 0, 0]])
-    assert len(basis) == 3
+    assert basis == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert all(type(v) is int for vec in basis for v in vec)
 
 
 def test_random_exactness_small():

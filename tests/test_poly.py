@@ -141,3 +141,114 @@ def test_serialization_roundtrip():
     # glex-descending order in the serialized form
     degrees = [sum(m) for _, _, m in data]
     assert degrees == sorted(degrees, reverse=True)
+
+
+def test_exact_div_by_non_primitive_non_monic_divisor():
+    a1, a2, _ = vars3()
+    one = Poly.const(3, 1)
+    assert exact_div(a1 + one, 2 * a1 + 2 * one) == Poly.const(3, Fraction(1, 2))
+    p = (2 * a1 + 4 * one) * (a2.scale(Fraction(1, 3)) + one)
+    expected = (a2 + 3 * one).scale(Fraction(1, 9))
+    assert exact_div(p, 6 * a1 + 12 * one) == expected
+    assert exact_div(p, (6 * a1 + 12 * one).scale(Fraction(-1, 5))) == expected * -5
+
+
+def test_exact_div_rejects_inexact_integer_step():
+    a1, _, _ = vars3()
+    one = Poly.const(3, 1)
+    # the leading monomials divide, but a1^2 / (2 a1) is not integral
+    with pytest.raises(ArithmeticError):
+        exact_div(a1 * a1 + one, 2 * a1 + one)
+
+
+def test_every_route_gives_one_canonical_form():
+    a1, a2, a3 = vars3()
+    one = Poly.const(3, 1)
+    direct = Poly(
+        3, {(1, 0, 0): Fraction(1, 6), (0, 1, 1): Fraction(-2, 3), (0, 0, 0): Fraction(3, 2)}
+    )
+    integer = a1 - 4 * a2 * a3 + 9 * one
+    routes = [
+        integer.scale(Fraction(1, 6)),
+        integer.scale(Fraction(5, 6)).scale(Fraction(1, 5)),
+        a1.scale(Fraction(1, 6)) - (a2 * a3).scale(Fraction(2, 3)) + Poly.const(3, Fraction(3, 2)),
+        (a1.scale(Fraction(1, 2)) + Poly.const(3, Fraction(1, 4))) * Poly.const(3, Fraction(1, 3))
+        - (a2 * a3).scale(Fraction(2, 3))
+        + Poly.const(3, Fraction(17, 12)),
+        exact_div(integer * (3 * a2 + 6 * one), 18 * a2 + 36 * one),
+        exact_div(direct * (a1 - a3).scale(Fraction(2, 7)), (a1 - a3).scale(Fraction(2, 7))),
+        Poly.from_json_terms(3, direct.to_json_terms()),
+    ]
+    for p in routes:
+        assert p == direct
+        assert hash(p) == hash(direct)
+    assert direct.coefficient((0, 1, 1)) == Fraction(-2, 3)
+    assert direct.leading_coeff() == Fraction(-2, 3)
+    assert direct.constant_value() == Fraction(3, 2)
+    zero = direct - direct
+    assert zero == Poly.zero(3) and hash(zero) == hash(Poly.zero(3))
+
+
+def test_json_terms_are_reduced_per_coefficient():
+    a1, a2, a3 = vars3()
+    p = (
+        a1 * a2.scale(Fraction(-3, 4))
+        + a3.scale(Fraction(5, 6))
+        + a2.scale(Fraction(-7, 1))
+        + Poly.const(3, Fraction(1, 12))
+    )
+    data = p.to_json_terms()
+    assert data == [
+        [-3, 4, [1, 1, 0]],
+        [-7, 1, [0, 1, 0]],
+        [5, 6, [0, 0, 1]],
+        [1, 12, [0, 0, 0]],
+    ]
+    back = Poly.from_json_terms(3, data)
+    assert back == p and back.to_json_terms() == data
+    assert Poly.from_json_terms(3, []) == Poly.zero(3)
+
+
+def test_gcd_of_products_with_contents_is_primitive_common_factor():
+    rng = random.Random(11)
+    a = vars3()
+    one = Poly.const(3, 1)
+
+    def form(c0, *cs):
+        return sum((c * x for c, x in zip(cs, a)), Poly.const(3, c0))
+
+    # three disjoint sets of primitive linear forms with positive leads,
+    # each drawn with a non-unit content
+    common = [form(2, 1, 0, 0), form(-2, 0, 1, 1), form(2, 0, 1, 0), form(1, 1, 0, 2)]
+    left = [form(1, 1, 1, 0), form(-3, 1, 0, 1), form(3, 0, 0, 1)]
+    right = [form(3, 0, 1, 1), form(2, 1, -1, 0), form(-2, 0, 2, 1)]
+    contents = [2, 3, Fraction(2, 7), Fraction(-10, 3), -5]
+
+    def product(pool, k):
+        prim = scaled = one
+        for _ in range(k):
+            f = rng.choice(pool)
+            prim = prim * f
+            scaled = scaled * f.scale(rng.choice(contents))
+        return prim, scaled
+
+    for _ in range(10):
+        f_prim, f = product(common, rng.randint(1, 2))
+        _, g = product(left, rng.randint(0, 2))
+        _, h = product(right, rng.randint(1, 2))
+        gcd_fg_fh = poly_gcd(f * g, f * h)
+        assert gcd_fg_fh == f_prim == make_primitive(f)
+        assert gcd_fg_fh.leading_coeff() > 0
+
+
+def test_gcd_with_irreducible_quadratic_common_factor():
+    # products of the denominator of R = (a1 a2 + a3) / (a1^2 + a2 + 1) and
+    # its shifts, as in R's recursion check, with coprime cofactors
+    a1, a2, a3 = vars3()
+    one = Poly.const(3, 1)
+    d = a1 * a1 + a2 + one
+    common = d * d.shift_var(0, -1)
+    g = d.shift_var(1, -1) * (a1 + a2 + a3)
+    h = (a1 * a2 + a3) * (a2 - a3 + 2 * one) * (a1 * a1 * a1 + a3)
+    assert poly_gcd((common * g).scale(Fraction(-3, 2)), common * h * 6) == common
+    assert poly_gcd(common * g * g, common * common * h) == common
