@@ -1,24 +1,26 @@
 """Exact expansion of Dyson-style Laurent products and coefficient extraction.
 
 The product F_n(x; a; b) = prod_h x_h^{-b_h} prod_{i != j} (1 - x_i/x_j)^{a_j}
-is expanded variable by variable: all factors involving x_1 are absorbed
-first, the slice landing on the target x_1-exponent is kept and x_1 retired,
-then x_2, and so on.  Grouping the two factors of each unordered pair {i, j}
-into one binomial power,
+is expanded one variable at a time.  The two factors of each unordered pair
+{i, j} are grouped into one binomial power,
 
     (1 - x_i/x_j)^{a_j} (1 - x_j/x_i)^{a_i}
-        = (-1)^{a_j} (x_i - x_j)^{a_i + a_j} x_i^{-a_i} x_j^{-a_j},
+        = (-1)^{a_j} (x_i - x_j)^{a_i + a_j} x_i^{-a_i} x_j^{-a_j}.
 
-keeps the intermediate slices small while remaining a plain exact expansion;
-coefficients are arbitrary-precision integers throughout, so nothing can
-overflow.
+Only the pair factors of x_1 are expanded, and only their terms that land
+on the target x_1-exponent are kept.  Each such term leaves an (n-1)-variable
+instance over x_2..x_n with shifted targets, whose coefficient is computed
+the same way; every sub-instance is memoized in the one cache, so the
+arrangements sampled by a fit share their (n-1)- and (n-2)-variable
+constant terms.  Coefficients are arbitrary-precision integers throughout,
+so nothing can overflow.
 
 The constant term is unchanged when the pairs (a_i, b_i) are relabeled
 together, so every instance is first reduced to one canonical arrangement:
-the pairs sorted ascending.  That arrangement is the key of the one cache
-and also the elimination order, so the variables with the smallest
-exponents are retired first.  Also here: the symbolic Taylor coefficients
-P_k used by the boundary conditions of the proof engine.
+the pairs sorted ascending.  That arrangement is the key of the top-level
+cache entry and also the elimination order, so the variables with the
+smallest exponents are peeled off first.  Also here: the symbolic Taylor
+coefficients P_k used by the boundary conditions of the proof engine.
 """
 
 from __future__ import annotations
@@ -104,61 +106,58 @@ def _signed_row(ah: int, aj: int) -> List[int]:
 
 @lru_cache(maxsize=200000)
 def _ct_cached(n: int, a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
-    # Callers pass the canonical arrangement (see ct_bruteforce); the DP
-    # itself is correct for any arrangement.  DP state: accumulated
-    # exponents of the still-active variables h..n-1, mapped to integer
-    # coefficients.  Processing variable h absorbs every pair factor (h, j),
-    # keeps only the slice with x_h-exponent b_h, and retires x_h.
-    state: Dict[Tuple[int, ...], int] = {(0,) * n: 1}
-    for h in range(n - 1):
-        ah = a[h]
-        # pair (h, j) with summand index m in [-a_h, a_j] contributes
-        # rows[idx][a_h + m] and exponents +m to x_h, -m to x_j
-        highs = a[h + 1 :]
-        rows = [_signed_row(ah, aj) for aj in highs]
-        last = len(highs)
-        # bounds on the m-sum over partners idx..last-1, for pruning
-        suffix_lo = [-ah * (last - i) for i in range(last + 1)]
-        suffix_hi = [sum(highs[i:]) for i in range(last + 1)]
-        new_state: Dict[Tuple[int, ...], int] = {}
-
-        def walk(idx: int, need: int, rest: Tuple[int, ...], key: Tuple[int, ...], coeff: int):
-            if idx == last - 1:
-                # the last partner takes the whole remaining need
-                if -ah <= need <= highs[idx]:
-                    key += (rest[idx] - need,)
-                    s = new_state.get(key, 0) + coeff * rows[idx][ah + need]
-                    if s:
-                        new_state[key] = s
-                    elif key in new_state:
-                        del new_state[key]
-                return
-            # prune m-ranges that cannot reach the target slice
-            lo = max(-ah, need - suffix_hi[idx + 1])
-            hi = min(highs[idx], need - suffix_lo[idx + 1])
-            row = rows[idx]
-            e = rest[idx]
-            for m in range(lo, hi + 1):
-                walk(idx + 1, need - m, rest, key + (e - m,), coeff * row[ah + m])
-
-        for key, coeff in state.items():
-            walk(0, b[h] - key[0], key[1:], (), coeff)
-        state = new_state
-        if not state:
+    # Callers pass the canonical arrangement (see ct_bruteforce); the
+    # recursion itself is correct for any arrangement.  Only the pair factors
+    # (0, j) are expanded: summand m_j in [-a_0, a_j] contributes
+    # rows[j][a_0 + m_j] and x_0^{m_j} x_j^{-m_j}.  The slice x_0^{b_0} has
+    # sum m_j = b_0 and leaves the sub-instance (n - 1, a[1:], b[1:] + m),
+    # looked up in this same cache; a[1:] is sorted whenever a is.
+    if sum(b):
+        return 0
+    if n == 1:
+        return 1
+    a0, highs, tail = a[0], a[1:], b[1:]
+    if n == 2:
+        # the single pair factor: one entry of _signed_row(a0, highs[0])
+        if not -a0 <= b[0] <= highs[0]:
             return 0
-    return state.get((b[n - 1],), 0)
+        return (-1 if b[0] & 1 else 1) * comb(a0 + highs[0], a0 + b[0])
+    rows = [_signed_row(a0, aj) for aj in highs]
+    last = n - 2
+    # upper bounds on the m-sum over partners idx..last, for pruning
+    suffix_hi = [sum(highs[i:]) for i in range(last + 2)]
+
+    def walk(idx: int, need: int, shifted: Tuple[int, ...]) -> int:
+        # prune m-ranges that cannot reach the target slice
+        lo = max(-a0, need - suffix_hi[idx + 1])
+        hi = min(highs[idx], need + a0 * (last - idx))
+        row, e = rows[idx], tail[idx]
+        total = 0
+        if idx == last - 1:
+            # the last partner takes the whole remaining need
+            row_l, e_l = rows[last], tail[last] + need
+            for m in range(lo, hi + 1):
+                sub = _ct_cached(n - 1, highs, shifted + (e + m, e_l - m))
+                total += row[a0 + m] * row_l[a0 + need - m] * sub
+            return total
+        for m in range(lo, hi + 1):
+            total += row[a0 + m] * walk(idx + 1, need - m, shifted + (e + m,))
+        return total
+
+    return walk(0, b[0], ())
 
 
 def ct_bruteforce(inst: DysonInstance) -> int:
     """Coefficient of x_1^{b_1}...x_n^{b_n} in F_n(x; a; 0).
 
     Equivalently the constant term of F_n(x; a; b); computed by exact
-    expansion with variable-by-variable coefficient elimination.  Relabeling
-    the pairs (a_i, b_i) together leaves the constant term unchanged, so the
-    pairs are first sorted ascending (by a_i, then b_i).  That canonical
-    arrangement is both the cache key, shared by every relabeling, and the
-    elimination order: the variables with the smallest exponents are
-    absorbed first, which keeps the intermediate slices small.
+    expansion, one variable at a time, as a memoized recursion on
+    sub-instances with one variable fewer.  Relabeling the pairs (a_i, b_i)
+    together leaves the constant term unchanged, so the pairs are first
+    sorted ascending (by a_i, then b_i).  That canonical arrangement is both
+    the cache key, shared by every relabeling, and the elimination order:
+    the variable with the smallest exponent is peeled off first, which keeps
+    its pair rows short, and its sub-instances stay sorted.
     """
     a, b = zip(*sorted(zip(inst.a, inst.b)))
     return _ct_cached(inst.n, a, b)

@@ -1,4 +1,6 @@
 import itertools
+import random
+from typing import Dict, Tuple
 
 import pytest
 
@@ -6,6 +8,7 @@ from conftest import literal_ct
 from dysonct.laurent import (
     DysonInstance,
     _ct_cached,
+    _signed_row,
     ct,
     multinomial,
     pk_expansion,
@@ -95,11 +98,99 @@ def test_raw_dp_is_invariant_under_relabeling():
     ids=["distinct-a", "tied-a"],
 )
 def test_all_arrangements_share_one_cache_entry(a, b):
+    # the first arrangement fills the cache with its sub-instances too; every
+    # other relabeling must then be a single hit on the canonical entry
     _ct_cached.cache_clear()
-    for perm in itertools.permutations(range(4)):
-        ct(4, tuple(a[p] for p in perm), tuple(b[p] for p in perm))
+    perms = list(itertools.permutations(range(4)))
+    arrange = [(tuple(a[p] for p in perm), tuple(b[p] for p in perm)) for perm in perms]
+    ct(4, *arrange[0])
+    first = _ct_cached.cache_info()
+    for pa, pb in arrange[1:]:
+        ct(4, pa, pb)
     info = _ct_cached.cache_info()
-    assert (info.misses, info.hits) == (1, 23)
+    assert (info.misses - first.misses, info.hits - first.hits) == (0, 23)
+
+
+def _forward_dp_ct(n: int, a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
+    """Reference oracle: the forward-elimination DP that the memoized
+    recursion in ``_ct_cached`` replaced, kept verbatim (without the cache)."""
+    # Callers pass the canonical arrangement (see ct_bruteforce); the DP
+    # itself is correct for any arrangement.  DP state: accumulated
+    # exponents of the still-active variables h..n-1, mapped to integer
+    # coefficients.  Processing variable h absorbs every pair factor (h, j),
+    # keeps only the slice with x_h-exponent b_h, and retires x_h.
+    state: Dict[Tuple[int, ...], int] = {(0,) * n: 1}
+    for h in range(n - 1):
+        ah = a[h]
+        # pair (h, j) with summand index m in [-a_h, a_j] contributes
+        # rows[idx][a_h + m] and exponents +m to x_h, -m to x_j
+        highs = a[h + 1 :]
+        rows = [_signed_row(ah, aj) for aj in highs]
+        last = len(highs)
+        # bounds on the m-sum over partners idx..last-1, for pruning
+        suffix_lo = [-ah * (last - i) for i in range(last + 1)]
+        suffix_hi = [sum(highs[i:]) for i in range(last + 1)]
+        new_state: Dict[Tuple[int, ...], int] = {}
+
+        def walk(idx: int, need: int, rest: Tuple[int, ...], key: Tuple[int, ...], coeff: int):
+            if idx == last - 1:
+                # the last partner takes the whole remaining need
+                if -ah <= need <= highs[idx]:
+                    key += (rest[idx] - need,)
+                    s = new_state.get(key, 0) + coeff * rows[idx][ah + need]
+                    if s:
+                        new_state[key] = s
+                    elif key in new_state:
+                        del new_state[key]
+                return
+            # prune m-ranges that cannot reach the target slice
+            lo = max(-ah, need - suffix_hi[idx + 1])
+            hi = min(highs[idx], need - suffix_lo[idx + 1])
+            row = rows[idx]
+            e = rest[idx]
+            for m in range(lo, hi + 1):
+                walk(idx + 1, need - m, rest, key + (e - m,), coeff * row[ah + m])
+
+        for key, coeff in state.items():
+            walk(0, b[h] - key[0], key[1:], (), coeff)
+        state = new_state
+        if not state:
+            return 0
+    return state.get((b[n - 1],), 0)
+
+
+@pytest.mark.parametrize("a", [(2, 3, 4, 5, 6), (2, 3, 4, 5, 7)])
+def test_recursion_matches_forward_dp_on_guess_grid(a):
+    # the arrangements a fit at n = 5 samples: every distinct placement of b
+    for b in sorted(set(itertools.permutations((1, 1, -1, -1, 0)))):
+        assert ct(5, a, b) == _forward_dp_ct(5, a, b), (a, b)
+
+
+def test_recursion_matches_forward_dp_tied_a():
+    a, b = (4, 4, 5, 6, 7), (2, -2, 1, -1, 0)
+    assert ct(5, a, b) == _forward_dp_ct(5, a, b) != 0
+
+
+def test_recursion_matches_forward_dp_random():
+    rng = random.Random(7)
+    for _ in range(50):
+        n = rng.randint(2, 5)
+        a = tuple(rng.randint(0, 4) for _ in range(n))
+        b = [rng.randint(-3, 3) for _ in range(n - 1)]
+        b = tuple(b + [-sum(b)])
+        # the reference takes any arrangement, ct sorts it first
+        assert ct(n, a, b) == _forward_dp_ct(n, a, b), (n, a, b)
+
+
+def test_sub_instances_live_in_the_one_cache():
+    _ct_cached.cache_clear()
+    ct(5, (2, 3, 4, 5, 6), (1, 1, -1, -1, 0))
+    assert _ct_cached.cache_info().currsize > 1
+    _ct_cached.cache_clear()
+    assert _ct_cached.cache_info().currsize == 0
+    ct(5, (2, 3, 4, 5, 6), (1, 1, -1, -1, 0))
+    info = _ct_cached.cache_info()
+    assert info.misses > 0 and info.currsize > 1
 
 
 def test_zero_sum_law():
