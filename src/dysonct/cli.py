@@ -16,7 +16,7 @@ import sys
 import time
 from typing import List, Optional, Sequence, Tuple
 
-from .conjecture import GuessError, GuessExhausted, guess_dyson
+from .conjecture import DEFAULT_MAX_T, GuessError, GuessExhausted, guess_dyson
 from .laurent import DysonInstance, ct_bruteforce
 from .paperdoc import build_document
 from .prover import ProofError, Resolver, prove
@@ -60,7 +60,7 @@ def _build_parser() -> _Parser:
     p_guess = sub.add_parser("guess", help="conjecture a closed form for d_n(a; b)")
     p_guess.add_argument("-n", type=int, required=True)
     p_guess.add_argument("-b", type=_int_list, required=True, metavar="B1,B2,...")
-    p_guess.add_argument("--max-t", type=int, default=12, dest="max_t")
+    p_guess.add_argument("--max-t", type=int, default=DEFAULT_MAX_T, dest="max_t")
     p_guess.add_argument("--no-ansatz", action="store_true")
 
     for name in ("prove", "write-paper"):
@@ -70,13 +70,13 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=("markdown", "latex"), default="markdown")
         p.add_argument("--out", default=None, help="output path for the document")
         p.add_argument("--store", default=None, help="result store path")
-        p.add_argument("--max-t", type=int, default=12, dest="max_t")
+        p.add_argument("--max-t", type=int, default=DEFAULT_MAX_T, dest="max_t")
 
     p_turbo = sub.add_parser("turbo", help="derive all closed forms up to a complexity")
     p_turbo.add_argument("-n", type=int, required=True)
     p_turbo.add_argument("-C", type=int, required=True, dest="complexity")
     p_turbo.add_argument("--store", default=None, help="result store path")
-    p_turbo.add_argument("--max-t", type=int, default=12, dest="max_t")
+    p_turbo.add_argument("--max-t", type=int, default=DEFAULT_MAX_T, dest="max_t")
 
     return parser
 

@@ -28,6 +28,7 @@ from .ratfunc import RatFunc, rising_factorial
 Oracle = Callable[[int, Tuple[int, ...], Tuple[int, ...]], int]
 
 HOLDOUT = 5  # held-out validation points appended to every fit
+DEFAULT_MAX_T = 12  # total-degree budget of a fit when the caller names none
 
 
 class GuessError(Exception):
@@ -248,7 +249,7 @@ class GuessDetails:
 def guess_dyson(
     n: int,
     b: Sequence[int],
-    max_t: int = 10,
+    max_t: int = DEFAULT_MAX_T,
     use_ansatz: bool = True,
     oracle: Oracle | None = None,
 ) -> ClosedForm:
@@ -260,7 +261,7 @@ def guess_dyson(
 def guess_dyson_with_details(
     n: int,
     b: Sequence[int],
-    max_t: int = 10,
+    max_t: int = DEFAULT_MAX_T,
     use_ansatz: bool = True,
     oracle: Oracle | None = None,
 ) -> Tuple[ClosedForm, GuessDetails]:

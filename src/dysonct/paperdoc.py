@@ -2,14 +2,18 @@
 
 A document is only ever produced from a valid certificate.  It states the
 closed form, then walks the verified facts in proof order: the recursion,
-one boundary identity per pivot, the initial value, and the uniqueness
-conclusion.  Everything displayed is re-derived from the certificate and the
-deterministic expansion machinery, never free-typed.
+one boundary identity per pivot, the initial value, the uniqueness
+conclusion, and an appendix with the tree of lower-level closed forms the
+boundary checks used.  Everything displayed is re-derived from the
+certificate and the deterministic expansion machinery, never free-typed.
+There is one document structure, ``_document``; each output format is a
+``_Notation`` that spells its headings, labels, math, displays and lists.
 """
 
 from __future__ import annotations
 
-from typing import List
+from dataclasses import dataclass
+from typing import List, Sequence, Tuple
 
 from .laurent import pk_expansion
 from .prover import ProofCertificate
@@ -27,313 +31,199 @@ from .render import (
 FORMATS = ("markdown", "latex")
 
 
+@dataclass(frozen=True)
+class _Notation:
+    """How one output format spells the parts of a document.  Every template
+    takes one ``str.format`` argument."""
+
+    style: str  # the render style of every formula
+    section: str
+    subsection: str
+    label: str
+    math: str  # inline formula
+    bold: str  # vector symbol
+    sub: str  # subscript
+    geq: str
+    qed: str
+    coeff_sep: str  # between a boundary coefficient and its c-symbol
+    gloss: str  # opens the sentence that follows the statement display
+    punctuates: bool  # whether a formula ending a sentence takes its stop
+    display_one: Tuple[str, str]  # opens and closes a display of one row
+    display_many: Tuple[str, str]  # ... of several rows
+    display_indent: str
+    row_end: str  # ends every display row but the last
+    list_open: Tuple[str, ...]  # the appendix list
+    sublist_open: Tuple[str, ...]  # a list nested in an item
+    list_close: Tuple[str, ...]
+    item: str
+    depends: str  # the note under an item that has dependencies
+
+    def punct(self, mark: str) -> str:
+        return mark if self.punctuates else ""
+
+    def display(self, rows: Sequence[str], mark: str = "") -> List[str]:
+        opener, closer = self.display_many if len(rows) > 1 else self.display_one
+        ends = [self.row_end] * (len(rows) - 1) + [self.punct(mark)]
+        body = [f"{self.display_indent}{row}{end}" for row, end in zip(rows, ends)]
+        return [opener, *body, closer]
+
+
+_NOTATIONS = {
+    "markdown": _Notation(
+        style=ASCII, section="# {}", subsection="## {}", label="**{}.**",
+        math="{}", bold="{}", sub="_{}",
+        geq=">=", qed="QED", coeff_sep=" ", gloss="where",
+        punctuates=False, display_one=("", ""), display_many=("", ""),
+        display_indent="    ", row_end="",
+        list_open=("",), sublist_open=(), list_close=(), item="- {}",
+        depends="  (certified via its own recursion/boundary/initial checks; "
+        "depends on {})",
+    ),
+    "latex": _Notation(
+        style=LATEX, section=r"\section*{{{}}}", subsection=r"\subsection*{{{}}}",
+        label=r"\noindent\textbf{{{}.}}",
+        math="${}$", bold=r"\mathbf{{{}}}", sub="_{{{}}}",
+        geq=r"\geq", qed=r"\qed", coeff_sep=r"\, ", gloss="Here",
+        punctuates=True, display_one=(r"\[", r"\]"),
+        display_many=(r"\begin{gather*}", r"\end{gather*}"),
+        display_indent="", row_end=r" \\",
+        list_open=(r"\begin{itemize}",), sublist_open=(r"\begin{itemize}",),
+        list_close=(r"\end{itemize}",), item=r"\item {}",
+        depends="(depends on {})",
+    ),
+}
+
+_BASE_CASE_NOTE = (
+    "This is the built-in two-variable family: expanding the Laurent "
+    "product reduces it to a single binomial coefficient, so no further "
+    "induction is needed."
+)
+_APPENDIX_TITLE = "Appendix: lower-level closed forms used by the boundary checks"
+
+
 def build_document(cert: ProofCertificate, fmt: str = "markdown") -> str:
     if fmt not in FORMATS:
         raise ValueError(f"format must be one of {FORMATS}")
     if not cert.is_valid():
         raise ValueError("refusing to write a document for an invalid certificate")
-    if fmt == "latex":
-        return _latex_document(cert)
-    return _markdown_document(cert)
+    return "\n".join(_document(cert, _NOTATIONS[fmt])) + "\n"
 
 
-# ----------------------------------------------------------------------
-# shared text assembly
+def _document(cert: ProofCertificate, nota: _Notation) -> List[str]:
+    form, style = cert.form, nota.style
+    n, b = form.n, form.b
+    math, label, bold = nota.math.format, nota.label.format, nota.bold.format
+    c_sym, d_sym = fmt_c_symbol(n, b, style), fmt_d_symbol(n, b, style)
+    conclusion = (
+        f"{label('Conclusion')} The recursion, the {n} boundary identities, and the "
+        f"initial value determine {math(c_sym)} at every nonnegative integer point; "
+        f"the closed form above satisfies all of them, so the identity holds. {nota.qed}"
+    )
+    lines = [nota.section.format(f"Closed form for {math(c_sym)}"), ""]
+    if cert.base_case:
+        body = "0" if form.R.is_zero() else fmt_closed_form(form, style)
+        statement = math(f"{c_sym} = {d_sym} = {body}") + nota.punct(".")
+        return lines + [f"{label('Statement')} {statement}", "", _BASE_CASE_NOTE]
+    if form.R.is_zero():
+        b_eq = f"{bold('b')} = {fmt_b_vector(b, style)}"
+        lines.append(
+            f"{label('Statement')} {math(f'{c_sym} = 0')} for all nonnegative integer "
+            f"{math(bold('a'))}, since the components of {math(b_eq)} do not sum to "
+            f"zero and the underlying Laurent product is homogeneous of degree {math('0')}."
+        )
+        return lines + ["", conclusion]
+
+    variables = ", ".join(math(fmt_var(i, style)) for i in range(n))
+    product = f"F{nota.sub.format(n)}({bold('x')}; {bold('a')}; {fmt_b_vector(b, style)})"
+    lines.append(f"{label('Statement')} For all nonnegative integers {variables},")
+    lines += nota.display([f"{c_sym} = {d_sym} = {fmt_closed_form(form, style)}"], ".")
+    lines += [
+        f"{nota.gloss} {math(c_sym)} denotes the constant term of the Laurent product "
+        f"{math(product)}.",
+        "",
+        nota.subsection.format("Good style proof"),
+        "",
+    ]
+
+    shifted = [fmt_c_symbol(n, b, style, a_text=_a_minus_e(n, i, style)) for i in range(n)]
+    lines.append(f"{label('Recursion')} For {variables} {math(f'{nota.geq} 1')},")
+    lines += nota.display([f"{c_sym} = {' + '.join(shifted)}"], ",")
+    lines += [
+        "and the closed form satisfies the same relation (verified as an identity "
+        "of rational functions in canonical form).",
+        "",
+    ]
+
+    rows = [
+        f"{fmt_c_symbol(n, b, style, a_text=_a_with_zero(n, k, style))} = "
+        f"{_boundary_rhs(cert, k, nota)}"
+        for k in range(n)
+    ]
+    lines.append(f"{label('Boundary conditions')} Setting each {math('a_k = 0')} in turn:")
+    lines += nota.display(rows)
+    lines += [
+        "each verified against the lower-level closed forms (empty right sides "
+        "are exactly the vanishing cases).",
+        "",
+    ]
+
+    value = "1" if all(x == 0 for x in b) else "0"
+    initial = fmt_c_symbol(n, b, style, a_text=fmt_b_vector((0,) * n, style))
+    lines.append(f"{label('Initial condition')} {math(f'{initial} = {value}')}.")
+    lines += ["", conclusion]
+    if cert.dependencies and not all(d.base_case for d in cert.dependencies):
+        lines += ["", nota.subsection.format(_APPENDIX_TITLE), *nota.list_open]
+        for dep in cert.dependencies:
+            lines += _appendix_entry(dep, nota)
+        lines += nota.list_close
+    return lines
+
+
+def _appendix_entry(dep: ProofCertificate, nota: _Notation) -> List[str]:
+    """One appendix item, its dependency note, and its non-base dependencies
+    as a list nested two spaces deeper."""
+    form, style = dep.form, nota.style
+    body = "0" if form.R.is_zero() else fmt_closed_form(form, style)
+    d_eq = f"{fmt_d_symbol(form.n, form.b, style)} = {body}"
+    lines = [nota.item.format(nota.math.format(d_eq))]
+    subs = () if dep.base_case else dep.dependencies
+    if subs:
+        vectors = ", ".join(nota.math.format(fmt_b_vector(s.form.b, style)) for s in subs)
+        lines.append(nota.depends.format(vectors))
+    nested = [s for s in subs if not s.base_case]
+    if nested:
+        inner = list(nota.sublist_open)
+        for s in nested:
+            inner += _appendix_entry(s, nota)
+        inner += nota.list_close
+        lines += [f"  {line}" for line in inner]
+    return lines
 
 
 def _a_with_zero(n: int, k: int, style: str) -> str:
-    parts = ["0" if i == k else fmt_var(i, style) for i in range(n)]
-    inner = ",".join(parts)
-    if style == LATEX:
-        return rf"\langle {inner} \rangle"
-    return f"<{inner}>"
+    return fmt_b_vector(["0" if i == k else fmt_var(i, style) for i in range(n)], style)
 
 
 def _a_minus_e(n: int, i: int, style: str) -> str:
-    parts = [
-        f"{fmt_var(j, style)}-1" if j == i else fmt_var(j, style) for j in range(n)
-    ]
-    inner = ",".join(parts)
-    if style == LATEX:
-        return rf"\langle {inner} \rangle"
-    return f"<{inner}>"
+    parts = [f"{fmt_var(j, style)}-1" if j == i else fmt_var(j, style) for j in range(n)]
+    return fmt_b_vector(parts, style)
 
 
-def _a_hat(n: int, k: int, style: str) -> str:
-    parts = [fmt_var(i, style) for i in range(n) if i != k]
-    inner = ",".join(parts)
-    if style == LATEX:
-        return rf"\langle {inner} \rangle"
-    return f"<{inner}>"
-
-
-def _boundary_rhs(cert: ProofCertificate, k: int, style: str) -> str:
-    n, b = cert.form.n, cert.form.b
+def _boundary_rhs(cert: ProofCertificate, k: int, nota: _Notation) -> str:
+    n, b, style = cert.form.n, cert.form.b, nota.style
     expansion = pk_expansion(n, k, b)
     if not expansion.terms:
         return "0"
     others = [i for i in range(n) if i != k]
+    a_hat = fmt_b_vector([fmt_var(i, style) for i in others], style)
     pieces: List[str] = []
     for term in expansion.terms:
         coeff = fmt_pk_coeff(term, others, style)
-        call = fmt_c_symbol(n - 1, term.shifted_b, style, a_text=_a_hat(n, k, style))
+        call = fmt_c_symbol(n - 1, term.shifted_b, style, a_text=a_hat)
         if coeff == "1":
-            piece = call
+            pieces.append(call)
         elif coeff == "-1":
-            piece = f"-{call}"
+            pieces.append(f"-{call}")
         else:
-            sep = r"\, " if style == LATEX else " "
-            piece = f"{coeff}{sep}{call}"
-        pieces.append(piece)
-    text = pieces[0]
-    for piece in pieces[1:]:
-        if piece.startswith("-"):
-            text += " - " + piece[1:]
-        else:
-            text += " + " + piece
-    return text
-
-
-def _recursion_rhs(n: int, b, style: str) -> str:
-    terms = [fmt_c_symbol(n, b, style, a_text=_a_minus_e(n, i, style)) for i in range(n)]
-    return " + ".join(terms)
-
-
-def _zero_vector(n: int, style: str) -> str:
-    return fmt_b_vector((0,) * n, style)
-
-
-# ----------------------------------------------------------------------
-# markdown
-
-
-def _markdown_document(cert: ProofCertificate) -> str:
-    form = cert.form
-    n, b = form.n, form.b
-    d_sym = fmt_d_symbol(n, b, ASCII)
-    c_sym = fmt_c_symbol(n, b, ASCII)
-    lines: List[str] = []
-    lines.append(f"# Closed form for {c_sym}")
-    lines.append("")
-    if cert.base_case:
-        body = "0" if form.R.is_zero() else fmt_closed_form(form, ASCII)
-        lines.append(f"**Statement.** {c_sym} = {d_sym} = {body}")
-        lines.append("")
-        lines.append(
-            "This is the built-in two-variable family: expanding the Laurent "
-            "product reduces it to a single binomial coefficient, so no further "
-            "induction is needed."
-        )
-        return "\n".join(lines) + "\n"
-    if form.R.is_zero():
-        lines.append(
-            f"**Statement.** {c_sym} = 0 for all nonnegative integer a, since the "
-            f"components of b = {fmt_b_vector(b, ASCII)} do not sum to zero and the "
-            f"underlying Laurent product is homogeneous of degree 0."
-        )
-        lines.append("")
-        lines.append(_conclusion_text(cert, ASCII))
-        return "\n".join(lines) + "\n"
-
-    lines.append(
-        f"**Statement.** For all nonnegative integers "
-        + ", ".join(fmt_var(i, ASCII) for i in range(n))
-        + ","
-    )
-    lines.append("")
-    lines.append(f"    {c_sym} = {d_sym} = {fmt_closed_form(form, ASCII)}")
-    lines.append("")
-    lines.append(
-        f"where {c_sym} denotes the constant term of the Laurent product "
-        f"F_{n}(x; a; {fmt_b_vector(b, ASCII)})."
-    )
-    lines.append("")
-    lines.append("## Good style proof")
-    lines.append("")
-    lines.append(f"**Recursion.** For {', '.join(fmt_var(i, ASCII) for i in range(n))} >= 1,")
-    lines.append("")
-    lines.append(f"    {c_sym} = {_recursion_rhs(n, b, ASCII)}")
-    lines.append("")
-    lines.append(
-        "and the closed form satisfies the same relation "
-        "(verified as an identity of rational functions in canonical form)."
-    )
-    lines.append("")
-    lines.append("**Boundary conditions.** Setting each a_k = 0 in turn:")
-    lines.append("")
-    for k in range(n):
-        lhs = fmt_c_symbol(n, b, ASCII, a_text=_a_with_zero(n, k, ASCII))
-        lines.append(f"    {lhs} = {_boundary_rhs(cert, k, ASCII)}")
-    lines.append("")
-    lines.append(
-        "each verified against the lower-level closed forms "
-        "(empty right sides are exactly the vanishing cases)."
-    )
-    lines.append("")
-    value = "1" if all(x == 0 for x in b) else "0"
-    lines.append(
-        f"**Initial condition.** "
-        f"{fmt_c_symbol(n, b, ASCII, a_text=_zero_vector(n, ASCII))} = {value}."
-    )
-    lines.append("")
-    lines.append(_conclusion_text(cert, ASCII))
-    deps = _dependency_section(cert, ASCII)
-    if deps:
-        lines.append("")
-        lines.extend(deps)
-    return "\n".join(lines) + "\n"
-
-
-def _conclusion_text(cert: ProofCertificate, style: str) -> str:
-    form = cert.form
-    c_sym = fmt_c_symbol(form.n, form.b, style)
-    return (
-        f"**Conclusion.** The recursion, the {form.n} boundary identities, and the "
-        f"initial value determine {c_sym} at every nonnegative integer point; the "
-        f"closed form above satisfies all of them, so the identity holds. QED"
-    )
-
-
-def _dependency_section(cert: ProofCertificate, style: str) -> List[str]:
-    if not cert.dependencies or all(d.base_case for d in cert.dependencies):
-        return []
-    lines = ["## Appendix: lower-level closed forms used by the boundary checks", ""]
-    for dep in cert.dependencies:
-        lines.extend(_dependency_lines(dep, style))
-    return lines
-
-
-def _dependency_lines(dep: ProofCertificate, style: str) -> List[str]:
-    form = dep.form
-    d_sym = fmt_d_symbol(form.n, form.b, style)
-    body = fmt_closed_form(form, style) if not form.R.is_zero() else "0"
-    lines = [f"- {d_sym} = {body}"]
-    if dep.base_case:
-        return lines
-    sub = [d for d in dep.dependencies]
-    if sub:
-        inner = ", ".join(fmt_b_vector(s.form.b, style) for s in sub)
-        lines.append(f"  (certified via its own recursion/boundary/initial checks; "
-                     f"depends on {inner})")
-    for s in sub:
-        if not s.base_case:
-            lines.extend("  " + l for l in _dependency_lines(s, style))
-    return lines
-
-
-# ----------------------------------------------------------------------
-# latex
-
-
-def _latex_document(cert: ProofCertificate) -> str:
-    form = cert.form
-    n, b = form.n, form.b
-    c_sym = fmt_c_symbol(n, b, LATEX)
-    d_sym = fmt_d_symbol(n, b, LATEX)
-    out: List[str] = []
-    out.append(rf"\section*{{Closed form for ${c_sym}$}}")
-    out.append("")
-    if cert.base_case:
-        body = "0" if form.R.is_zero() else fmt_closed_form(form, LATEX)
-        out.append(rf"\noindent\textbf{{Statement.}} ${c_sym} = {d_sym} = {body}$.")
-        out.append("")
-        out.append(
-            "This is the built-in two-variable family: expanding the Laurent "
-            "product reduces it to a single binomial coefficient, so no further "
-            "induction is needed."
-        )
-        return "\n".join(out) + "\n"
-    if form.R.is_zero():
-        out.append(
-            rf"${c_sym} = 0$ for all nonnegative integer $\mathbf{{a}}$, since the "
-            rf"components of $\mathbf{{b}} = {fmt_b_vector(b, LATEX)}$ do not sum to "
-            r"zero and the underlying Laurent product is homogeneous of degree $0$."
-        )
-        out.append("")
-        out.append(_latex_conclusion(cert))
-        return "\n".join(out) + "\n"
-
-    out.append(
-        r"\noindent\textbf{Statement.} For all nonnegative integers "
-        + ", ".join(f"${fmt_var(i, LATEX)}$" for i in range(n))
-        + ","
-    )
-    out.append(r"\[")
-    out.append(rf"{c_sym} = {d_sym} = {fmt_closed_form(form, LATEX)}.")
-    out.append(r"\]")
-    out.append(
-        rf"Here ${c_sym}$ denotes the constant term of the Laurent product "
-        rf"$F_{{{n}}}(\mathbf{{x}}; \mathbf{{a}}; {fmt_b_vector(b, LATEX)})$."
-    )
-    out.append("")
-    out.append(r"\subsection*{Good style proof}")
-    out.append("")
-    out.append(
-        r"\noindent\textbf{Recursion.} For "
-        + ", ".join(f"${fmt_var(i, LATEX)}$" for i in range(n))
-        + r" $\geq 1$,"
-    )
-    out.append(r"\[")
-    out.append(rf"{c_sym} = {_recursion_rhs(n, b, LATEX)},")
-    out.append(r"\]")
-    out.append(
-        "and the closed form satisfies the same relation (verified as an identity "
-        "of rational functions in canonical form)."
-    )
-    out.append("")
-    out.append(r"\noindent\textbf{Boundary conditions.} Setting each $a_k = 0$ in turn:")
-    out.append(r"\begin{gather*}")
-    rows = []
-    for k in range(n):
-        lhs = fmt_c_symbol(n, b, LATEX, a_text=_a_with_zero(n, k, LATEX))
-        rows.append(rf"{lhs} = {_boundary_rhs(cert, k, LATEX)}")
-    out.append(" \\\\\n".join(rows))
-    out.append(r"\end{gather*}")
-    out.append(
-        "each verified against the lower-level closed forms (empty right sides "
-        "are exactly the vanishing cases)."
-    )
-    out.append("")
-    value = "1" if all(x == 0 for x in b) else "0"
-    init_sym = fmt_c_symbol(n, b, LATEX, a_text=_zero_vector(n, LATEX))
-    out.append(rf"\noindent\textbf{{Initial condition.}} ${init_sym} = {value}$.")
-    out.append("")
-    out.append(_latex_conclusion(cert))
-    deps = _latex_dependency_section(cert)
-    if deps:
-        out.append("")
-        out.extend(deps)
-    return "\n".join(out) + "\n"
-
-
-def _latex_conclusion(cert: ProofCertificate) -> str:
-    form = cert.form
-    c_sym = fmt_c_symbol(form.n, form.b, LATEX)
-    return (
-        rf"\noindent\textbf{{Conclusion.}} The recursion, the {form.n} boundary "
-        rf"identities, and the initial value determine ${c_sym}$ at every "
-        r"nonnegative integer point; the closed form above satisfies all of them, "
-        r"so the identity holds. \qed"
-    )
-
-
-def _latex_dependency_section(cert: ProofCertificate) -> List[str]:
-    if not cert.dependencies or all(d.base_case for d in cert.dependencies):
-        return []
-    out = [r"\subsection*{Appendix: lower-level closed forms used by the boundary checks}"]
-    out.append(r"\begin{itemize}")
-    for dep in cert.dependencies:
-        out.extend(_latex_dependency_item(dep))
-    out.append(r"\end{itemize}")
-    return out
-
-
-def _latex_dependency_item(dep: ProofCertificate) -> List[str]:
-    form = dep.form
-    d_sym = fmt_d_symbol(form.n, form.b, LATEX)
-    body = fmt_closed_form(form, LATEX) if not form.R.is_zero() else "0"
-    lines = [rf"\item ${d_sym} = {body}$"]
-    if not dep.base_case and dep.dependencies:
-        inner = ", ".join(f"${fmt_b_vector(s.form.b, LATEX)}$" for s in dep.dependencies)
-        lines.append(rf"(depends on {inner})")
-    return lines
+            pieces.append(f"{coeff}{nota.coeff_sep}{call}")
+    return " + ".join(pieces).replace(" + -", " - ")

@@ -322,11 +322,6 @@ class Poly:
         out = {m[:var] + m[var + 1 :]: c for m, c in self.coeffs.items()}
         return Poly._raw(self.nvars - 1, out, self.den)
 
-    def insert_var(self, var: int) -> "Poly":
-        """Add an unused variable slot at position ``var``."""
-        out = {m[:var] + (0,) + m[var:]: c for m, c in self.coeffs.items()}
-        return Poly._raw(self.nvars + 1, out, self.den)
-
     # ------------------------------------------------------------------
     # serialization
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from .conjecture import ClosedForm, guess_dyson
+from .conjecture import DEFAULT_MAX_T, ClosedForm, guess_dyson
 from .laurent import pk_expansion
 from .poly import LinearForm, Poly, exact_div, make_primitive, poly_gcd
 from .ratfunc import RatFunc, rising_factorial
@@ -305,9 +305,10 @@ def linear_factors(p: Poly) -> Optional[Tuple[List[LinearForm], Fraction]]:
     """Factor p as const * product of integer linear forms with nonnegative
     coefficients and positive constant terms; None if p is not of that shape.
 
-    Every factor of such a product has its constant dividing p(0) and each
-    coefficient bounded by the matching first-degree coefficient of p, so
-    trial division over that finite candidate set is a complete search.
+    A factor c0 + sum c_i a_i of the primitive part has c0 dividing its
+    constant term, and, restricted to the a_i axis, each c_i > 0 divides the
+    leading coefficient and -c0/c_i is a root of that restriction.
+    Trial division over those candidates is a complete search.
     """
     if p.is_zero():
         return None
@@ -320,21 +321,12 @@ def linear_factors(p: Poly) -> Optional[Tuple[List[LinearForm], Fraction]]:
         const = work.constant_value()
         if const <= 0 or const.denominator != 1:
             return None
-        bounds = []
-        for i in range(nvars):
-            mono = tuple(1 if j == i else 0 for j in range(nvars))
-            c = work.coefficient(mono)
-            if c.denominator != 1 or c < 0:
-                return None
-            bounds.append(int(c))
-        total = 1
-        for bd in bounds:
-            total *= bd + 1
-        if total > 20000:
-            return None
         found = None
+        terms = work.sorted_terms()
+        axes = [{m[i]: int(c) for m, c in terms if sum(m) == m[i]} for i in range(nvars)]
         for c0 in _divisors(int(const)):
-            for coeffs in itertools.product(*(range(bd + 1) for bd in bounds)):
+            candidates = [_axis_coefficients(axis, c0) for axis in axes]
+            for coeffs in itertools.product(*candidates):
                 if not any(coeffs):
                     continue
                 cand = LinearForm(c0, coeffs)
@@ -354,6 +346,19 @@ def linear_factors(p: Poly) -> Optional[Tuple[List[LinearForm], Fraction]]:
     if tail <= 0:
         return None
     return factors, scale * tail
+
+
+def _axis_coefficients(axis: Dict[int, int], c0: int) -> List[int]:
+    """The coefficients of a_i that a factor c0 + ... can have, given the
+    restriction to the a_i axis as {exponent: coefficient}: 0, and each
+    positive divisor c of its leading coefficient at whose root t = -c0/c the
+    restriction vanishes (tested as sum coeff * (-c0)^e * c^(deg - e) = 0)."""
+    deg = max(axis)
+    out = [0]
+    for c in _divisors(axis[deg]):
+        if sum(coeff * (-c0) ** e * c ** (deg - e) for e, coeff in axis.items()) == 0:
+            out.append(c)
+    return out
 
 
 @dataclass
@@ -443,7 +448,7 @@ class Resolver:
     forms actually required sampling and fitting.
     """
 
-    def __init__(self, max_t: int = 12):
+    def __init__(self, max_t: int = DEFAULT_MAX_T):
         self.max_t = max_t
         self.forms: Dict[Tuple[int, Tuple[int, ...]], ClosedForm] = {}
         self.certificates: Dict[Tuple[int, Tuple[int, ...]], ProofCertificate] = {}

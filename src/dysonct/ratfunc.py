@@ -125,12 +125,6 @@ class RatFunc:
             raise ZeroDivisionError(f"denominator vanishes at {tuple(values)}")
         return self.num.evaluate(values) / d
 
-    def substitute(self, assignment: Mapping[int, Fraction | int]) -> "RatFunc":
-        den = self.den.substitute(assignment)
-        if den.is_zero():
-            raise ZeroDivisionError("denominator vanishes identically under substitution")
-        return RatFunc.make(self.num.substitute(assignment), den)
-
     def shift_var(self, var: int, delta: int) -> "RatFunc":
         # A shift is an automorphism, so reducedness is preserved; only the
         # denominator's leading coefficient needs renormalizing.
@@ -138,12 +132,6 @@ class RatFunc:
 
     def permute_vars(self, perm: Sequence[int]) -> "RatFunc":
         return self._rescale(self.num.permute_vars(perm), self.den.permute_vars(perm))
-
-    def drop_var(self, var: int) -> "RatFunc":
-        return self._rescale(self.num.drop_var(var), self.den.drop_var(var))
-
-    def insert_var(self, var: int) -> "RatFunc":
-        return self._rescale(self.num.insert_var(var), self.den.insert_var(var))
 
     @staticmethod
     def _rescale(num: Poly, den: Poly) -> "RatFunc":

@@ -1,3 +1,4 @@
+import inspect
 import json
 
 import pytest
@@ -6,7 +7,8 @@ import dysonct.cli as cli
 import dysonct.turbo as turbo
 from conftest import latex_balanced
 from dysonct.cli import EXIT_INTERNAL, EXIT_IO, EXIT_MATH, EXIT_OK, EXIT_USAGE, main
-from dysonct.prover import MalformedFormError, UnresolvedDependencyError
+from dysonct.conjecture import DEFAULT_MAX_T, guess_dyson, guess_dyson_with_details
+from dysonct.prover import MalformedFormError, Resolver, UnresolvedDependencyError
 from dysonct.store import ResultStore
 
 
@@ -189,3 +191,18 @@ def test_turbo_records_failed_entry_and_keeps_the_rest(tmp_path, monkeypatch, ca
     store = ResultStore.load(str(tmp_path / "s.json"))
     assert len(store) == 6
     assert (3, bad) not in store
+
+
+def test_every_entry_point_has_the_same_default_degree_budget():
+    parser = cli._build_parser()
+    commands = [
+        ["guess", "-n", "3", "-b", "0,0,0"],
+        ["prove", "-n", "3", "-b", "0,0,0"],
+        ["write-paper", "-n", "3", "-b", "0,0,0"],
+        ["turbo", "-n", "3", "-C", "1"],
+    ]
+    defaults = {parser.parse_args(argv).max_t for argv in commands}
+    defaults.add(Resolver().max_t)
+    for fit in (guess_dyson, guess_dyson_with_details):
+        defaults.add(inspect.signature(fit).parameters["max_t"].default)
+    assert defaults == {DEFAULT_MAX_T}

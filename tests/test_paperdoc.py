@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from conftest import latex_balanced
@@ -99,3 +101,49 @@ def test_render_fallback_for_nonsplitting_polys():
     text = fmt_ratfunc(r, ASCII)
     assert "a_1^2" in text  # expanded, not factored
     assert fmt_poly(Poly.zero(2), ASCII) == "0"
+
+
+def _labels(doc: str):
+    """The bold run-in labels ("Statement", "Recursion", ...) in order."""
+    found = re.findall(r"\*\*([^*]+)\.\*\*|\\textbf\{([^}]+)\.\}", doc)
+    return [markdown or latex for markdown, latex in found]
+
+
+def _markdown_appendix(doc: str):
+    """(nesting depth, b) of every item of the Markdown appendix."""
+    out = []
+    for line in doc.splitlines():
+        m = re.match(r"( *)- d_\d+\(a; <([-\d,]+)>\)", line)
+        if m:
+            out.append((len(m.group(1)) // 2, m.group(2)))
+    return out
+
+
+def _latex_appendix(doc: str):
+    """(nesting depth, b) of every item of the LaTeX appendix."""
+    out, depth = [], 0
+    for line in doc.splitlines():
+        line = line.strip()
+        if line == r"\begin{itemize}":
+            depth += 1
+        elif line == r"\end{itemize}":
+            depth -= 1
+        m = re.match(r"\\item \$d_\{\d+\}\(\\mathbf\{a\}; \\langle ([-\d,]+) \\rangle\)", line)
+        if m:
+            out.append((depth - 1, m.group(1)))
+    return out
+
+
+@pytest.mark.parametrize(
+    "n,b", [(3, (1, 0, 0)), (2, (1, -1)), (3, (2, -1, -1)), (5, (1, 1, -1, -1, 0))]
+)
+def test_markdown_and_latex_documents_agree(n, b):
+    cert = prove(n, b, Resolver())
+    markdown = build_document(cert, "markdown")
+    latex = build_document(cert, "latex")
+    assert latex_balanced(latex)
+    assert _labels(markdown) and _labels(markdown) == _labels(latex)
+    assert _markdown_appendix(markdown) == _latex_appendix(latex)
+    if n == 5:
+        # the appendix is the whole dependency tree, two levels deep
+        assert {depth for depth, _ in _markdown_appendix(markdown)} == {0, 1}

@@ -77,7 +77,6 @@ def test_substitute_and_drop():
     dropped = at_zero.drop_var(0)
     assert dropped.nvars == 2
     assert dropped == Poly.variable(2, 1) * Poly.variable(2, 0)
-    assert dropped.insert_var(0) == at_zero
     with pytest.raises(ValueError):
         p.drop_var(0)
 

@@ -305,13 +305,24 @@ def test_denominator_safety_rejects_nonsplitting_positive_denominator():
 
 def test_linear_factors_reassembles_product():
     a = _vars(3)
-    one = Poly.const(3, 1)
-    den = (one + a[0] + a[1]) * (one + a[0] + a[2]) * (one + a[0])
-    factors, const = linear_factors(den)
-    rebuilt = Poly.const(3, const)
-    for f in factors:
-        rebuilt = rebuilt * f.to_poly()
-    assert rebuilt == den
+    c = [Poly.const(3, k) for k in range(4)]
+    s = a[0] + a[1] + a[2]
+    products = [
+        [c[1] + a[0] + a[1], c[1] + a[0] + a[2], c[1] + a[0]],
+        # seven factors; the product's first-degree coefficients (80, 72, 36)
+        # bound 81*73*37 = 218781 coefficient vectors
+        [c[1] + a[0], c[2] + a[0], c[3] + a[0], c[1] + a[1], c[2] + a[1], c[1] + s, c[2] + s],
+    ]
+    for forms in products:
+        den = c[1]
+        for f in forms:
+            den = den * f
+        factors, const = linear_factors(den)
+        assert len(factors) == len(forms)
+        rebuilt = Poly.const(3, const)
+        for f in factors:
+            rebuilt = rebuilt * f.to_poly()
+        assert rebuilt == den
 
 
 # ----------------------------------------------------------------------
@@ -324,6 +335,14 @@ def test_prove_2m1m1():
     dep_bs = {d.form.b for d in cert.dependencies}
     assert dep_bs == {(1, -1), (-1, 1), (0, 0)}
     assert all(d.base_case for d in cert.dependencies)
+
+
+def test_prove_denominator_with_many_coefficient_vectors():
+    # R's denominator is a product of 7 positive linear forms whose
+    # first-degree coefficients allow 117*37*45 = 194805 coefficient vectors
+    cert = prove(3, (5, -3, -2), Resolver())
+    assert cert.is_valid()
+    assert cert.denominator_safe
 
 
 def test_prove_zero_form():
