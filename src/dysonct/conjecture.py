@@ -10,7 +10,8 @@ the residual fit dramatically; the factor is restored on the way out.
 
 Everything is exact: the linear systems are solved over Q, candidates are
 validated on held-out points, and the caller is expected to run the proof
-engine on whatever comes out.
+engine on whatever comes out.  Splits are first screened modulo one prime,
+and only those that can still fit are solved over Q; the screen only skips.
 """
 
 from __future__ import annotations
@@ -20,8 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from .laurent import ct, multinomial
-from .linalg import solve_nullspace
+from .linalg import IntegerSystem, matmul_mod, solve_nullspace
 from .poly import LinearForm, Poly
 from .ratfunc import RatFunc, rising_factorial
 
@@ -160,12 +163,24 @@ def _monomials_up_to(nvars: int, degree: int) -> List[Tuple[int, ...]]:
     return monos
 
 
-def _eval_mono(point: Tuple[int, ...], mono: Tuple[int, ...]) -> int:
-    v = 1
-    for x, e in zip(point, mono):
-        if e:
-            v *= x**e
-    return v
+def _mono_values(
+    points: Sequence[Tuple[int, ...]], monos: List[Tuple[int, ...]]
+) -> List[List[int]]:
+    """The value of every monomial at every point, for monomials ordered as
+    _monomials_up_to orders them."""
+    index = {m: k for k, m in enumerate(monos)}
+    # each nonconstant monomial is an earlier one times its first variable
+    steps = []
+    for m in monos[1:]:
+        i = next(i for i, e in enumerate(m) if e)
+        steps.append((index[m[:i] + (m[i] - 1,) + m[i + 1 :]], i))
+    table = []
+    for point in points:
+        vals = [1]
+        for k, i in steps:
+            vals.append(vals[k] * point[i])
+        table.append(vals)
+    return table
 
 
 def guess_rat(samples: SampleSet, t: int) -> Optional[RatFunc]:
@@ -178,6 +193,18 @@ def guess_rat(samples: SampleSet, t: int) -> Optional[RatFunc]:
     samples, held out of the fit, exactly.  Returns None when no split
     admits a fit; raises AmbiguousFit when a nullspace of dimension > 1 holds
     inequivalent candidates (the caller should supply more samples).
+
+    Each split is screened modulo p = IntegerSystem.prime before anything is
+    lifted to Q.  A vector of the mod-p nullspace basis counts as a candidate
+    only if its denominator part is nonzero mod p and its denominator is
+    nonzero mod p at every sample point.  The split is skipped when no vector
+    counts, or when exactly one counts and value * den(h) - num(h) is nonzero
+    mod p at some held-out point h; every other split is solved and checked
+    exactly as above.  The screen only ever skips, so whatever is returned
+    has passed every exact check and a skip cannot produce a wrong closed
+    form; at worst it misses a fit.  That takes p dividing one particular
+    nonzero integer (an entry, a denominator value or a held-out residual of
+    an exact basis vector) or a reduction mod p of the wrong rank or pivots.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -192,8 +219,8 @@ def guess_rat(samples: SampleSet, t: int) -> Optional[RatFunc]:
     hold_vals = samples.values[len(fit_pts) :]
 
     # the monomials of every split are a prefix of these, in the same order
-    all_monos = _monomials_up_to(nvars, t)
-    mono_vals = [[_eval_mono(p, m) for m in all_monos] for p in fit_pts]
+    mono_vals = _mono_values(samples.points, _monomials_up_to(nvars, t))
+    screen = _Screen(mono_vals, samples.values, len(fit_pts))
     for d_num in range(t, -1, -1):
         d_den = t - d_num
         num_monos = _monomials_up_to(nvars, d_num)
@@ -211,7 +238,10 @@ def guess_rat(samples: SampleSet, t: int) -> Optional[RatFunc]:
             row = [fn * v for v in vals[: len(den_monos)]]
             row += [-fd * v for v in vals[: len(num_monos)]]
             rows.append(row)
-        basis = solve_nullspace(rows)
+        system = IntegerSystem(rows)
+        if not screen.may_fit(system, len(den_monos), len(num_monos)):
+            continue
+        basis = solve_nullspace(system)
         if not basis:
             continue
         candidates: List[RatFunc] = []
@@ -234,6 +264,33 @@ def guess_rat(samples: SampleSet, t: int) -> Optional[RatFunc]:
         if all(first.evaluate(p) == v for p, v in zip(hold_pts, hold_vals)):
             return first
     return None
+
+
+class _Screen:
+    """guess_rat's checks on a split, modulo IntegerSystem.prime."""
+
+    def __init__(self, mono_vals: List[List[int]], values: List[Fraction], nfit: int):
+        p = IntegerSystem.prime
+        self.monos = np.array([[v % p for v in vals] for vals in mono_vals], dtype=np.int64)
+        self.value_num = np.array([f.numerator % p for f in values], dtype=np.int64)
+        self.value_den = np.array([f.denominator % p for f in values], dtype=np.int64)
+        self.nfit = nfit
+
+    def may_fit(self, system: IntegerSystem, n_den: int, n_num: int) -> bool:
+        """False if the split's nullspace holds no candidate mod p, or holds
+        one that misses a held-out value mod p."""
+        p = system.prime
+        kernel = system.kernel_mod_p()
+        kernel = kernel[:, kernel[:n_den].any(axis=0)]
+        den = matmul_mod(self.monos[:, :n_den], kernel[:n_den], p)
+        counted = np.flatnonzero(den.all(axis=0))
+        if len(counted) != 1:
+            return len(counted) > 1
+        (j,) = counted
+        held = slice(self.nfit, None)
+        num = matmul_mod(self.monos[held, :n_num], kernel[n_den:, j], p)
+        residual = self.value_num[held] * den[held, j] - self.value_den[held] * num
+        return not (residual % p).any()
 
 
 @dataclass

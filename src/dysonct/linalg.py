@@ -8,14 +8,25 @@ verification M v = 0 of every basis vector.
 A nullity of zero modulo any prime already proves the exact nullspace is
 trivial, so failed fit degrees are rejected quickly; reconstructed vectors
 are never trusted without the exact verification step.
+
+An ``IntegerSystem`` holds the primitive integer rows together with their
+reduction modulo the first prime, p = 2**31 - 1, and ``kernel_mod_p`` reads
+the mod-p nullspace basis off it.  The fitter screens each system with that
+basis before it asks for the exact one: when the reduction has the exact rank
+and the exact pivots and p divides no denominator of the exact reduced basis,
+the mod-p basis is the exact basis reduced mod p, vector for vector, so a
+property that holds exactly (a nonzero entry, a nonzero value) still holds
+mod p unless p divides one particular nonzero integer.  ``solve_nullspace``
+accepts the screened system and starts its lift from the same reduction.
 """
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -59,11 +70,13 @@ def _prime(i: int) -> int:
 
 def _clear_row(row: Sequence[Fraction | int]) -> List[int]:
     """The primitive integer row positively proportional to row."""
-    if not all(isinstance(x, int) for x in row):
+    try:
+        g = gcd(*row)
+    except TypeError:  # not all entries are ints
         fracs = [Fraction(x) for x in row]
         common = lcm(*(f.denominator for f in fracs))
         row = [f.numerator * (common // f.denominator) for f in fracs]
-    g = gcd(*row)
+        g = gcd(*row)
     return [v // g for v in row] if g > 1 else list(row)
 
 
@@ -81,7 +94,7 @@ def _rref_mod(matrix: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
             m[[r, pivot]] = m[[pivot, r]]
         # rows r and below are zero left of column c, so only columns c and
         # beyond change
-        inv = pow(int(m[r, c]), p - 2, p)
+        inv = pow(int(m[r, c]), -1, p)
         m[r, c:] = (m[r, c:] * inv) % p
         rows = np.flatnonzero(m[:, c])
         rows = rows[rows != r]
@@ -173,14 +186,75 @@ class _PivotGroup:
         return basis
 
 
-def _nullspace_modular(int_rows: List[List[int]], ncols: int) -> List[Tuple[int, ...]]:
-    group: _PivotGroup | None = None
-    i = 0
-    while True:
+def _reduce(int_rows: List[List[int]], ncols: int, p: int) -> Tuple[np.ndarray, List[int]]:
+    matrix = np.array([[x % p for x in row] for row in int_rows], dtype=np.int64)
+    return _rref_mod(matrix.reshape(len(int_rows), ncols), p)
+
+
+def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a @ b mod p for int64 arrays with entries in [0, p), p < 2**31.
+
+    b is split into 16-bit halves so that no partial sum leaves int64, which
+    holds for inner dimensions up to 2**15.
+    """
+    if a.shape[-1] > 2**15:
+        raise ValueError("inner dimension too large for int64 partial sums")
+    low = a @ (b & 0xFFFF)
+    high = a @ (b >> 16)
+    return ((high % p) * 0x10000 + low) % p
+
+
+class IntegerSystem(Sequence):
+    """The nonzero rows of a matrix, cleared to primitive integers, with their
+    reduced row echelon form modulo ``prime``, the first of the primes
+    solve_nullspace lifts with.  As a sequence it is the list of those rows.
+    """
+
+    prime = _prime(0)
+
+    def __init__(self, rows: Sequence[Sequence[Fraction | int]]):
+        rows = list(rows)
+        if not rows:
+            raise ValueError("matrix must have at least one row")
+        self.ncols = len(rows[0])
+        if any(len(r) != self.ncols for r in rows):
+            raise ValueError("matrix rows must all have the same length")
+        self.rows = [r for r in map(_clear_row, rows) if any(r)]
+        self.rref, self.pivots = _reduce(self.rows, self.ncols, self.prime)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, i):
+        return self.rows[i]
+
+    def kernel_mod_p(self) -> np.ndarray:
+        """The nullspace basis modulo ``prime`` as the columns of an int64
+        array, one per free column in increasing order, with 1 in that free
+        column and 0 in the others: solve_nullspace's basis reduced mod p,
+        vector for vector and up to scale, whenever this reduction has the
+        exact pivots and p divides no denominator of the exact RREF."""
+        pivot_set = set(self.pivots)
+        free = [c for c in range(self.ncols) if c not in pivot_set]
+        kernel = np.zeros((self.ncols, len(free)), dtype=np.int64)
+        kernel[free, range(len(free))] = 1
+        kernel[self.pivots] = -self.rref[: len(self.pivots), free] % self.prime
+        return kernel
+
+
+def _reductions(system: IntegerSystem) -> Iterator[Tuple[int, np.ndarray, List[int]]]:
+    """(p, RREF mod p, pivots) for the first prime, as the system holds it,
+    then for each further prime in turn."""
+    yield system.prime, system.rref, system.pivots
+    for i in itertools.count(1):
         p = _prime(i)
-        i += 1
-        matrix = np.array([[x % p for x in row] for row in int_rows], dtype=np.int64)
-        rref, pivots = _rref_mod(matrix, p)
+        yield (p, *_reduce(system.rows, system.ncols, p))
+
+
+def _nullspace_modular(system: IntegerSystem) -> List[Tuple[int, ...]]:
+    ncols = system.ncols
+    group: _PivotGroup | None = None
+    for p, rref, pivots in _reductions(system):
         if len(pivots) == ncols:
             return []  # full column rank mod p implies full rank over Q
         # Over Q the rank is at least the rank mod p and, at equal rank, each
@@ -195,26 +269,23 @@ def _nullspace_modular(int_rows: List[List[int]], ncols: int) -> List[Tuple[int,
         elif pivots != group.pivots:
             continue
         group.add(rref, p)
-        basis = group.reconstruct(int_rows, ncols)
+        basis = group.reconstruct(system.rows, ncols)
         if basis is not None:
             return basis
 
 
-def solve_nullspace(rows: Sequence[Sequence[Fraction | int]]) -> List[Tuple[int, ...]]:
+def solve_nullspace(
+    rows: Sequence[Sequence[Fraction | int]] | IntegerSystem,
+) -> List[Tuple[int, ...]]:
     """Exact basis of {v : M v = 0}, canonically scaled; empty list if trivial.
 
     Basis vectors are tuples of Python ints, scaled to be primitive (their
     gcd is 1) with the first nonzero entry positive, so results are
-    reproducible across runs.
+    reproducible across runs.  Given an IntegerSystem, the lift starts from
+    its reduction modulo the first prime instead of computing it again.
     """
-    rows = list(rows)
-    if not rows:
-        raise ValueError("matrix must have at least one row")
-    ncols = len(rows[0])
-    if any(len(r) != ncols for r in rows):
-        raise ValueError("matrix rows must all have the same length")
-    int_rows = [_clear_row(r) for r in rows]
-    int_rows = [r for r in int_rows if any(r)]
-    if not int_rows:
+    system = rows if isinstance(rows, IntegerSystem) else IntegerSystem(rows)
+    if not system.rows:
+        ncols = system.ncols
         return [tuple(int(i == j) for j in range(ncols)) for i in range(ncols)]
-    return _nullspace_modular(int_rows, ncols)
+    return _nullspace_modular(system)

@@ -114,8 +114,8 @@ def test_criterion_6_ansatz_speedup_qualitative():
     )
     t_without = without_details.t
     elapsed = time.perf_counter() - started
-    assert t_with < t_without
-    assert with_details.samples_used < without_details.samples_used
+    assert (t_with, t_without) == (6, 12)
+    assert (with_details.samples_used, without_details.samples_used) == (186, 464)
     assert with_form.R == without_form.R
     _report(
         6,

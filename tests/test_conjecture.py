@@ -1,10 +1,18 @@
+import random
 from fractions import Fraction
+from typing import List, Optional, Tuple
 
 import pytest
 
+import dysonct.conjecture as conjecture
 from dysonct.conjecture import (
+    HOLDOUT,
+    AmbiguousFit,
     GuessExhausted,
     SampleSet,
+    _max_unknowns,
+    _mono_values,
+    _monomials_up_to,
     ansatz_factor,
     guess_dyson,
     guess_dyson_with_details,
@@ -12,6 +20,7 @@ from dysonct.conjecture import (
     sample_grid,
 )
 from dysonct.laurent import ct, multinomial
+from dysonct.linalg import solve_nullspace
 from dysonct.poly import Poly
 from dysonct.ratfunc import RatFunc
 
@@ -204,3 +213,173 @@ def test_pole_at_fresh_point_fails_validation():
     L = a[0] + 10 * a[1] + 100 * a[2] - Poly.const(3, K)
     assert form.R == RatFunc.make(Poly.const(3, 1), L)
     assert details.t == 2
+
+
+# guess_rat before the mod-p screen: every split is solved and checked exactly.
+# Kept verbatim as the reference the screened version must agree with.
+def _eval_mono(point: Tuple[int, ...], mono: Tuple[int, ...]) -> int:
+    v = 1
+    for x, e in zip(point, mono):
+        if e:
+            v *= x**e
+    return v
+
+
+def _guess_rat_reference(samples: SampleSet, t: int) -> Optional[RatFunc]:
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    if not samples.points:
+        raise ValueError("empty sample set")
+    nvars = len(samples.points[0])
+    if len(samples.points) <= HOLDOUT:
+        raise ValueError("not enough samples for the held-out margin")
+    fit_pts = samples.points[:-HOLDOUT]
+    fit_vals = samples.values[: len(fit_pts)]
+    hold_pts = samples.points[len(fit_pts) :]
+    hold_vals = samples.values[len(fit_pts) :]
+
+    # the monomials of every split are a prefix of these, in the same order
+    all_monos = _monomials_up_to(nvars, t)
+    mono_vals = [[_eval_mono(p, m) for m in all_monos] for p in fit_pts]
+    for d_num in range(t, -1, -1):
+        d_den = t - d_num
+        num_monos = _monomials_up_to(nvars, d_num)
+        den_monos = _monomials_up_to(nvars, d_den)
+        unknowns = len(num_monos) + len(den_monos)
+        if len(fit_pts) < unknowns:
+            raise ValueError(
+                f"need at least {unknowns + HOLDOUT} samples for t={t}, have "
+                f"{len(samples.points)}"
+            )
+        # value * den(p) - num(p) = 0, scaled by the value's denominator
+        rows = []
+        for vals, f in zip(mono_vals, fit_vals):
+            fn, fd = f.numerator, f.denominator
+            row = [fn * v for v in vals[: len(den_monos)]]
+            row += [-fd * v for v in vals[: len(num_monos)]]
+            rows.append(row)
+        basis = solve_nullspace(rows)
+        if not basis:
+            continue
+        candidates: List[RatFunc] = []
+        for vec in basis:
+            den = Poly(nvars, dict(zip(den_monos, vec[: len(den_monos)])))
+            num = Poly(nvars, dict(zip(num_monos, vec[len(den_monos) :])))
+            if den.is_zero():
+                continue
+            if any(den.evaluate(p) == 0 for p in samples.points):
+                continue
+            candidates.append(RatFunc.make(num, den))
+        if not candidates:
+            continue
+        first = candidates[0]
+        if any(c != first for c in candidates[1:]):
+            raise AmbiguousFit(
+                f"{len(candidates)} inequivalent candidates at t={t}, "
+                f"split ({d_num},{d_den})"
+            )
+        if all(first.evaluate(p) == v for p, v in zip(hold_pts, hold_vals)):
+            return first
+    return None
+
+
+def test_monomial_table_matches_direct_evaluation():
+    points = sample_grid(3, (0, 0, 0), 20)
+    monos = _monomials_up_to(3, 5)
+    assert _mono_values(points, monos) == [[_eval_mono(p, m) for m in monos] for p in points]
+
+
+def _outcome(fit, samples, t):
+    """What a fit returns (a RatFunc or None), or AmbiguousFit if it raises it."""
+    try:
+        return fit(samples, t)
+    except AmbiguousFit:
+        return AmbiguousFit
+
+
+def _assert_same_outcomes(samples, t):
+    expected = _outcome(_guess_rat_reference, samples, t)
+    assert _outcome(guess_rat, samples, t) == expected, (t, len(samples.points))
+    return expected
+
+
+def _climb(samples_of, nvars, max_t):
+    """The outcomes of both fits as guess_dyson climbs t = 0, 1, ..., max_t:
+    at each t its sample count, doubled after an AmbiguousFit up to three
+    times; it stops at the first fit."""
+    outcomes = []
+    for t in range(max_t + 1):
+        needed = _max_unknowns(nvars, t) + 3 + HOLDOUT
+        for _ in range(4):
+            outcomes.append(_assert_same_outcomes(samples_of(needed), t))
+            if outcomes[-1] is not AmbiguousFit:
+                break
+            needed *= 2
+        if isinstance(outcomes[-1], RatFunc):
+            break
+    return outcomes
+
+
+def _oracle_samples(b, use_ansatz, count):
+    """The first ``count`` samples guess_dyson draws for b."""
+    n = len(b)
+    factor = ansatz_factor(b).value if use_ansatz else RatFunc.one(n)
+    points = sample_grid(n, b, count)
+    values = [Fraction(ct(n, p, b), multinomial(p)) / factor.evaluate(p) for p in points]
+    return SampleSet(points, values)
+
+
+@pytest.mark.parametrize("use_ansatz", [True, False])
+@pytest.mark.parametrize("b", [(2, -1, -1), (2, -2, 0), (-1, 0, 1), (3, -2, -1)])
+def test_screened_fit_matches_reference_on_oracle_samples(b, use_ansatz):
+    # every t up to the fit's degree
+    outcomes = _climb(lambda count: _oracle_samples(b, use_ansatz, count), 3, 12)
+    assert outcomes[-1] == guess_dyson_with_details(3, b, use_ansatz=use_ansatz)[1].residual
+
+
+def test_screened_fit_matches_reference_on_ambiguous_n5_fit():
+    b = (-1, -1, 0, 1, 1)
+    samples = _oracle_samples(b, True, _max_unknowns(5, 1) + 3 + HOLDOUT)
+    assert _assert_same_outcomes(samples, 1) is AmbiguousFit
+
+
+def _random_poly(rng, nvars, degree):
+    monos = _monomials_up_to(nvars, degree)
+    lower = [m for m in monos if sum(m) < degree]
+    terms = {m: rng.randint(-5, 5) for m in rng.sample(lower, min(len(lower), rng.randint(0, 3)))}
+    terms[rng.choice(monos[len(lower) :])] = rng.choice([-3, -2, -1, 1, 2, 3])
+    return Poly(nvars, terms)
+
+
+def test_screened_fit_matches_reference_on_random_rational_functions():
+    rng = random.Random(7)
+    kinds = set()
+    for _ in range(12):
+        nvars = rng.randint(2, 3)
+        d_num = rng.randint(0, 4)
+        num = _random_poly(rng, nvars, d_num)
+        den = _random_poly(rng, nvars, rng.randint(0, 4 - d_num))
+        points = [p for p in sample_grid(nvars, (0,) * nvars, 400) if den.evaluate(p) != 0]
+
+        def samples_of(count):
+            return SampleSet(points[:count], [num.evaluate(p) / den.evaluate(p) for p in points[:count]])
+
+        outcomes = _climb(samples_of, nvars, 4)
+        assert outcomes[-1] == RatFunc.make(num, den)
+        kinds.update(type(o) if o is not AmbiguousFit else o for o in outcomes)
+    assert kinds == {RatFunc, type(None), AmbiguousFit}
+
+
+def test_only_the_winning_split_is_lifted(monkeypatch):
+    lifted = []
+
+    def counting(rows):
+        basis = solve_nullspace(rows)
+        lifted.append(len(basis))
+        return basis
+
+    monkeypatch.setattr(conjecture, "solve_nullspace", counting)
+    form, details = guess_dyson_with_details(3, (2, -1, -1), use_ansatz=False)
+    assert form.R == known_R_2m1m1() and details.t == 6
+    # 28 splits at t <= 6; the mod-p screen rejects all but the one that fits
+    assert lifted == [1]

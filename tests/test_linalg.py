@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 from math import gcd, lcm
 
+import numpy as np
 import pytest
 
-from dysonct.linalg import solve_nullspace
+from dysonct.linalg import IntegerSystem, matmul_mod, solve_nullspace
 
 
 def test_identity_has_trivial_nullspace():
@@ -116,6 +117,39 @@ def test_random_bases_match_fraction_reference():
         nullities.add(len(expected))
     # the sample covers trivial, partial and full nullspaces
     assert 0 in nullities and len(nullities) >= 5
+
+
+def test_mod_p_kernel_is_the_exact_basis_reduced_mod_p():
+    # the premise of guess_rat's screen: where the first prime keeps the exact
+    # rank, the kernel it reads is solve_nullspace's basis reduced mod p,
+    # vector for vector, each scaled to 1 in its free column
+    rng = random.Random(11)
+    compared = 0
+    for _ in range(200):
+        rows = _random_matrix(rng)
+        system = IntegerSystem(rows)
+        p = system.prime
+        exact = solve_nullspace(rows)
+        if len(system.pivots) != len(rows[0]) - len(exact):
+            continue
+        kernel = system.kernel_mod_p()
+        assert kernel.shape == (len(rows[0]), len(exact))
+        free = [c for c in range(len(rows[0])) if c not in system.pivots]
+        for fc, column, vec in zip(free, kernel.T.tolist(), exact):
+            scale = pow(vec[fc], -1, p)
+            assert column == [v * scale % p for v in vec], rows
+        compared += 1
+    assert compared == 200
+
+
+def test_matmul_mod_matches_python_ints():
+    rng = random.Random(4)
+    p = IntegerSystem.prime
+    a = [[rng.randrange(p) for _ in range(300)] for _ in range(7)]
+    b = [[rng.randrange(p) for _ in range(5)] for _ in range(300)]
+    expected = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]
+    got = matmul_mod(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64), p)
+    assert got.tolist() == expected
 
 
 def test_prime_sized_entry_is_not_mistaken_for_zero():
