@@ -24,7 +24,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .laurent import ct, multinomial
-from .linalg import IntegerSystem, matmul_mod, solve_nullspace
+from .linalg import FIRST_PRIME, kernel_mod_p, matmul_mod, solve_nullspace
 from .poly import LinearForm, Poly
 from .ratfunc import RatFunc, rising_factorial
 
@@ -194,8 +194,8 @@ def guess_rat(samples: SampleSet, t: int) -> Optional[RatFunc]:
     admits a fit; raises AmbiguousFit when a nullspace of dimension > 1 holds
     inequivalent candidates (the caller should supply more samples).
 
-    Each split is screened modulo p = IntegerSystem.prime before anything is
-    lifted to Q.  A vector of the mod-p nullspace basis counts as a candidate
+    Each split is screened modulo p = linalg.FIRST_PRIME before its exact
+    rows are built.  A vector of the mod-p nullspace basis counts as a candidate
     only if its denominator part is nonzero mod p and its denominator is
     nonzero mod p at every sample point.  The split is skipped when no vector
     counts, or when exactly one counts and value * den(h) - num(h) is nonzero
@@ -231,6 +231,8 @@ def guess_rat(samples: SampleSet, t: int) -> Optional[RatFunc]:
                 f"need at least {unknowns + HOLDOUT} samples for t={t}, have "
                 f"{len(samples.points)}"
             )
+        if not screen.may_fit(len(den_monos), len(num_monos)):
+            continue
         # value * den(p) - num(p) = 0, scaled by the value's denominator
         rows = []
         for vals, f in zip(mono_vals, fit_vals):
@@ -238,10 +240,7 @@ def guess_rat(samples: SampleSet, t: int) -> Optional[RatFunc]:
             row = [fn * v for v in vals[: len(den_monos)]]
             row += [-fd * v for v in vals[: len(num_monos)]]
             rows.append(row)
-        system = IntegerSystem(rows)
-        if not screen.may_fit(system, len(den_monos), len(num_monos)):
-            continue
-        basis = solve_nullspace(system)
+        basis = solve_nullspace(rows)
         if not basis:
             continue
         candidates: List[RatFunc] = []
@@ -267,20 +266,30 @@ def guess_rat(samples: SampleSet, t: int) -> Optional[RatFunc]:
 
 
 class _Screen:
-    """guess_rat's checks on a split, modulo IntegerSystem.prime."""
+    """guess_rat's checks on a split, modulo linalg.FIRST_PRIME."""
 
     def __init__(self, mono_vals: List[List[int]], values: List[Fraction], nfit: int):
-        p = IntegerSystem.prime
+        p = FIRST_PRIME
         self.monos = np.array([[v % p for v in vals] for vals in mono_vals], dtype=np.int64)
         self.value_num = np.array([f.numerator % p for f in values], dtype=np.int64)
         self.value_den = np.array([f.denominator % p for f in values], dtype=np.int64)
         self.nfit = nfit
 
-    def may_fit(self, system: IntegerSystem, n_den: int, n_num: int) -> bool:
+    def rows_mod_p(self, n_den: int, n_num: int) -> np.ndarray:
+        """guess_rat's rows for the split, reduced mod p.  Each row holds the
+        coprime entries fn and -fd in its constant-monomial columns, so it is
+        already primitive and this is the reduction solve_nullspace starts
+        from."""
+        fit = slice(None, self.nfit)
+        den = self.value_num[fit, None] * self.monos[fit, :n_den]
+        num = -self.value_den[fit, None] * self.monos[fit, :n_num]
+        return np.hstack((den, num)) % FIRST_PRIME
+
+    def may_fit(self, n_den: int, n_num: int) -> bool:
         """False if the split's nullspace holds no candidate mod p, or holds
         one that misses a held-out value mod p."""
-        p = system.prime
-        kernel = system.kernel_mod_p()
+        p = FIRST_PRIME
+        kernel = kernel_mod_p(self.rows_mod_p(n_den, n_num), p)
         kernel = kernel[:, kernel[:n_den].any(axis=0)]
         den = matmul_mod(self.monos[:, :n_den], kernel[:n_den], p)
         counted = np.flatnonzero(den.all(axis=0))

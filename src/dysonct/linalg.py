@@ -9,15 +9,14 @@ A nullity of zero modulo any prime already proves the exact nullspace is
 trivial, so failed fit degrees are rejected quickly; reconstructed vectors
 are never trusted without the exact verification step.
 
-An ``IntegerSystem`` holds the primitive integer rows together with their
-reduction modulo the first prime, p = 2**31 - 1, and ``kernel_mod_p`` reads
-the mod-p nullspace basis off it.  The fitter screens each system with that
-basis before it asks for the exact one: when the reduction has the exact rank
-and the exact pivots and p divides no denominator of the exact reduced basis,
+``kernel_mod_p`` reads the nullspace basis of a matrix modulo one prime off
+its RREF.  The fitter screens each system with it modulo ``FIRST_PRIME``,
+p = 2**31 - 1, before it asks ``solve_nullspace`` for the exact basis.  When
+the rows are primitive integers and their reduction has the exact rank and
+the exact pivots, and p divides no denominator of the exact reduced basis,
 the mod-p basis is the exact basis reduced mod p, vector for vector, so a
 property that holds exactly (a nonzero entry, a nonzero value) still holds
-mod p unless p divides one particular nonzero integer.  ``solve_nullspace``
-accepts the screened system and starts its lift from the same reduction.
+mod p unless p divides one particular nonzero integer.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import itertools
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import Iterator, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -66,6 +65,10 @@ def _prime(i: int) -> int:
             _primes.append(n)
         n -= 2
     return _primes[i]
+
+
+# the prime solve_nullspace reduces with first, and the fitter screens with
+FIRST_PRIME = _prime(0)
 
 
 def _clear_row(row: Sequence[Fraction | int]) -> List[int]:
@@ -204,57 +207,28 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return ((high % p) * 0x10000 + low) % p
 
 
-class IntegerSystem(Sequence):
-    """The nonzero rows of a matrix, cleared to primitive integers, with their
-    reduced row echelon form modulo ``prime``, the first of the primes
-    solve_nullspace lifts with.  As a sequence it is the list of those rows.
-    """
-
-    prime = _prime(0)
-
-    def __init__(self, rows: Sequence[Sequence[Fraction | int]]):
-        rows = list(rows)
-        if not rows:
-            raise ValueError("matrix must have at least one row")
-        self.ncols = len(rows[0])
-        if any(len(r) != self.ncols for r in rows):
-            raise ValueError("matrix rows must all have the same length")
-        self.rows = [r for r in map(_clear_row, rows) if any(r)]
-        self.rref, self.pivots = _reduce(self.rows, self.ncols, self.prime)
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, i):
-        return self.rows[i]
-
-    def kernel_mod_p(self) -> np.ndarray:
-        """The nullspace basis modulo ``prime`` as the columns of an int64
-        array, one per free column in increasing order, with 1 in that free
-        column and 0 in the others: solve_nullspace's basis reduced mod p,
-        vector for vector and up to scale, whenever this reduction has the
-        exact pivots and p divides no denominator of the exact RREF."""
-        pivot_set = set(self.pivots)
-        free = [c for c in range(self.ncols) if c not in pivot_set]
-        kernel = np.zeros((self.ncols, len(free)), dtype=np.int64)
-        kernel[free, range(len(free))] = 1
-        kernel[self.pivots] = -self.rref[: len(self.pivots), free] % self.prime
-        return kernel
+def kernel_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
+    """The nullspace basis of ``matrix`` modulo the prime p as the columns of
+    an int64 array, one per free column of its RREF mod p in increasing order,
+    with 1 in that free column and 0 in the others.  For a matrix of primitive
+    integer rows this is solve_nullspace's basis reduced mod p, vector for
+    vector and up to scale, whenever the reduction has the exact pivots and p
+    divides no denominator of the exact RREF."""
+    rref, pivots = _rref_mod(matrix, p)
+    ncols = matrix.shape[1]
+    pivot_set = set(pivots)
+    free = [c for c in range(ncols) if c not in pivot_set]
+    kernel = np.zeros((ncols, len(free)), dtype=np.int64)
+    kernel[free, range(len(free))] = 1
+    kernel[pivots] = -rref[: len(pivots), free] % p
+    return kernel
 
 
-def _reductions(system: IntegerSystem) -> Iterator[Tuple[int, np.ndarray, List[int]]]:
-    """(p, RREF mod p, pivots) for the first prime, as the system holds it,
-    then for each further prime in turn."""
-    yield system.prime, system.rref, system.pivots
-    for i in itertools.count(1):
-        p = _prime(i)
-        yield (p, *_reduce(system.rows, system.ncols, p))
-
-
-def _nullspace_modular(system: IntegerSystem) -> List[Tuple[int, ...]]:
-    ncols = system.ncols
+def _nullspace_modular(int_rows: List[List[int]], ncols: int) -> List[Tuple[int, ...]]:
     group: _PivotGroup | None = None
-    for p, rref, pivots in _reductions(system):
+    for i in itertools.count():
+        p = _prime(i)
+        rref, pivots = _reduce(int_rows, ncols, p)
         if len(pivots) == ncols:
             return []  # full column rank mod p implies full rank over Q
         # Over Q the rank is at least the rank mod p and, at equal rank, each
@@ -269,23 +243,25 @@ def _nullspace_modular(system: IntegerSystem) -> List[Tuple[int, ...]]:
         elif pivots != group.pivots:
             continue
         group.add(rref, p)
-        basis = group.reconstruct(system.rows, ncols)
+        basis = group.reconstruct(int_rows, ncols)
         if basis is not None:
             return basis
 
 
-def solve_nullspace(
-    rows: Sequence[Sequence[Fraction | int]] | IntegerSystem,
-) -> List[Tuple[int, ...]]:
+def solve_nullspace(rows: Sequence[Sequence[Fraction | int]]) -> List[Tuple[int, ...]]:
     """Exact basis of {v : M v = 0}, canonically scaled; empty list if trivial.
 
     Basis vectors are tuples of Python ints, scaled to be primitive (their
     gcd is 1) with the first nonzero entry positive, so results are
-    reproducible across runs.  Given an IntegerSystem, the lift starts from
-    its reduction modulo the first prime instead of computing it again.
+    reproducible across runs.
     """
-    system = rows if isinstance(rows, IntegerSystem) else IntegerSystem(rows)
-    if not system.rows:
-        ncols = system.ncols
+    rows = list(rows)
+    if not rows:
+        raise ValueError("matrix must have at least one row")
+    ncols = len(rows[0])
+    if any(len(r) != ncols for r in rows):
+        raise ValueError("matrix rows must all have the same length")
+    int_rows = [r for r in map(_clear_row, rows) if any(r)]
+    if not int_rows:
         return [tuple(int(i == j) for j in range(ncols)) for i in range(ncols)]
-    return _nullspace_modular(system)
+    return _nullspace_modular(int_rows, ncols)

@@ -6,7 +6,8 @@ obtained (guessed / permuted / reduced / base), and the full certificate
 tree.  Saving is deterministic (sorted entries, sorted keys), so re-saving a
 loaded store reproduces the file byte for byte; writes go through a lock
 file so concurrent commands cannot interleave, and replace the file
-atomically, so a failed or interrupted save leaves the old file as it was.
+atomically, so a failed or interrupted save leaves the old file as it was;
+a save that returns has synced both the file and its directory.
 """
 
 from __future__ import annotations
@@ -132,8 +133,9 @@ class ResultStore:
 
 def _replace_file(path: str, payload: str) -> None:
     """Write ``payload`` to a temporary file beside ``path``, make it durable,
-    then rename it onto ``path``.  Callers hold the store lock, so the
-    temporary name is theirs alone; on any failure it is removed again."""
+    then rename it onto ``path`` and sync the directory, so that the rename
+    survives a crash too.  Callers hold the store lock, so the temporary name
+    is theirs alone; on a failure before the rename it is removed again."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "w") as fh:
@@ -145,6 +147,11 @@ def _replace_file(path: str, payload: str) -> None:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
         raise
+    dir_fd = os.open(os.path.dirname(path) or ".", os.O_RDONLY)
+    try:
+        os.fsync(dir_fd)
+    finally:
+        os.close(dir_fd)
 
 
 def store_path(explicit: Optional[str] = None) -> str:

@@ -151,6 +151,11 @@ def reduction_relation(n: int, b: Sequence[int]) -> ReductionRelation:
 Lookup = Callable[[Tuple[int, ...]], Optional[ClosedForm]]
 
 
+def _reduction_base(n: int, target_b: Tuple[int, ...]) -> Tuple[int, ...]:
+    """The base vector derive_by_reduction solves from for target_b."""
+    return tuple(x + 1 for x in target_b[: n - 1]) + (target_b[n - 1] - (n - 1),)
+
+
 def derive_by_reduction(n: int, target_b: Sequence[int], lookup: Lookup) -> Optional[ClosedForm]:
     """Solve the index-raising identity for ``target_b``.
 
@@ -161,20 +166,18 @@ def derive_by_reduction(n: int, target_b: Sequence[int], lookup: Lookup) -> Opti
     the result is expressed at the common argument a.
     """
     target_b = tuple(target_b)
-    base = tuple(x + 1 for x in target_b[: n - 1]) + (target_b[n - 1] - (n - 1),)
-    rel = reduction_relation(n, base)
-    full = rel.terms[-1]
-    assert tuple(x + y for x, y in zip(base, full.b_shift)) == target_b
+    base = _reduction_base(n, target_b)
+    *proper_terms, (full_sign, full_b) = reduction_relation(n, base).resolved_targets()
+    assert full_b == target_b
     base_form = lookup(base)
     if base_form is None:
         return None
     proper: List[Tuple[int, RatFunc]] = []
-    for term in rel.terms[:-1]:
-        vec = tuple(x + y for x, y in zip(base, term.b_shift))
+    for sign, vec in proper_terms:
         f = lookup(vec)
         if f is None:
             return None
-        proper.append((term.sign, f.R))
+        proper.append((sign, f.R))
 
     nv = n
     one = Poly.const(nv, 1)
@@ -185,7 +188,7 @@ def derive_by_reduction(n: int, target_b: Sequence[int], lookup: Lookup) -> Opti
     acc = base_form.R.shift_var(nv - 1, 1) * ratio
     for sign, rf in proper:
         acc = acc - (rf * sign)
-    if full.sign < 0:
+    if full_sign < 0:
         acc = -acc
     return ClosedForm(n=n, b=target_b, R=acc)
 
@@ -304,6 +307,5 @@ def _obtain_form(
         return permute_form(store.get(n, source).form, perm), "permuted", source
     derived = derive_by_reduction(n, b, lookup)
     if derived is not None:
-        base = tuple(x + 1 for x in b[: n - 1]) + (b[n - 1] - (n - 1),)
-        return derived, "reduced", base
+        return derived, "reduced", _reduction_base(n, b)
     return resolver.form(n, b), "guessed", None

@@ -11,6 +11,7 @@ from dysonct.conjecture import (
     GuessExhausted,
     SampleSet,
     _max_unknowns,
+    _Screen,
     _mono_values,
     _monomials_up_to,
     ansatz_factor,
@@ -20,7 +21,7 @@ from dysonct.conjecture import (
     sample_grid,
 )
 from dysonct.laurent import ct, multinomial
-from dysonct.linalg import solve_nullspace
+from dysonct.linalg import FIRST_PRIME, _clear_row, solve_nullspace
 from dysonct.poly import Poly
 from dysonct.ratfunc import RatFunc
 
@@ -351,9 +352,10 @@ def _random_poly(rng, nvars, degree):
     return Poly(nvars, terms)
 
 
-def test_screened_fit_matches_reference_on_random_rational_functions():
+def _random_rational_functions():
+    """12 seeded (nvars, num, den, samples_of) cases of total degree <= 4;
+    samples_of(count) samples num / den at its first ``count`` grid points."""
     rng = random.Random(7)
-    kinds = set()
     for _ in range(12):
         nvars = rng.randint(2, 3)
         d_num = rng.randint(0, 4)
@@ -364,10 +366,51 @@ def test_screened_fit_matches_reference_on_random_rational_functions():
         def samples_of(count):
             return SampleSet(points[:count], [num.evaluate(p) / den.evaluate(p) for p in points[:count]])
 
+        yield nvars, num, den, samples_of
+
+
+def test_screened_fit_matches_reference_on_random_rational_functions():
+    kinds = set()
+    for nvars, num, den, samples_of in _random_rational_functions():
         outcomes = _climb(samples_of, nvars, 4)
         assert outcomes[-1] == RatFunc.make(num, den)
         kinds.update(type(o) if o is not AmbiguousFit else o for o in outcomes)
     assert kinds == {RatFunc, type(None), AmbiguousFit}
+
+
+def _assert_screen_rows_are_exact_rows_mod_p(samples, t):
+    # the premise of the screen: guess_rat's rows are primitive, so the
+    # screen's residues are the rows solve_nullspace would reduce mod p
+    nvars = len(samples.points[0])
+    nfit = len(samples.points) - HOLDOUT
+    mono_vals = _mono_values(samples.points, _monomials_up_to(nvars, t))
+    screen = _Screen(mono_vals, samples.values, nfit)
+    for d_num in range(t + 1):
+        n_num = len(_monomials_up_to(nvars, d_num))
+        n_den = len(_monomials_up_to(nvars, t - d_num))
+        rows = [
+            [f.numerator * v for v in vals[:n_den]] + [-f.denominator * v for v in vals[:n_num]]
+            for vals, f in zip(mono_vals[:nfit], samples.values)
+        ]
+        expected = [[x % FIRST_PRIME for x in _clear_row(row)] for row in rows]
+        assert screen.rows_mod_p(n_den, n_num).tolist() == expected, (t, d_num)
+
+
+@pytest.mark.parametrize(
+    "b, use_ansatz, fit_t",
+    [((2, -1, -1), True, 2), ((2, -1, -1), False, 6), ((4, -2, -2), True, 6), ((4, -2, -2), False, 12)],
+)
+def test_screen_rows_are_exact_rows_mod_p_on_oracle_samples(b, use_ansatz, fit_t):
+    # every t up to the degree guess_dyson fits at
+    for t in range(fit_t + 1):
+        samples = _oracle_samples(b, use_ansatz, _max_unknowns(3, t) + 3 + HOLDOUT)
+        _assert_screen_rows_are_exact_rows_mod_p(samples, t)
+
+
+def test_screen_rows_are_exact_rows_mod_p_on_random_rational_functions():
+    for nvars, _, _, samples_of in _random_rational_functions():
+        for t in range(5):
+            _assert_screen_rows_are_exact_rows_mod_p(samples_of(_max_unknowns(nvars, t) + 3 + HOLDOUT), t)
 
 
 def test_only_the_winning_split_is_lifted(monkeypatch):

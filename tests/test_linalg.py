@@ -5,7 +5,7 @@ from math import gcd, lcm
 import numpy as np
 import pytest
 
-from dysonct.linalg import IntegerSystem, matmul_mod, solve_nullspace
+from dysonct.linalg import FIRST_PRIME, _clear_row, kernel_mod_p, matmul_mod, solve_nullspace
 
 
 def test_identity_has_trivial_nullspace():
@@ -121,21 +121,23 @@ def test_random_bases_match_fraction_reference():
 
 def test_mod_p_kernel_is_the_exact_basis_reduced_mod_p():
     # the premise of guess_rat's screen: where the first prime keeps the exact
-    # rank, the kernel it reads is solve_nullspace's basis reduced mod p,
-    # vector for vector, each scaled to 1 in its free column
+    # rank, the kernel it reads off the primitive rows reduced mod p is
+    # solve_nullspace's basis reduced mod p, vector for vector, each scaled to
+    # 1 in its free column
     rng = random.Random(11)
+    p = FIRST_PRIME
     compared = 0
     for _ in range(200):
         rows = _random_matrix(rng)
-        system = IntegerSystem(rows)
-        p = system.prime
         exact = solve_nullspace(rows)
-        if len(system.pivots) != len(rows[0]) - len(exact):
+        matrix = np.array([[x % p for x in _clear_row(row)] for row in rows], dtype=np.int64)
+        kernel = kernel_mod_p(matrix, p)
+        if kernel.shape[1] != len(exact):
             continue
-        kernel = system.kernel_mod_p()
         assert kernel.shape == (len(rows[0]), len(exact))
-        free = [c for c in range(len(rows[0])) if c not in system.pivots]
-        for fc, column, vec in zip(free, kernel.T.tolist(), exact):
+        for column, vec in zip(kernel.T.tolist(), exact):
+            # an RREF basis vector's last nonzero entry sits in its free column
+            fc = max(c for c, v in enumerate(vec) if v)
             scale = pow(vec[fc], -1, p)
             assert column == [v * scale % p for v in vec], rows
         compared += 1
@@ -144,7 +146,7 @@ def test_mod_p_kernel_is_the_exact_basis_reduced_mod_p():
 
 def test_matmul_mod_matches_python_ints():
     rng = random.Random(4)
-    p = IntegerSystem.prime
+    p = FIRST_PRIME
     a = [[rng.randrange(p) for _ in range(300)] for _ in range(7)]
     b = [[rng.randrange(p) for _ in range(5)] for _ in range(300)]
     expected = [[sum(x * y for x, y in zip(row, col)) % p for col in zip(*b)] for row in a]

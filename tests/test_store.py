@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 
@@ -111,6 +112,41 @@ def test_failed_save_keeps_old_file_and_leaves_no_temporary(tmp_path, monkeypatc
     with pytest.raises(StoreIOError):
         _small_store().save(str(path))
     assert path.read_bytes() == raw
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
+
+def test_save_syncs_the_directory_after_the_replace(tmp_path, monkeypatch):
+    path = tmp_path / "s.json"
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def recording_fsync(fd):
+        events.append(("fsync", os.path.samefile(fd, tmp_path)))
+        real_fsync(fd)
+
+    def recording_replace(src, dst):
+        events.append(("replace", None))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(store_module.os, "fsync", recording_fsync)
+    monkeypatch.setattr(store_module.os, "replace", recording_replace)
+    _small_store().save(str(path))
+    # the temporary file, then the rename, then the directory holding it
+    assert events == [("fsync", False), ("replace", None), ("fsync", True)]
+
+
+def test_failed_directory_sync_is_a_store_error(tmp_path, monkeypatch):
+    path = tmp_path / "s.json"
+    real_fsync = os.fsync
+
+    def failing_directory_fsync(fd):
+        if os.path.samefile(fd, tmp_path):
+            raise OSError("simulated directory sync failure")
+        real_fsync(fd)
+
+    monkeypatch.setattr(store_module.os, "fsync", failing_directory_fsync)
+    with pytest.raises(StoreIOError, match="directory sync"):
+        _small_store().save(str(path))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
 
 
