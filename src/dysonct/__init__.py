@@ -1,7 +1,6 @@
 """dysonct: conjecture and prove closed forms for Dyson-product constant terms."""
 
 from .conjecture import (
-    AnsatzFactor,
     ClosedForm,
     GuessExhausted,
     SampleSet,
@@ -46,7 +45,6 @@ from .turbo import (
 )
 
 __all__ = [
-    "AnsatzFactor",
     "ClosedForm",
     "DysonInstance",
     "GuessExhausted",

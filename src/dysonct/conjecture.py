@@ -57,14 +57,6 @@ class GuessExhausted(GuessError):
 
 
 @dataclass(frozen=True)
-class AnsatzFactor:
-    """The empirical factor of R_b attached to negative b-components."""
-
-    b: Tuple[int, ...]
-    value: RatFunc
-
-
-@dataclass(frozen=True)
 class ClosedForm:
     """A pair (b, R) denoting d_n(a; b) = R(a) * (a_1+...+a_n)!/(a_1!...a_n!)."""
 
@@ -111,8 +103,9 @@ class SampleSet:
         self.values = vals
 
 
-def ansatz_factor(b: Sequence[int]) -> AnsatzFactor:
-    """Product over negative components b_i of
+def ansatz_factor(b: Sequence[int]) -> RatFunc:
+    """The empirical factor of R_b attached to negative b-components: the
+    product over negative components b_i of
     1 / ((1 + a_i)_{floor(b_i / 2)} (1 + sum_{j != i} a_j)_{|b_i|}),
     as a reduced rational function; 1 when b has no negative components."""
     b = tuple(b)
@@ -124,7 +117,7 @@ def ansatz_factor(b: Sequence[int]) -> AnsatzFactor:
         first = rising_factorial(LinearForm(1, tuple(1 if j == i else 0 for j in range(n))), bi // 2)
         second = rising_factorial(LinearForm(1, tuple(0 if j == i else 1 for j in range(n))), abs(bi))
         value = value * (first * second).reciprocal()
-    return AnsatzFactor(b=b, value=value)
+    return value
 
 
 def sample_grid(n: int, b: Sequence[int], count: int) -> List[Tuple[int, ...]]:
@@ -139,7 +132,7 @@ def sample_grid(n: int, b: Sequence[int], count: int) -> List[Tuple[int, ...]]:
     if count < 1:
         raise ValueError("count must be positive")
     b = tuple(b)
-    return list(itertools.islice(_grid_iter(n, b, ansatz_factor(b).value), count))
+    return list(itertools.islice(_grid_iter(n, b, ansatz_factor(b)), count))
 
 
 def _grid_iter(n: int, b: Tuple[int, ...], factor: RatFunc) -> Iterator[Tuple[int, ...]]:
@@ -350,7 +343,7 @@ def guess_dyson_with_details(
         details = GuessDetails(t=0, samples_used=0, residual=RatFunc.zero(n), used_ansatz=use_ansatz)
         return zero, details
 
-    ansatz = ansatz_factor(b).value
+    ansatz = ansatz_factor(b)
     # the grid skips the ansatz factor's zeros and poles even when unused
     factor = ansatz if use_ansatz else RatFunc.one(n)
     grid = _grid_iter(n, b, ansatz)

@@ -13,12 +13,15 @@ together with a proof that R's reduced denominator cannot vanish at any
 nonnegative integer point (so the rational identities imply the integer
 ones): the denominator must split into linear forms with nonnegative
 coefficients and positive constants, and a form whose denominator does not
-split that way is not certified.  Each identity is checked as a polynomial
-comparison over Q, a complete symbolic proof, not sampling: the recursion is
-cleared by the lcm of the shifted linear factors of R's denominator, the
-boundary identity by cross-multiplying its denominators.
-Boundary dependencies are proved recursively, bottoming out in the built-in
-n = 2 closed form.
+split that way is not certified.  ``prove`` runs this denominator-safety
+check first, and its split clears the recursion.  Each identity is checked
+as a polynomial comparison over Q, a complete symbolic proof, not sampling:
+the recursion is cleared by the lcm of the shifted linear factors of that
+split, the boundary identity by cross-multiplying its denominators.
+Boundary dependencies are proved recursively before the checks, bottoming
+out in the built-in n = 2 closed form; each pivot's P_k expansion is built
+once and serves both the dependency list and the boundary check, which
+reads the proved dependencies' forms.
 """
 
 from __future__ import annotations
@@ -27,26 +30,16 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .conjecture import DEFAULT_MAX_T, ClosedForm, guess_dyson
-from .laurent import pk_expansion
-from .poly import LinearForm, Poly, exact_div, make_primitive, poly_gcd
+from .laurent import PkExpansion, pk_expansion
+from .poly import LinearForm, Poly, exact_div, make_primitive
 from .ratfunc import RatFunc, rising_factorial
-
-FormResolver = Callable[[Tuple[int, ...]], ClosedForm]
 
 
 class MalformedFormError(Exception):
     """The form cannot even be substituted into (denominator collapses)."""
-
-
-class UnresolvedDependencyError(Exception):
-    """A boundary check needs level-(n-1) forms that were not supplied."""
-
-    def __init__(self, missing: List[Tuple[int, ...]]):
-        self.missing = missing
-        super().__init__(f"missing lower-level closed forms for b in {missing}")
 
 
 @dataclass
@@ -122,18 +115,6 @@ def _cross_products(dens: List[Poly], nvars: int) -> Tuple[Poly, List[Poly]]:
     return prefix[-1], others
 
 
-def _factor_multiset(den: Poly) -> Tuple[Counter, Fraction]:
-    """``den`` as a constant c times the product of a multiset of Poly
-    factors: its linear forms when ``linear_factors`` splits it, otherwise
-    the whole primitive denominator as one opaque factor."""
-    split = linear_factors(den)
-    if split is not None:
-        factors, c = split
-        return Counter(f.to_poly() for f in factors), c
-    prim = make_primitive(den)
-    return Counter([prim]), den.leading_coeff() / prim.leading_coeff()
-
-
 def _product(nvars: int, factors: Counter) -> Poly:
     out = Poly.const(nvars, 1)
     for f in factors.elements():
@@ -142,43 +123,43 @@ def _product(nvars: int, factors: Counter) -> Poly:
 
 
 def _over(num: Poly, factors: Counter, c: Fraction) -> RatFunc:
-    """num / (c * prod factors) in canonical form, reduced one factor at a
-    time: a linear factor is irreducible, so it either divides num or is
-    coprime to it, and only an opaque factor needs a gcd."""
+    """num / (c * prod factors) in canonical form, reduced one linear factor
+    at a time: a linear factor is irreducible, so it either divides num or is
+    coprime to it."""
     den = Poly.const(num.nvars, c)
     for f in factors.elements():
         try:
             num = exact_div(num, f)
         except ArithmeticError:
-            if f.total_degree() > 1:
-                g = poly_gcd(num, f)
-                num, f = exact_div(num, g), exact_div(f, g)
             den = den * f
     return RatFunc._rescale(num, den)
 
 
-def check_recursion(form: ClosedForm) -> CheckOutcome:
+def check_recursion(form: ClosedForm, safety: DenominatorSafety) -> CheckOutcome:
     """Verify R(a) = sum_i (a_i / (a_1+...+a_n)) R(a - e_i) symbolically.
 
     The multinomial shift rule multinomial(a - e_i)/multinomial(a) = a_i/sum(a)
     is exact, so this is precisely the constant-term recursion divided by the
     multinomial.  Both sides are cleared by the lcm of the shifted linear
-    factors: R's denominator is c * prod F, F_i is the multiset F shifted by
-    -e_i, L = lcm(F, F_1, ..., F_n) as multisets, and the check is the
-    polynomial identity
+    factors of the ok ``safety`` split of R's denominator: that denominator
+    is c * prod F with c = safety.constant and F = safety.factors, F_i is the
+    multiset F shifted by -e_i, L = lcm(F, F_1, ..., F_n) as multisets, and
+    the check is the polynomial identity
 
         num * s * prod(L - F) == sum_i a_i * num(a - e_i) * prod(L - F_i)
 
-    with s = a_1+...+a_n; the constant c cancels.  A denominator that does
-    not split is one opaque factor, so the check is exact for every form.  A
-    failing check reports its difference over s * c * prod L.
+    with s = a_1+...+a_n; the constant c cancels.  A failing check reports
+    its difference over s * c * prod L.
     """
+    if not safety.ok:
+        raise ValueError("check_recursion needs an ok denominator split")
     n = form.n
     R = form.R
     if R.is_zero():
         return CheckOutcome(ok=True, check="recursion", lhs=R, rhs=R, note="zero form")
     num = R.num
-    factors, c = _factor_multiset(R.den)
+    factors = Counter(f.to_poly() for f in safety.factors)
+    c = safety.constant
     shifted = [Counter({f.shift_var(i, -1): m for f, m in factors.items()}) for i in range(n)]
     lcm = Counter(factors)
     for f_i in shifted:
@@ -199,18 +180,21 @@ def check_recursion(form: ClosedForm) -> CheckOutcome:
     return CheckOutcome(ok=False, check="recursion", lhs=R, rhs=rhs, difference=diff)
 
 
-def check_boundary(form: ClosedForm, k: int, resolver: FormResolver) -> CheckOutcome:
-    """Verify the boundary identity at a_k = 0 (k is a zero-based index).
+def check_boundary(
+    form: ClosedForm, expansion: PkExpansion, lower: Mapping[Tuple[int, ...], ClosedForm]
+) -> CheckOutcome:
+    """Verify the boundary identity at a_k = 0, k = expansion.k (zero-based).
 
     Left side: R with a_k set to 0, read in the surviving n-1 variables (the
     multinomial collapses to the (n-1)-variable one on both sides).  Right
-    side: sum over the P_k expansion of coeff(a-hat) * R_{shifted b}(a-hat),
-    with each lower-level form fetched from ``resolver``.  Empty expansions
-    (b_k < 0) make the right side 0.
+    side: sum over ``expansion``, the P_k expansion of (n, b), of
+    coeff(a-hat) * R_{shifted b}(a-hat), with each level-(n-1) form read from
+    ``lower`` by its shifted b.  Empty expansions (b_k < 0) make the right
+    side 0.
     """
-    n, b = form.n, form.b
-    if not 0 <= k < n:
-        raise ValueError(f"pivot index {k} out of range")
+    n, k = form.n, expansion.k
+    if (expansion.n, expansion.b) != (n, form.b):
+        raise ValueError("the expansion belongs to another (n, b)")
     R = form.R
     if R.is_zero():
         lhs = RatFunc.zero(n - 1)
@@ -224,7 +208,6 @@ def check_boundary(form: ClosedForm, k: int, resolver: FormResolver) -> CheckOut
         lhs_den = den0.drop_var(k)
         lhs = RatFunc._rescale(lhs_num, lhs_den)
 
-    expansion = pk_expansion(n, k, b)
     if not expansion.terms:
         ok = lhs.is_zero()
         zero = RatFunc.zero(n - 1)
@@ -238,21 +221,12 @@ def check_boundary(form: ClosedForm, k: int, resolver: FormResolver) -> CheckOut
             note="empty expansion (b_k < 0)",
         )
 
-    missing = []
-    lower: List[ClosedForm] = []
-    for term in expansion.terms:
-        try:
-            lower.append(resolver(term.shifted_b))
-        except KeyError:
-            missing.append(term.shifted_b)
-    if missing:
-        raise UnresolvedDependencyError(missing)
-
-    den_rhs, others = _cross_products([f.R.den for f in lower], n - 1)
+    lower_rs = [lower[term.shifted_b].R for term in expansion.terms]
+    den_rhs, others = _cross_products([r.den for r in lower_rs], n - 1)
     num_rhs = Poly.zero(n - 1)
-    for term, low, other in zip(expansion.terms, lower, others):
+    for term, r, other in zip(expansion.terms, lower_rs, others):
         coeff = term.coeff.drop_var(k)
-        num_rhs = num_rhs + coeff * low.R.num * other
+        num_rhs = num_rhs + coeff * r.num * other
     ok = lhs.num * den_rhs == num_rhs * lhs.den
     lhs_canon = RatFunc.make(lhs.num, lhs.den)
     if ok:
@@ -472,22 +446,6 @@ class Resolver:
     def add_form(self, form: ClosedForm) -> None:
         self.forms[(form.n, form.b)] = form
 
-    def lower_resolver(self, n: int) -> FormResolver:
-        def fetch(bv: Tuple[int, ...]) -> ClosedForm:
-            return self.form(n - 1, bv)
-
-        return fetch
-
-
-def dict_resolver(forms: Dict[Tuple[int, ...], ClosedForm]) -> FormResolver:
-    """Resolver backed by a plain dict; raises KeyError for missing vectors
-    (check_boundary converts that into an UnresolvedDependencyError)."""
-
-    def fetch(bv: Tuple[int, ...]) -> ClosedForm:
-        return forms[bv]
-
-    return fetch
-
 
 def _identity_json(outcome: CheckOutcome) -> dict:
     data: dict = {"ok": outcome.ok}
@@ -503,6 +461,13 @@ def _identity_json(outcome: CheckOutcome) -> dict:
 def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCertificate:
     """Certify the closed form for (n, b), recursing through its boundary
     dependencies down to the n = 2 base case.
+
+    One pass: the P_k expansion of every pivot is built once; the level-(n-1)
+    forms its terms name are proved first (k ascending, terms in order, first
+    occurrence wins), and the boundary checks read those expansions and the
+    proved forms.  Of the checks, denominator safety runs first, and its
+    split of R's denominator into linear factors is what clears the
+    recursion; then come the boundaries and the initial value.
 
     Raises ProofError with a counterexample report when any check fails, and
     propagates GuessExhausted when a needed form cannot even be conjectured.
@@ -532,14 +497,10 @@ def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCe
         return cert
 
     # prove lower levels first (post-order over the dependency tree)
-    dep_vectors: List[Tuple[int, ...]] = []
-    for k in range(n):
-        if b[k] < 0:
-            continue
-        for term in pk_expansion(n, k, b).terms:
-            if term.shifted_b not in dep_vectors:
-                dep_vectors.append(term.shifted_b)
+    expansions = [pk_expansion(n, k, b) for k in range(n)]
+    dep_vectors = dict.fromkeys(t.shifted_b for e in expansions for t in e.terms)
     dependencies = tuple(prove(n - 1, v, resolver) for v in dep_vectors)
+    lower = {dep.form.b: dep.form for dep in dependencies}
 
     safety = check_denominator_safety(form)
     if not safety.ok:
@@ -551,12 +512,12 @@ def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCe
                 note="denominator does not split into positive linear factors",
             ),
         )
-    recursion = check_recursion(form)
+    recursion = check_recursion(form, safety)
     if not recursion.ok:
         raise ProofError(form, recursion)
     boundaries = []
-    for k in range(n):
-        outcome = check_boundary(form, k, resolver.lower_resolver(n))
+    for expansion in expansions:
+        outcome = check_boundary(form, expansion, lower)
         if not outcome.ok:
             raise ProofError(form, outcome)
         boundaries.append(outcome)

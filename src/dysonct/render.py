@@ -115,17 +115,8 @@ def _factor_for_display(p: Poly, style: str) -> Optional[Tuple[Fraction, str]]:
     if split is None:
         return None
     factors, const = split
-    pieces: List[str] = []
-    for i, e in enumerate(mins):
-        if e == 0:
-            continue
-        v = fmt_var(i, style)
-        if e == 1:
-            pieces.append(v)
-        elif style == LATEX:
-            pieces.append(f"{v}^{{{e}}}")
-        else:
-            pieces.append(f"{v}^{e}")
+    monomial = _fmt_monomial(tuple(mins), style)
+    pieces = [monomial] if monomial else []
     ordered = sorted(factors, key=lambda f: (f.coeffs, f.constant), reverse=True)
     pieces.extend(f"({fmt_linear_form(f, style)})" for f in ordered)
     sep = " " if style == LATEX else "*"

@@ -27,7 +27,6 @@ from .prover import (
     MalformedFormError,
     ProofError,
     Resolver,
-    UnresolvedDependencyError,
     c2_closed_form,
     prove,
 )
@@ -272,7 +271,7 @@ def turbo_dyson(
                     elapsed=time.perf_counter() - started,
                 )
             )
-        except (ProofError, GuessError, MalformedFormError, UnresolvedDependencyError) as exc:
+        except (ProofError, GuessError, MalformedFormError) as exc:
             result.lines.append(
                 SweepLine(
                     b=b,

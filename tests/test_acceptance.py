@@ -18,7 +18,14 @@ from dysonct.conjecture import (
 )
 from dysonct.laurent import ct, multinomial, pk_expansion
 from dysonct.poly import Poly, binomial_poly
-from dysonct.prover import Resolver, c2_closed_form, check_boundary, check_recursion, prove
+from dysonct.prover import (
+    Resolver,
+    c2_closed_form,
+    check_boundary,
+    check_denominator_safety,
+    check_recursion,
+    prove,
+)
 from dysonct.ratfunc import RatFunc
 from dysonct.turbo import permute_form, turbo_dyson
 
@@ -101,7 +108,7 @@ def test_criterion_5_ansatz_factor_reproduced():
         a[0] * (a[0] - one) * a[2],
         (one + s) * (two + s) * (three + s) * (one + a[0] + a[1] + a[3]),
     )
-    assert ansatz_factor((-3, 2, -1, 2)).value == expected
+    assert ansatz_factor((-3, 2, -1, 2)) == expected
     _report(5, True, "four-variable ansatz factor matches the displayed product")
 
 
@@ -156,9 +163,11 @@ def test_criterion_8_turbo_sweep():
 
 def test_criterion_9_boundary_conditions_are_load_bearing():
     wrong = ClosedForm(3, (2, -1, -1), RatFunc.one(3))
-    assert check_recursion(wrong).ok
+    assert check_recursion(wrong, check_denominator_safety(wrong)).ok
     resolver = Resolver()
-    outcome = check_boundary(wrong, 1, resolver.lower_resolver(3))
+    expansion = pk_expansion(3, 1, wrong.b)
+    lower = {t.shifted_b: prove(2, t.shifted_b, resolver).form for t in expansion.terms}
+    outcome = check_boundary(wrong, expansion, lower)
     assert not outcome.ok
     _report(9, True, "R = 1 passes the recursion but fails the k = 2 boundary")
 

@@ -8,7 +8,7 @@ import dysonct.turbo as turbo
 from conftest import latex_balanced
 from dysonct.cli import EXIT_INTERNAL, EXIT_IO, EXIT_MATH, EXIT_OK, EXIT_USAGE, main
 from dysonct.conjecture import DEFAULT_MAX_T, guess_dyson, guess_dyson_with_details
-from dysonct.prover import MalformedFormError, Resolver, UnresolvedDependencyError
+from dysonct.prover import MalformedFormError, Resolver
 from dysonct.store import ResultStore
 
 
@@ -168,11 +168,8 @@ def test_unexpected_exception_exit_code(monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "exc",
-    [
-        UnresolvedDependencyError([(1, -1)]),
-        MalformedFormError("denominator of R vanishes identically at a_1 = 0"),
-    ],
-    ids=["unresolved-dependency", "malformed-form"],
+    [MalformedFormError("denominator of R vanishes identically at a_1 = 0")],
+    ids=["malformed-form"],
 )
 def test_turbo_records_failed_entry_and_keeps_the_rest(tmp_path, monkeypatch, capsys, exc):
     bad = (0, -1, 1)

@@ -1,22 +1,21 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 import dysonct.prover as prover_module
 from dysonct.conjecture import ClosedForm, guess_dyson, sample_grid
-from dysonct.laurent import ct
+from dysonct.laurent import ct, pk_expansion
 from dysonct.poly import Poly
 from dysonct.prover import (
     ProofError,
     Resolver,
-    UnresolvedDependencyError,
     c2_closed_form,
     check_boundary,
     check_denominator_safety,
     check_initial,
     check_recursion,
-    dict_resolver,
     linear_factors,
     prove,
 )
@@ -31,6 +30,19 @@ def _vars(n):
 
 def form_2m1m1():
     return guess_dyson(3, (2, -1, -1))
+
+
+def _recursion(form):
+    """check_recursion cleared by the form's own denominator split."""
+    return check_recursion(form, check_denominator_safety(form))
+
+
+def _boundary(form, k):
+    """check_boundary at pivot k against the proved level-(n-1) dependencies."""
+    expansion = pk_expansion(form.n, k, form.b)
+    resolver = Resolver()
+    lower = {t.shifted_b: prove(form.n - 1, t.shifted_b, resolver).form for t in expansion.terms}
+    return check_boundary(form, expansion, lower)
 
 
 # ----------------------------------------------------------------------
@@ -64,22 +76,22 @@ def test_c2_matches_oracle_on_grid():
 
 
 def test_recursion_constant_form():
-    assert check_recursion(ClosedForm(3, (0, 0, 0), RatFunc.one(3))).ok
+    assert _recursion(ClosedForm(3, (0, 0, 0), RatFunc.one(3))).ok
 
 
 def test_recursion_form_2m1m1():
-    assert check_recursion(form_2m1m1()).ok
+    assert _recursion(form_2m1m1()).ok
 
 
 def test_recursion_rejects_non_solution():
     a = _vars(3)
-    out = check_recursion(ClosedForm(3, (0, 0, 0), RatFunc.from_poly(a[0])))
+    out = _recursion(ClosedForm(3, (0, 0, 0), RatFunc.from_poly(a[0])))
     assert not out.ok
     assert out.difference is not None and not out.difference.is_zero()
 
 
 def test_recursion_zero_form():
-    assert check_recursion(ClosedForm(3, (1, 0, 0), RatFunc.zero(3))).ok
+    assert _recursion(ClosedForm(3, (1, 0, 0), RatFunc.zero(3))).ok
 
 
 def test_recursion_symbolic_agrees_with_pointwise():
@@ -88,7 +100,7 @@ def test_recursion_symbolic_agrees_with_pointwise():
              ClosedForm(3, (0, 0, 0), RatFunc.from_poly(_vars(3)[0]))]
     points = [p for p in sample_grid(3, (0, 0, 0), 20)]
     for form in forms:
-        symbolic = check_recursion(form).ok
+        symbolic = _recursion(form).ok
         pointwise = True
         for p in points:
             s = sum(p)
@@ -147,7 +159,7 @@ def test_recursion_agrees_with_product_of_shifted_denominators(sweep_forms_n3):
     one = Poly.const(3, 1)
     assert len(sweep_forms_n3) == 19
     for form in sweep_forms_n3:
-        assert check_recursion(form).ok and _recursion_holds_by_product(form)
+        assert _recursion(form).ok and _recursion_holds_by_product(form)
     raise_a1 = RatFunc.make(one + a[0], one + one + a[0])
     variants = {
         "R + a_1": lambda R: R + RatFunc.from_poly(a[0]),
@@ -159,27 +171,19 @@ def test_recursion_agrees_with_product_of_shifted_denominators(sweep_forms_n3):
         for form in sweep_forms_n3:
             wrong = ClosedForm(3, form.b, make(form.R))
             verdict = _recursion_holds_by_product(wrong)
-            assert check_recursion(wrong).ok == verdict, (name, form.b)
+            assert _recursion(wrong).ok == verdict, (name, form.b)
             rejected[name] = rejected.get(name, 0) + (not verdict)
     # only the constant form for b = 0 survives the shift
     assert rejected == {"R + a_1": 19, "R(a + e_1)": 18, "R (1+a_1)/(2+a_1)": 19}
-    # a repeated linear factor, and a denominator that does not split
-    for den in ((one + a[0]) * (one + a[0]), a[0] * a[0] + a[1] + one):
-        for num in (one, a[1], a[0] * a[1] + a[2]):
-            R = RatFunc.make(num, den)
-            out = check_recursion(ClosedForm(3, (0, 0, 0), R))
-            assert out.ok == _recursion_holds_by_product(ClosedForm(3, (0, 0, 0), R))
-            assert not out.ok
-            for p in POINTS:
-                assert out.difference.evaluate(p) == _recursion_residue(R, p)
-    # solutions over an opaque denominator: a_1/s is R for the multinomial
-    # at a - e_1, and a_2/(1+a_1) the one at a + e_1 - e_2
-    s = a[0] + a[1] + a[2]
-    R = RatFunc.make(a[0], s) + RatFunc.make(a[1], one + a[0])
-    assert linear_factors(R.den) is None
-    for R, holds in ((R, True), (R + RatFunc.from_poly(a[0]), False)):
-        form = ClosedForm(3, (0, 0, 0), R)
-        assert check_recursion(form).ok == _recursion_holds_by_product(form) == holds
+    # a repeated linear factor
+    den = (one + a[0]) * (one + a[0])
+    for num in (one, a[1], a[0] * a[1] + a[2]):
+        R = RatFunc.make(num, den)
+        out = _recursion(ClosedForm(3, (0, 0, 0), R))
+        assert out.ok == _recursion_holds_by_product(ClosedForm(3, (0, 0, 0), R))
+        assert not out.ok
+        for p in POINTS:
+            assert out.difference.evaluate(p) == _recursion_residue(R, p)
 
 
 def test_recursion_failure_reports_the_pointwise_difference():
@@ -204,14 +208,12 @@ def test_recursion_failure_reports_the_pointwise_difference():
 
 
 def test_boundary_2m1m1_positive_pivot():
-    resolver = Resolver()
-    assert check_boundary(form_2m1m1(), 0, resolver.lower_resolver(3)).ok
+    assert _boundary(form_2m1m1(), 0).ok
 
 
 def test_boundary_2m1m1_negative_pivots():
-    resolver = Resolver()
     for k in (1, 2):
-        out = check_boundary(form_2m1m1(), k, resolver.lower_resolver(3))
+        out = _boundary(form_2m1m1(), k)
         assert out.ok
         assert "empty" in out.note
 
@@ -219,36 +221,34 @@ def test_boundary_2m1m1_negative_pivots():
 def test_boundary_detects_wrong_form():
     # R = 1 satisfies the recursion but not the k=2 boundary for b=(2,-1,-1)
     wrong = ClosedForm(3, (2, -1, -1), RatFunc.one(3))
-    assert check_recursion(wrong).ok
-    resolver = Resolver()
-    out = check_boundary(wrong, 1, resolver.lower_resolver(3))
+    assert _recursion(wrong).ok
+    out = _boundary(wrong, 1)
     assert not out.ok
 
 
 def test_boundary_negative_pivot_requires_vanishing():
     # for b_k < 0 the check passes iff R vanishes at a_k = 0
     form = form_2m1m1()
-    resolver = Resolver()
     assert form.R.num.substitute({1: 0}).is_zero()
-    assert check_boundary(form, 1, resolver.lower_resolver(3)).ok
+    assert _boundary(form, 1).ok
     bad = ClosedForm(3, (2, -1, -1), RatFunc.one(3))
-    assert not check_boundary(bad, 1, resolver.lower_resolver(3)).ok
+    assert not _boundary(bad, 1).ok
 
 
-def test_boundary_unresolved_dependency():
+def test_checks_reject_a_split_or_expansion_they_cannot_use():
     form = form_2m1m1()
-    with pytest.raises(UnresolvedDependencyError) as info:
-        check_boundary(form, 0, dict_resolver({}))
-    assert (1, -1) in info.value.missing
+    with pytest.raises(ValueError):
+        check_recursion(form, prover_module.DenominatorSafety(ok=False))
+    with pytest.raises(ValueError):
+        check_boundary(form, pk_expansion(3, 0, (1, 0, -1)), {})
 
 
 def test_boundary_rejects_denominator_collapsing_form():
     # a denominator vanishing identically at a_k = 0 is malformed, not a limit
     a = _vars(3)
     form = ClosedForm(3, (0, 0, 0), RatFunc.make(Poly.const(3, 1), a[0]))
-    resolver = Resolver()
     with pytest.raises(prover_module.MalformedFormError):
-        check_boundary(form, 0, resolver.lower_resolver(3))
+        _boundary(form, 0)
 
 
 # ----------------------------------------------------------------------
@@ -367,6 +367,29 @@ def test_prove_n4_end_to_end():
     assert leaves and all(leaf.base_case and leaf.form.n == 2 for leaf in leaves)
     assert cert.form.evaluate((1, 1, 1, 1)) == ct(4, (1, 1, 1, 1), (1, -1, 0, 0))
     assert cert.form.evaluate((2, 1, 1, 1)) == ct(4, (2, 1, 1, 1), (1, -1, 0, 0))
+
+
+def test_prove_splits_each_denominator_once_and_expands_each_pivot_once(monkeypatch):
+    split_dens = []
+    expanded = Counter()
+    real_split, real_expand = prover_module.linear_factors, prover_module.pk_expansion
+
+    def counting_split(p):
+        split_dens.append(p)
+        return real_split(p)
+
+    def counting_expand(n, k, b):
+        expanded[(n, tuple(b))] += 1
+        return real_expand(n, k, b)
+
+    monkeypatch.setattr(prover_module, "linear_factors", counting_split)
+    monkeypatch.setattr(prover_module, "pk_expansion", counting_expand)
+    resolver = Resolver()
+    assert prove(4, (1, -1, 0, 0), resolver).is_valid()
+    proved = [c.form for c in resolver.certificates.values() if not c.base_case]
+    assert len(proved) > 1 and {f.n for f in proved} == {3, 4}
+    assert Counter(split_dens) == Counter(f.R.den for f in proved)
+    assert expanded == Counter({(f.n, f.b): f.n for f in proved})
 
 
 def test_prove_rejects_denominator_without_linear_split():
