@@ -11,12 +11,10 @@ from .conjecture import (
     sample_grid,
 )
 from .laurent import (
-    DysonInstance,
     LaurentPoly,
     PkExpansion,
     PkTerm,
     ct,
-    ct_bruteforce,
     multinomial,
     pk_expansion,
 )
@@ -46,7 +44,6 @@ from .turbo import (
 
 __all__ = [
     "ClosedForm",
-    "DysonInstance",
     "GuessExhausted",
     "LaurentPoly",
     "LinearForm",
@@ -69,7 +66,6 @@ __all__ = [
     "check_recursion",
     "complexity",
     "ct",
-    "ct_bruteforce",
     "derive_by_reduction",
     "guess_dyson",
     "guess_dyson_with_details",

@@ -17,7 +17,7 @@ import time
 from typing import List, Optional, Sequence, Tuple
 
 from .conjecture import DEFAULT_MAX_T, GuessError, GuessExhausted, guess_dyson
-from .laurent import DysonInstance, ct_bruteforce
+from .laurent import ct
 from .paperdoc import build_document
 from .prover import ProofError, Resolver, prove
 from .render import ASCII, fmt_b_vector, fmt_closed_form, fmt_d_symbol
@@ -130,10 +130,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ProofError, GuessError) as exc:
         print(f"mathematical failure: {exc}", file=sys.stderr)
         return EXIT_MATH
-    except StoreIOError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (StoreIOError, OSError) as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return EXIT_IO
     except Exception as exc:
@@ -142,13 +139,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _cmd_ct(args) -> int:
-    if len(args.a) != args.n or len(args.b) != args.n:
-        raise _UsageError("-a and -b must each carry exactly n integers")
     try:
-        inst = DysonInstance(args.n, args.a, args.b)
+        value = ct(args.n, args.a, args.b)
     except ValueError as exc:
         raise _UsageError(str(exc))
-    print(ct_bruteforce(inst))
+    print(value)
     return EXIT_OK
 
 

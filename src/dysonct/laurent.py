@@ -43,25 +43,6 @@ def multinomial(a: Tuple[int, ...] | List[int]) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class DysonInstance:
-    """A concrete (n, a, b) triple; a must be nonnegative."""
-
-    n: int
-    a: Tuple[int, ...]
-    b: Tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(self.a))
-        object.__setattr__(self, "b", tuple(self.b))
-        if self.n < 1:
-            raise ValueError("n must be at least 1")
-        if len(self.a) != self.n or len(self.b) != self.n:
-            raise ValueError("a and b must both have length n")
-        if any(ai < 0 for ai in self.a):
-            raise ValueError("all a_i must be nonnegative")
-
-
 class LaurentPoly:
     """Sparse Laurent polynomial with integer coefficients.
 
@@ -106,12 +87,12 @@ def _signed_row(ah: int, aj: int) -> List[int]:
 
 @lru_cache(maxsize=200000)
 def _ct_cached(n: int, a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
-    # Callers pass the canonical arrangement (see ct_bruteforce); the
-    # recursion itself is correct for any arrangement.  Only the pair factors
-    # (0, j) are expanded: summand m_j in [-a_0, a_j] contributes
-    # rows[j][a_0 + m_j] and x_0^{m_j} x_j^{-m_j}.  The slice x_0^{b_0} has
-    # sum m_j = b_0 and leaves the sub-instance (n - 1, a[1:], b[1:] + m),
-    # looked up in this same cache; a[1:] is sorted whenever a is.
+    # Callers pass the canonical arrangement (see ct); the recursion itself
+    # is correct for any arrangement.  Only the pair factors (0, j) are
+    # expanded: summand m_j in [-a_0, a_j] contributes rows[j][a_0 + m_j]
+    # and x_0^{m_j} x_j^{-m_j}.  The slice x_0^{b_0} has sum m_j = b_0 and
+    # leaves the sub-instance (n - 1, a[1:], b[1:] + m), looked up in this
+    # same cache; a[1:] is sorted whenever a is.
     if sum(b):
         return 0
     if n == 1:
@@ -147,8 +128,9 @@ def _ct_cached(n: int, a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
     return walk(0, b[0], ())
 
 
-def ct_bruteforce(inst: DysonInstance) -> int:
-    """Coefficient of x_1^{b_1}...x_n^{b_n} in F_n(x; a; 0).
+def ct(n: int, a, b) -> int:
+    """Coefficient of x_1^{b_1}...x_n^{b_n} in F_n(x; a; 0), n >= 1, with a
+    and b of length n and every a_i nonnegative (ValueError otherwise).
 
     Equivalently the constant term of F_n(x; a; b); computed by exact
     expansion, one variable at a time, as a memoized recursion on
@@ -159,13 +141,14 @@ def ct_bruteforce(inst: DysonInstance) -> int:
     the variable with the smallest exponent is peeled off first, which keeps
     its pair rows short, and its sub-instances stay sorted.
     """
-    a, b = zip(*sorted(zip(inst.a, inst.b)))
-    return _ct_cached(inst.n, a, b)
-
-
-def ct(n: int, a, b) -> int:
-    """Convenience wrapper building the instance inline."""
-    return ct_bruteforce(DysonInstance(n, tuple(a), tuple(b)))
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    if len(a) != n or len(b) != n:
+        raise ValueError("a and b must both have length n")
+    if any(ai < 0 for ai in a):
+        raise ValueError("all a_i must be nonnegative")
+    a, b = zip(*sorted(zip(a, b)))
+    return _ct_cached(n, a, b)
 
 
 # ----------------------------------------------------------------------

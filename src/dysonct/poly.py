@@ -256,28 +256,6 @@ class Poly:
             total += c
         return Fraction(total, den)
 
-    def substitute(self, assignment: Mapping[int, Fraction | int]) -> "Poly":
-        """Partially evaluate some variables; the result keeps nvars slots."""
-        if not assignment:
-            return self
-        den = self.den
-        tables = []
-        for var, val in assignment.items():
-            val = _rational(val)
-            d = self.degree_in(var)
-            tables.append((var, _powers(val.numerator, val.denominator, d)))
-            den *= val.denominator**d
-        out: Dict[Monomial, int] = {}
-        for mono, c in self.coeffs.items():
-            key = list(mono)
-            for var, table in tables:
-                c *= table[mono[var]]
-                key[var] = 0
-            key = tuple(key)
-            out[key] = out.get(key, 0) + c
-        out = {m: c for m, c in out.items() if c}
-        return Poly._reduced(self.nvars, out, den)
-
     def shift_var(self, var: int, delta: int) -> "Poly":
         """Substitute a_var -> a_var + delta (binomial expansion per term)."""
         if delta == 0:
@@ -315,12 +293,11 @@ class Poly:
             out[tuple(new_mono)] = coeff
         return Poly._raw(self.nvars, out, self.den)
 
-    def drop_var(self, var: int) -> "Poly":
-        """Remove a variable the polynomial does not actually use."""
-        if self.degree_in(var):
-            raise ValueError(f"polynomial still involves variable {var}")
-        out = {m[:var] + m[var + 1 :]: c for m, c in self.coeffs.items()}
-        return Poly._raw(self.nvars - 1, out, self.den)
+    def at_zero(self, var: int) -> "Poly":
+        """The polynomial at a_var = 0, in the other nvars - 1 variables: the
+        terms free of a_var, with that slot dropped, in lowest terms."""
+        out = {m[:var] + m[var + 1 :]: c for m, c in self.coeffs.items() if not m[var]}
+        return Poly._reduced(self.nvars - 1, out, self.den)
 
     # ------------------------------------------------------------------
     # serialization

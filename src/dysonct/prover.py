@@ -14,9 +14,13 @@ nonnegative integer point (so the rational identities imply the integer
 ones): the denominator must split into linear forms with nonnegative
 coefficients and positive constants, and a form whose denominator does not
 split that way is not certified.  ``prove`` runs this denominator-safety
-check first, and its split clears the recursion.  Each identity is checked
-as a polynomial comparison over Q, a complete symbolic proof, not sampling:
-the recursion is cleared by the lcm of the shifted linear factors of that
+check first, and its split is the input of every check after it: it clears
+the recursion, it reduces R at a_k = 0 for each boundary (a factor there is
+still linear with a positive constant), and it keeps R's denominator
+nonzero at a = 0 for the initial value; each check raises ``ValueError``
+when handed a split that is not ok.  Each identity is checked as a
+polynomial comparison over Q, a complete symbolic proof, not sampling: the
+recursion is cleared by the lcm of the shifted linear factors of that
 split, the boundary identity by cross-multiplying its denominators.
 Boundary dependencies are proved recursively before the checks, bottoming
 out in the built-in n = 2 closed form; each pivot's P_k expansion is built
@@ -36,10 +40,6 @@ from .conjecture import DEFAULT_MAX_T, ClosedForm, guess_dyson
 from .laurent import PkExpansion, pk_expansion
 from .poly import LinearForm, Poly, exact_div, make_primitive
 from .ratfunc import RatFunc, rising_factorial
-
-
-class MalformedFormError(Exception):
-    """The form cannot even be substituted into (denominator collapses)."""
 
 
 @dataclass
@@ -181,32 +181,30 @@ def check_recursion(form: ClosedForm, safety: DenominatorSafety) -> CheckOutcome
 
 
 def check_boundary(
-    form: ClosedForm, expansion: PkExpansion, lower: Mapping[Tuple[int, ...], ClosedForm]
+    form: ClosedForm,
+    safety: DenominatorSafety,
+    expansion: PkExpansion,
+    lower: Mapping[Tuple[int, ...], ClosedForm],
 ) -> CheckOutcome:
     """Verify the boundary identity at a_k = 0, k = expansion.k (zero-based).
 
     Left side: R with a_k set to 0, read in the surviving n-1 variables (the
-    multinomial collapses to the (n-1)-variable one on both sides).  Right
-    side: sum over ``expansion``, the P_k expansion of (n, b), of
-    coeff(a-hat) * R_{shifted b}(a-hat), with each level-(n-1) form read from
-    ``lower`` by its shifted b.  Empty expansions (b_k < 0) make the right
-    side 0.
+    multinomial collapses to the (n-1)-variable one on both sides).  R's
+    denominator is c * prod F by the ok ``safety`` split, and each F at
+    a_k = 0 is still linear with a positive constant, so the left side is
+    num(a_k = 0) over c * prod F(a_k = 0), reduced one linear factor at a
+    time.  Right side: sum over ``expansion``, the P_k expansion of (n, b),
+    of coeff(a-hat) * R_{shifted b}(a-hat), with each level-(n-1) form read
+    from ``lower`` by its shifted b.  Empty expansions (b_k < 0) make the
+    right side 0.
     """
+    if not safety.ok:
+        raise ValueError("check_boundary needs an ok denominator split")
     n, k = form.n, expansion.k
     if (expansion.n, expansion.b) != (n, form.b):
         raise ValueError("the expansion belongs to another (n, b)")
-    R = form.R
-    if R.is_zero():
-        lhs = RatFunc.zero(n - 1)
-    else:
-        den0 = R.den.substitute({k: 0})
-        if den0.is_zero():
-            raise MalformedFormError(
-                f"denominator of R vanishes identically at a_{k + 1} = 0"
-            )
-        lhs_num = R.num.substitute({k: 0}).drop_var(k)
-        lhs_den = den0.drop_var(k)
-        lhs = RatFunc._rescale(lhs_num, lhs_den)
+    factors = Counter(f.to_poly().at_zero(k) for f in safety.factors)
+    lhs = _over(form.R.num.at_zero(k), factors, safety.constant)
 
     if not expansion.terms:
         ok = lhs.is_zero()
@@ -215,9 +213,9 @@ def check_boundary(
             ok=ok,
             check="boundary",
             k=k,
-            lhs=RatFunc.make(lhs.num, lhs.den) if not ok else zero,
+            lhs=lhs,
             rhs=zero,
-            difference=None if ok else RatFunc.make(lhs.num, lhs.den),
+            difference=None if ok else lhs,
             note="empty expansion (b_k < 0)",
         )
 
@@ -225,36 +223,25 @@ def check_boundary(
     den_rhs, others = _cross_products([r.den for r in lower_rs], n - 1)
     num_rhs = Poly.zero(n - 1)
     for term, r, other in zip(expansion.terms, lower_rs, others):
-        coeff = term.coeff.drop_var(k)
-        num_rhs = num_rhs + coeff * r.num * other
-    ok = lhs.num * den_rhs == num_rhs * lhs.den
-    lhs_canon = RatFunc.make(lhs.num, lhs.den)
-    if ok:
-        return CheckOutcome(ok=True, check="boundary", k=k, lhs=lhs_canon, rhs=lhs_canon)
-    rhs_canon = RatFunc.make(num_rhs, den_rhs)
+        num_rhs = num_rhs + term.coeff.at_zero(k) * r.num * other
+    if lhs.num * den_rhs == num_rhs * lhs.den:
+        return CheckOutcome(ok=True, check="boundary", k=k, lhs=lhs, rhs=lhs)
+    rhs = RatFunc.make(num_rhs, den_rhs)
     diff = RatFunc.make(lhs.num * den_rhs - num_rhs * lhs.den, lhs.den * den_rhs)
-    return CheckOutcome(
-        ok=False, check="boundary", k=k, lhs=lhs_canon, rhs=rhs_canon, difference=diff
-    )
+    return CheckOutcome(ok=False, check="boundary", k=k, lhs=lhs, rhs=rhs, difference=diff)
 
 
-def check_initial(form: ClosedForm) -> CheckOutcome:
+def check_initial(form: ClosedForm, safety: DenominatorSafety) -> CheckOutcome:
     """Verify d_n(0; b) = 1 when b = 0 and 0 otherwise.
 
-    The reduced canonical R is evaluated at a = 0; a denominator vanishing
-    there fails the check (``prove`` rules that out earlier, by denominator
-    safety).
+    R is evaluated at a = 0, where the ok ``safety`` split makes its
+    denominator the positive c * prod F(0).
     """
+    if not safety.ok:
+        raise ValueError("check_initial needs an ok denominator split")
     n = form.n
     expected = Fraction(1) if all(x == 0 for x in form.b) else Fraction(0)
-    R = form.R
-    zeros = (0,) * n
-    den0 = R.den.evaluate(zeros)
-    if den0 == 0:
-        return CheckOutcome(
-            ok=False, check="initial", lhs=R, note="denominator vanishes at a = 0"
-        )
-    value = R.num.evaluate(zeros) / den0
+    value = form.R.num.constant_value() / form.R.den.constant_value()
     ok = value == expected
     return CheckOutcome(
         ok=ok,
@@ -466,8 +453,8 @@ def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCe
     forms its terms name are proved first (k ascending, terms in order, first
     occurrence wins), and the boundary checks read those expansions and the
     proved forms.  Of the checks, denominator safety runs first, and its
-    split of R's denominator into linear factors is what clears the
-    recursion; then come the boundaries and the initial value.
+    split of R's denominator into linear factors is the input of the
+    recursion, boundary and initial-value checks that follow.
 
     Raises ProofError with a counterexample report when any check fails, and
     propagates GuessExhausted when a needed form cannot even be conjectured.
@@ -517,11 +504,11 @@ def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCe
         raise ProofError(form, recursion)
     boundaries = []
     for expansion in expansions:
-        outcome = check_boundary(form, expansion, lower)
+        outcome = check_boundary(form, safety, expansion, lower)
         if not outcome.ok:
             raise ProofError(form, outcome)
         boundaries.append(outcome)
-    initial = check_initial(form)
+    initial = check_initial(form, safety)
     if not initial.ok:
         raise ProofError(form, initial)
 

@@ -23,13 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .conjecture import ClosedForm, GuessError
 from .poly import Poly
-from .prover import (
-    MalformedFormError,
-    ProofError,
-    Resolver,
-    c2_closed_form,
-    prove,
-)
+from .prover import ProofError, Resolver, c2_closed_form, prove
 from .ratfunc import RatFunc
 from .store import ResultStore, StoreEntry
 
@@ -271,7 +265,7 @@ def turbo_dyson(
                     elapsed=time.perf_counter() - started,
                 )
             )
-        except (ProofError, GuessError, MalformedFormError) as exc:
+        except (ProofError, GuessError) as exc:
             result.lines.append(
                 SweepLine(
                     b=b,

@@ -163,11 +163,12 @@ def test_criterion_8_turbo_sweep():
 
 def test_criterion_9_boundary_conditions_are_load_bearing():
     wrong = ClosedForm(3, (2, -1, -1), RatFunc.one(3))
-    assert check_recursion(wrong, check_denominator_safety(wrong)).ok
+    safety = check_denominator_safety(wrong)
+    assert check_recursion(wrong, safety).ok
     resolver = Resolver()
     expansion = pk_expansion(3, 1, wrong.b)
     lower = {t.shifted_b: prove(2, t.shifted_b, resolver).form for t in expansion.terms}
-    outcome = check_boundary(wrong, expansion, lower)
+    outcome = check_boundary(wrong, safety, expansion, lower)
     assert not outcome.ok
     _report(9, True, "R = 1 passes the recursion but fails the k = 2 boundary")
 

@@ -7,8 +7,15 @@ import dysonct.cli as cli
 import dysonct.turbo as turbo
 from conftest import latex_balanced
 from dysonct.cli import EXIT_INTERNAL, EXIT_IO, EXIT_MATH, EXIT_OK, EXIT_USAGE, main
-from dysonct.conjecture import DEFAULT_MAX_T, guess_dyson, guess_dyson_with_details
-from dysonct.prover import MalformedFormError, Resolver
+from dysonct.conjecture import (
+    DEFAULT_MAX_T,
+    ClosedForm,
+    GuessError,
+    guess_dyson,
+    guess_dyson_with_details,
+)
+from dysonct.prover import CheckOutcome, ProofError, Resolver
+from dysonct.ratfunc import RatFunc
 from dysonct.store import ResultStore
 
 
@@ -168,8 +175,14 @@ def test_unexpected_exception_exit_code(monkeypatch, capsys):
 
 @pytest.mark.parametrize(
     "exc",
-    [MalformedFormError("denominator of R vanishes identically at a_1 = 0")],
-    ids=["malformed-form"],
+    [
+        GuessError("no rational form fits the samples"),
+        ProofError(
+            ClosedForm(3, (0, -1, 1), RatFunc.one(3)),
+            CheckOutcome(ok=False, check="boundary", k=1),
+        ),
+    ],
+    ids=["guess-error", "proof-error"],
 )
 def test_turbo_records_failed_entry_and_keeps_the_rest(tmp_path, monkeypatch, capsys, exc):
     bad = (0, -1, 1)

@@ -6,7 +6,6 @@ import pytest
 
 from conftest import literal_ct
 from dysonct.laurent import (
-    DysonInstance,
     _ct_cached,
     _signed_row,
     ct,
@@ -27,9 +26,11 @@ def test_ct_examples():
 
 def test_negative_a_rejected():
     with pytest.raises(ValueError):
-        DysonInstance(2, (1, -1), (0, 0))
+        ct(2, (1, -1), (0, 0))
     with pytest.raises(ValueError):
-        DysonInstance(2, (1,), (0, 0))
+        ct(2, (1,), (0, 0))
+    with pytest.raises(ValueError):
+        ct(0, (), ())
 
 
 def test_against_literal_expansion():
@@ -114,10 +115,9 @@ def test_all_arrangements_share_one_cache_entry(a, b):
 def _forward_dp_ct(n: int, a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
     """Reference oracle: the forward-elimination DP that the memoized
     recursion in ``_ct_cached`` replaced, kept verbatim (without the cache)."""
-    # Callers pass the canonical arrangement (see ct_bruteforce); the DP
-    # itself is correct for any arrangement.  DP state: accumulated
-    # exponents of the still-active variables h..n-1, mapped to integer
-    # coefficients.  Processing variable h absorbs every pair factor (h, j),
+    # Callers pass the canonical arrangement (see ct); the DP itself is
+    # correct for any arrangement.  DP state: accumulated exponents of the
+    # still-active variables h..n-1, mapped to integer coefficients.  Processing variable h absorbs every pair factor (h, j),
     # keeps only the slice with x_h-exponent b_h, and retires x_h.
     state: Dict[Tuple[int, ...], int] = {(0,) * n: 1}
     for h in range(n - 1):

@@ -69,16 +69,21 @@ def test_permute_vars_roundtrip():
     assert q.permute_vars(inv) == p
 
 
-def test_substitute_and_drop():
+def test_at_zero():
     a1, a2, a3 = vars3()
     p = a1 * a2 + a3 * a2
-    at_zero = p.substitute({0: 0})
-    assert at_zero == a3 * a2
-    dropped = at_zero.drop_var(0)
-    assert dropped.nvars == 2
-    assert dropped == Poly.variable(2, 1) * Poly.variable(2, 0)
-    with pytest.raises(ValueError):
-        p.drop_var(0)
+    at_zero = p.at_zero(0)
+    assert at_zero.nvars == 2
+    assert at_zero == Poly.variable(2, 1) * Poly.variable(2, 0)
+    assert (a1 * a2).at_zero(0) == Poly.zero(2)
+    # a polynomial free of the variable only loses its slot
+    assert (a2 + a3).at_zero(0) == Poly.variable(2, 0) + Poly.variable(2, 1)
+    # dropping a1/2 leaves a2 + a3 with denominator 1, not 2
+    q = a1.scale(Fraction(1, 2)) + a2 + a3
+    assert q.den == 2
+    lowered = q.at_zero(0)
+    assert lowered.den == 1
+    assert lowered == Poly.variable(2, 0) + Poly.variable(2, 1)
 
 
 def test_binomial_poly_examples():

@@ -42,7 +42,7 @@ def _boundary(form, k):
     expansion = pk_expansion(form.n, k, form.b)
     resolver = Resolver()
     lower = {t.shifted_b: prove(form.n - 1, t.shifted_b, resolver).form for t in expansion.terms}
-    return check_boundary(form, expansion, lower)
+    return check_boundary(form, check_denominator_safety(form), expansion, lower)
 
 
 # ----------------------------------------------------------------------
@@ -229,7 +229,7 @@ def test_boundary_detects_wrong_form():
 def test_boundary_negative_pivot_requires_vanishing():
     # for b_k < 0 the check passes iff R vanishes at a_k = 0
     form = form_2m1m1()
-    assert form.R.num.substitute({1: 0}).is_zero()
+    assert form.R.num.at_zero(1).is_zero()
     assert _boundary(form, 1).ok
     bad = ClosedForm(3, (2, -1, -1), RatFunc.one(3))
     assert not _boundary(bad, 1).ok
@@ -237,39 +237,76 @@ def test_boundary_negative_pivot_requires_vanishing():
 
 def test_checks_reject_a_split_or_expansion_they_cannot_use():
     form = form_2m1m1()
+    not_ok = prover_module.DenominatorSafety(ok=False)
     with pytest.raises(ValueError):
-        check_recursion(form, prover_module.DenominatorSafety(ok=False))
+        check_recursion(form, not_ok)
     with pytest.raises(ValueError):
-        check_boundary(form, pk_expansion(3, 0, (1, 0, -1)), {})
+        check_boundary(form, not_ok, pk_expansion(3, 0, form.b), {})
+    with pytest.raises(ValueError):
+        check_initial(form, not_ok)
+    safety = check_denominator_safety(form)
+    with pytest.raises(ValueError):
+        check_boundary(form, safety, pk_expansion(3, 0, (1, 0, -1)), {})
 
 
-def test_boundary_rejects_denominator_collapsing_form():
-    # a denominator vanishing identically at a_k = 0 is malformed, not a limit
-    a = _vars(3)
-    form = ClosedForm(3, (0, 0, 0), RatFunc.make(Poly.const(3, 1), a[0]))
-    with pytest.raises(prover_module.MalformedFormError):
-        _boundary(form, 0)
+def test_boundary_lhs_is_the_gcd_reduced_restriction():
+    # the boundary left side, reduced by trial division with the split's
+    # factors at a_k = 0, is R(a_k = 0) in lowest terms as poly_gcd gives it
+    resolver = Resolver()
+    prove(4, (1, -1, 0, 0), resolver)
+    certs = [c.to_json() for c in resolver.certificates.values()]
+    store = ResultStore()
+    turbo_dyson(3, 3, store=store, resolver=Resolver())
+    certs += [entry.certificate for entry in store]
+    checked = 0
+    for cert in certs:
+        if cert["base_case"]:
+            continue
+        R = ClosedForm.from_json(cert["form"]).R
+        for k, identity in enumerate(cert["identities"]["boundary"]):
+            expected = RatFunc.make(R.num.at_zero(k), R.den.at_zero(k))
+            assert identity["lhs"] == expected.to_json(), (cert["form"], k)
+            checked += 1
+    assert checked > 100
 
 
 # ----------------------------------------------------------------------
 # initial condition and denominator safety
 
 
+def _initial(form):
+    return check_initial(form, check_denominator_safety(form))
+
+
 def test_initial_examples():
-    assert check_initial(ClosedForm(3, (0, 0, 0), RatFunc.one(3))).ok
-    assert check_initial(form_2m1m1()).ok  # value 0 at a = 0
+    assert _initial(ClosedForm(3, (0, 0, 0), RatFunc.one(3))).ok
+    assert _initial(form_2m1m1()).ok  # value 0 at a = 0
     form5 = guess_dyson(3, (-1, 0, 1))
-    assert check_initial(form5).ok
+    assert _initial(form5).ok
+    wrong = _initial(ClosedForm(3, (0, 0, 0), RatFunc.const(3, 2)))
+    assert not wrong.ok and wrong.difference == RatFunc.one(3)
 
 
-def test_initial_fails_when_denominator_vanishes_at_zero():
-    # R = 2 a_1 / (a_1 + a_2) has no value at a = 0, although its limit
-    # along the diagonal is the expected 1
-    a1, a2 = Poly.variable(2, 0), Poly.variable(2, 1)
-    form = ClosedForm(2, (0, 0), RatFunc.make(a1 * 2, a1 + a2))
-    out = check_initial(form)
-    assert not out.ok
-    assert out.difference is None
+@pytest.mark.parametrize(
+    "make_R",
+    [
+        lambda a: RatFunc.make(Poly.const(3, 1), a[0]),
+        lambda a: RatFunc.make(a[0] * 2, a[0] + a[1]),
+    ],
+    ids=["1_over_a1", "2a1_over_a1_plus_a2"],
+)
+def test_denominator_vanishing_on_the_grid_stops_the_proof(make_R):
+    # 1/a_1 has no value on the face a_1 = 0, 2 a_1/(a_1 + a_2) none at
+    # a = 0 (although its limit along the diagonal is the expected 1): both
+    # denominators vanish at a nonnegative integer point, so neither splits
+    # into positive linear forms, and prove stops before any other check
+    form = ClosedForm(3, (0, 0, 0), make_R(_vars(3)))
+    assert not check_denominator_safety(form).ok
+    resolver = Resolver()
+    resolver.add_form(form)
+    with pytest.raises(ProofError) as info:
+        prove(3, (0, 0, 0), resolver)
+    assert info.value.outcome.check == "denominator-safety"
 
 
 def test_denominator_safety_syntactic():
