@@ -19,6 +19,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
+from operator import mul
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -124,26 +126,24 @@ def sample_grid(n: int, b: Sequence[int], count: int) -> List[Tuple[int, ...]]:
     """First ``count`` points of the deterministic sampling sequence.
 
     Entries are >= max(2, max|b_i|) and pairwise distinct within each point;
-    every arrangement of a coordinate set is emitted (so no variable is stuck
-    in a narrow band, which would let spurious interpolants through), and
-    points at which the ansatz factor vanishes or blows up are skipped (so
-    sampled values can always be divided by it).
+    every arrangement of a coordinate set is emitted, so no variable is stuck
+    in a narrow band, which would let spurious interpolants through.  The
+    ansatz factor is finite and nonzero at every point, so sampled values can
+    always be divided by it: each numerator piece a_i + 1 - r is at least 1,
+    as r <= ceil(|b_i| / 2) <= a_i, and each denominator piece
+    1 + sum_{j != i} a_j + r is positive.
     """
     if count < 1:
         raise ValueError("count must be positive")
-    b = tuple(b)
-    return list(itertools.islice(_grid_iter(n, b, ansatz_factor(b)), count))
+    return list(itertools.islice(_grid_iter(n, tuple(b)), count))
 
 
-def _grid_iter(n: int, b: Tuple[int, ...], factor: RatFunc) -> Iterator[Tuple[int, ...]]:
-    """The sampling sequence of sample_grid; ``factor`` is b's ansatz factor."""
+def _grid_iter(n: int, b: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
+    """The sampling sequence of sample_grid."""
     lo = max(2, max((abs(x) for x in b), default=0))
     for top in itertools.count(lo + n - 1):
         for rest in itertools.combinations(range(lo, top), n - 1):
-            for point in itertools.permutations(rest + (top,)):
-                if factor.num.evaluate(point) == 0 or factor.den.evaluate(point) == 0:
-                    continue
-                yield point
+            yield from itertools.permutations(rest + (top,))
 
 
 def _monomials_up_to(nvars: int, degree: int) -> List[Tuple[int, ...]]:
@@ -211,47 +211,40 @@ def guess_rat(samples: SampleSet, t: int) -> Optional[RatFunc]:
     hold_pts = samples.points[len(fit_pts) :]
     hold_vals = samples.values[len(fit_pts) :]
 
+    unknowns = _max_unknowns(nvars, t)
+    if len(fit_pts) < unknowns:
+        raise ValueError(
+            f"need at least {unknowns + HOLDOUT} samples for t={t}, have "
+            f"{len(samples.points)}"
+        )
     # the monomials of every split are a prefix of these, in the same order
-    mono_vals = _mono_values(samples.points, _monomials_up_to(nvars, t))
+    monos = _monomials_up_to(nvars, t)
+    mono_vals = _mono_values(samples.points, monos)
     screen = _Screen(mono_vals, samples.values, len(fit_pts))
     for d_num in range(t, -1, -1):
-        d_den = t - d_num
-        num_monos = _monomials_up_to(nvars, d_num)
-        den_monos = _monomials_up_to(nvars, d_den)
-        unknowns = len(num_monos) + len(den_monos)
-        if len(fit_pts) < unknowns:
-            raise ValueError(
-                f"need at least {unknowns + HOLDOUT} samples for t={t}, have "
-                f"{len(samples.points)}"
-            )
-        if not screen.may_fit(len(den_monos), len(num_monos)):
+        n_num, n_den = comb(d_num + nvars, nvars), comb(t - d_num + nvars, nvars)
+        if not screen.may_fit(n_den, n_num):
             continue
         # value * den(p) - num(p) = 0, scaled by the value's denominator
         rows = []
         for vals, f in zip(mono_vals, fit_vals):
             fn, fd = f.numerator, f.denominator
-            row = [fn * v for v in vals[: len(den_monos)]]
-            row += [-fd * v for v in vals[: len(num_monos)]]
-            rows.append(row)
-        basis = solve_nullspace(rows)
-        if not basis:
-            continue
-        candidates: List[RatFunc] = []
-        for vec in basis:
-            den = Poly(nvars, dict(zip(den_monos, vec[: len(den_monos)])))
-            num = Poly(nvars, dict(zip(num_monos, vec[len(den_monos) :])))
-            if den.is_zero():
-                continue
-            if any(den.evaluate(p) == 0 for p in samples.points):
-                continue
-            candidates.append(RatFunc.make(num, den))
+            rows.append([fn * v for v in vals[:n_den]] + [-fd * v for v in vals[:n_num]])
+        candidates = [
+            RatFunc.make(
+                Poly(nvars, dict(zip(monos, vec[n_den:]))),
+                Poly(nvars, dict(zip(monos, vec[:n_den]))),
+            )
+            for vec in solve_nullspace(rows)
+            if all(sum(map(mul, vals, vec[:n_den])) for vals in mono_vals)
+        ]
         if not candidates:
             continue
         first = candidates[0]
         if any(c != first for c in candidates[1:]):
             raise AmbiguousFit(
                 f"{len(candidates)} inequivalent candidates at t={t}, "
-                f"split ({d_num},{d_den})"
+                f"split ({d_num},{t - d_num})"
             )
         if all(first.evaluate(p) == v for p, v in zip(hold_pts, hold_vals)):
             return first
@@ -343,47 +336,32 @@ def guess_dyson_with_details(
         details = GuessDetails(t=0, samples_used=0, residual=RatFunc.zero(n), used_ansatz=use_ansatz)
         return zero, details
 
-    ansatz = ansatz_factor(b)
-    # the grid skips the ansatz factor's zeros and poles even when unused
-    factor = ansatz if use_ansatz else RatFunc.one(n)
-    grid = _grid_iter(n, b, ansatz)
+    factor = ansatz_factor(b) if use_ansatz else RatFunc.one(n)
+    grid = _grid_iter(n, b)
     points: List[Tuple[int, ...]] = []
     values: List[Fraction] = []
-
-    def extend(target: int) -> None:
-        while len(points) < target:
-            p = next(grid)
-            points.append(p)
-            raw = Fraction(oracle(n, p, b), multinomial(p))
-            values.append(raw / factor.evaluate(p))
-
-    last_samples = SampleSet([], [])
+    samples = SampleSet([], [])
     for t in range(max_t + 1):
         # a few extra rows overdetermine every split, starving fake interpolants
         needed = _max_unknowns(n, t) + 3 + HOLDOUT
-        extend(needed)
-        for attempt in range(4):
+        residual = None
+        for _ in range(4):
+            for p in itertools.islice(grid, max(0, needed - len(points))):
+                points.append(p)
+                values.append(Fraction(oracle(n, p, b), multinomial(p)) / factor.evaluate(p))
             samples = SampleSet(points[:needed], values[:needed])
-            last_samples = samples
             try:
                 residual = guess_rat(samples, t)
+                break
             except AmbiguousFit:
-                if attempt == 3:
-                    residual = None
-                    break
                 needed *= 2
-                extend(needed)
-                continue
-            break
         if residual is None:
             continue
         form_r = factor * residual
-        fresh = []
-        while len(fresh) < 5:
-            p = next(grid)
-            if p not in points:
-                fresh.append(p)
         candidate = ClosedForm(n=n, b=b, R=form_r)
+        # the fresh points are drawn before any is checked, so a failed check
+        # leaves the same grid suffix for the next fit
+        fresh = list(itertools.islice(grid, 5))
         # a pole at a fresh point, where the constant term is finite, fails too
         if all(
             form_r.den.evaluate(p) != 0 and candidate.evaluate(p) == oracle(n, p, b)
@@ -396,9 +374,10 @@ def guess_dyson_with_details(
                 used_ansatz=use_ansatz,
             )
             return candidate, details
-    raise GuessExhausted(n, b, max_t, last_samples)
+    raise GuessExhausted(n, b, max_t, samples)
 
 
 def _max_unknowns(nvars: int, t: int) -> int:
-    # the widest split is (t, 0): all monomials of degree <= t plus a constant
-    return len(_monomials_up_to(nvars, t)) + 1
+    # the widest splits are (t, 0) and (0, t): all monomials of degree <= t
+    # plus a constant
+    return comb(t + nvars, nvars) + 1

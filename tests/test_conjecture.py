@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from typing import List, Optional, Tuple
@@ -24,6 +25,7 @@ from dysonct.laurent import ct, multinomial
 from dysonct.linalg import FIRST_PRIME, _clear_row, solve_nullspace
 from dysonct.poly import Poly
 from dysonct.ratfunc import RatFunc
+from dysonct.turbo import zero_sum_vectors
 
 
 def _vars(n):
@@ -75,11 +77,15 @@ def test_sample_grid_lower_bound_rule():
 
 
 def test_sample_grid_keeps_ansatz_finite():
-    b = (-3, 2, -1, 2)
-    factor = ansatz_factor(b)
-    for p in sample_grid(4, b, 15):
-        assert factor.num.evaluate(p) != 0
-        assert factor.den.evaluate(p) != 0
+    # the grid has no guard for the factor's zeros and poles, as it needs none
+    cases = [(-3, 2, -1, 2)] + [b for n in range(1, 5) for b in zero_sum_vectors(n, 3)]
+    for b in cases:
+        factor = ansatz_factor(b)
+        for poly in (factor.num, factor.den):
+            # the integer numerators over poly.den: zero exactly where poly is
+            terms = list(poly.coeffs.items())
+            for p in sample_grid(len(b), b, 200):
+                assert sum(c * math.prod(map(pow, p, m)) for m, c in terms), (b, p)
 
 
 def test_guess_rat_constant():
@@ -184,6 +190,21 @@ def test_ansatz_lowers_fit_degree_for_2m1m1():
     assert with_d.residual.total_degree() < with_f.R.total_degree()
 
 
+@pytest.mark.parametrize(
+    "b, use_ansatz, calls", [((2, -1, -1), False, 98), ((2, -1, -1), True, 24), ((1, 1, -1, -1, 0), True, 245)]
+)
+def test_oracle_is_called_once_at_each_grid_point_in_order(b, use_ansatz, calls):
+    # the fit samples and then the 5 fresh points are one grid prefix
+    seen = []
+
+    def oracle(n, p, b):
+        seen.append(p)
+        return ct(n, p, b)
+
+    guess_dyson(len(b), b, use_ansatz=use_ansatz, oracle=oracle)
+    assert seen == sample_grid(len(b), b, calls)
+
+
 def test_guess_exhausted_carries_samples():
     with pytest.raises(GuessExhausted) as info:
         guess_dyson(3, (2, -1, -1), max_t=0)
@@ -203,13 +224,21 @@ def test_pole_at_fresh_point_fails_validation():
     first_fresh = sample_grid(3, b, 14)[-1]
     K = sum(w * x for w, x in zip(weights, first_fresh))
 
+    seen = []
+
     def oracle(n, p, b):
+        seen.append(p)
         L = sum(w * x for w, x in zip(weights, p)) - K
         return multinomial(p) * Fraction(1, L) if L else 0
 
     with pytest.raises(GuessExhausted):
         guess_dyson(3, b, max_t=1, use_ansatz=False, oracle=oracle)
+    seen.clear()
     form, details = guess_dyson_with_details(3, b, max_t=3, use_ansatz=False, oracle=oracle)
+    # all 5 fresh points of the failed check are drawn, though it stops at the
+    # first: the t = 2 fit samples the 6 grid points after them
+    grid = sample_grid(3, b, 29)
+    assert seen == grid[:13] + grid[18:]
     a = _vars(3)
     L = a[0] + 10 * a[1] + 100 * a[2] - Poly.const(3, K)
     assert form.R == RatFunc.make(Poly.const(3, 1), L)

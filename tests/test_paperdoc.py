@@ -3,10 +3,11 @@ import re
 import pytest
 
 from conftest import latex_balanced
+from dysonct.conjecture import ClosedForm
 from dysonct.paperdoc import build_document
 from dysonct.prover import ProofCertificate, Resolver, prove
 from dysonct.ratfunc import RatFunc
-from dysonct.render import ASCII, fmt_closed_form, fmt_poly, fmt_ratfunc
+from dysonct.render import ASCII, LATEX, fmt_closed_form, fmt_poly, fmt_ratfunc
 from dysonct.poly import Poly
 
 
@@ -44,6 +45,20 @@ def test_latex_document_balance_and_content(cert_2m1m1):
     assert r"\frac{a_{2} a_{3} (2+2a_{1}+a_{2}+a_{3}) (a_{1}+a_{2}+a_{3})!}" in doc
     assert r"\begin{gather*}" in doc and r"\end{gather*}" in doc
     assert r"\frac{a_{3}(a_{3}-1)}{2}" in doc
+
+
+def test_latex_closed_form_parenthesizes_an_expanded_sum():
+    # R's numerator for <2,-2,0> does not factor; bare, the multinomial's
+    # (a_1+a_2+a_3)! would multiply only its last term
+    doc = build_document(prove(3, (2, -2, 0), Resolver()), "latex")
+    assert latex_balanced(doc)
+    assert r"= \frac{(a_{1} a_{2}^{2} - a_{1} a_{2} a_{3} - a_{2}^{2} a_{3} - " in doc
+    assert r" - a_{2}) (a_{1}+a_{2}+a_{3})!}{(2+a_{1}+a_{3}) (1+a_{1}+a_{3}) (1+a_{1}) a_{1}!\, " in doc
+    # a denominator too; factored pieces stay bare
+    a1, a2 = Poly.variable(2, 0), Poly.variable(2, 1)
+    form = ClosedForm(2, (0, 0), RatFunc.make(a1, a1 * a1 + a2 + Poly.const(2, 1)))
+    expected = r"\frac{a_{1} (a_{1}+a_{2})!}{(a_{1}^{2} + a_{2} + 1) a_{1}!\, a_{2}!}"
+    assert fmt_closed_form(form, LATEX) == expected
 
 
 def test_zero_form_document_is_short():
