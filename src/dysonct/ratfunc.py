@@ -154,10 +154,10 @@ class RatFunc:
 
     @classmethod
     def from_json(cls, nvars: int, data: Mapping) -> "RatFunc":
-        return cls(
-            Poly.from_json_terms(nvars, data["num_terms"]),
-            Poly.from_json_terms(nvars, data["den_terms"]),
-        )
+        den = Poly.from_json_terms(nvars, data["den_terms"])
+        if den.is_zero():
+            raise ZeroDivisionError("zero denominator")
+        return cls(Poly.from_json_terms(nvars, data["num_terms"]), den)
 
     def __repr__(self) -> str:
         return f"RatFunc({self.num!r} / {self.den!r})"

@@ -4,10 +4,14 @@ The store file is a versioned, human-inspectable archive: one entry per
 (n, b) with the canonical serialized rational function, how the entry was
 obtained (guessed / permuted / reduced / base), and the full certificate
 tree.  Saving is deterministic (sorted entries, sorted keys), so re-saving a
-loaded store reproduces the file byte for byte; writes go through a lock
-file so concurrent commands cannot interleave, and replace the file
-atomically, so a failed or interrupted save leaves the old file as it was;
-a save that returns has synced both the file and its directory.
+loaded store reproduces the file byte for byte.  The file holds the bytes of
+``json.dumps(data, indent=2, sort_keys=True)`` plus a trailing newline:
+2-space indent, keys sorted, every non-ASCII character as a JSON escape.
+``_json_text`` writes them without json's pure-Python indent encoder.
+Writes go through a lock file so concurrent commands cannot interleave, and
+replace the file atomically, so a failed or interrupted save leaves the old
+file as it was; a save that returns has synced both the file and its
+directory.  The file is read and written as UTF-8.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import json
 import os
 import time
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _encode_str
 from typing import Dict, Iterator, Optional, Tuple
 
 from .conjecture import ClosedForm
@@ -50,10 +55,15 @@ class StoreEntry:
 
     @classmethod
     def from_json(cls, data: dict) -> "StoreEntry":
-        form = ClosedForm.from_json({"n": data["n"], "b": data["b"], "R": data["R"]})
+        n, b = data["n"], data["b"]
+        if type(n) is not int or n < 2:
+            raise ValueError(f"n must be an int >= 2, not {n!r}")
+        if type(b) is not list or len(b) != n or any(type(x) is not int for x in b):
+            raise ValueError(f"b must be a list of {n} ints, not {b!r}")
+        form = ClosedForm.from_json({"n": n, "b": b, "R": data["R"]})
         return cls(
-            n=data["n"],
-            b=tuple(data["b"]),
+            n=n,
+            b=form.b,
             form=form,
             provenance=data["provenance"],
             certificate=data["certificate"],
@@ -97,7 +107,7 @@ class ResultStore:
         }
 
     def save(self, path: str) -> None:
-        payload = json.dumps(self.to_json(), indent=2, sort_keys=True) + "\n"
+        payload = _json_text(self.to_json()) + "\n"
         with _locked(path):
             try:
                 _replace_file(path, payload)
@@ -108,11 +118,11 @@ class ResultStore:
     def load(cls, path: str) -> "ResultStore":
         store = cls()
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 data = json.load(fh)
         except FileNotFoundError:
             return store
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise StoreIOError(f"cannot read store {path}: {exc}") from exc
         version = data.get("version") if isinstance(data, dict) else None
         if version != SCHEMA_VERSION:
@@ -131,6 +141,38 @@ class ResultStore:
         return store
 
 
+def _json_text(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+
+    Each list or dict is one join over its items' texts, which are indented
+    by ``newline`` plus two spaces; ints, strings and bools take the C-level
+    fast paths, and any other scalar goes through ``json.dumps``, which
+    raises ``TypeError`` for a value json cannot encode.  Containers are
+    plain lists and dicts with string keys, as ``json.loads`` returns them
+    and every ``to_json`` builds them.
+    """
+    kind = type(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is list:
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        items = [_json_text(item, inner) for item in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        items = [_encode_str(k) + ": " + _json_text(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if kind is bool:
+        return "true" if value else "false"
+    return json.dumps(value)
+
+
 def _replace_file(path: str, payload: str) -> None:
     """Write ``payload`` to a temporary file beside ``path``, make it durable,
     then rename it onto ``path`` and sync the directory, so that the rename
@@ -138,7 +180,7 @@ def _replace_file(path: str, payload: str) -> None:
     is theirs alone; on a failure before the rename it is removed again."""
     tmp = path + ".tmp"
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(payload)
             fh.flush()
             os.fsync(fh.fileno())

@@ -163,6 +163,12 @@ def test_malformed_store_entry_exit_code(tmp_path, capsys):
     assert "malformed entry 0" in capsys.readouterr().err
 
 
+def test_store_that_is_not_utf8_exit_code(tmp_path, capsys):
+    (tmp_path / "s.json").write_bytes(b'{"version": 1, "entries": [\xff]}')
+    assert main(["turbo", "-n", "2", "-C", "1", "--store", "s.json"]) == EXIT_IO
+    assert "cannot read store s.json" in capsys.readouterr().err
+
+
 def test_unexpected_exception_exit_code(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise RuntimeError("simulated defect")

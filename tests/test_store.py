@@ -1,11 +1,20 @@
 import json
+import math
 import os
+import random
 
 import pytest
 
 import dysonct.store as store_module
 from dysonct.prover import Resolver, prove
-from dysonct.store import ResultStore, StoreEntry, StoreIOError, _locked, store_path
+from dysonct.store import (
+    ResultStore,
+    StoreEntry,
+    StoreIOError,
+    _json_text,
+    _locked,
+    store_path,
+)
 from dysonct.turbo import turbo_dyson
 
 
@@ -52,9 +61,10 @@ def test_version_mismatch_rejected(tmp_path):
 
 def test_corrupt_json_rejected(tmp_path):
     path = tmp_path / "bad.json"
-    path.write_text("{not json")
-    with pytest.raises(StoreIOError):
-        ResultStore.load(str(path))
+    for raw in (b"{not json", b'{"version": 1, "entries": [\xff]}'):
+        path.write_bytes(raw)
+        with pytest.raises(StoreIOError, match="cannot read store"):
+            ResultStore.load(str(path))
 
 
 def test_store_path_resolution(monkeypatch):
@@ -163,11 +173,77 @@ def _write_store_with_entry(path, mutate):
     [
         lambda entry: entry.pop("provenance"),
         lambda entry: entry["R"].__setitem__("num_terms", [[1, 1]]),
+        lambda entry: entry.__setitem__("b", entry["b"][:-1]),
+        lambda entry: entry.__setitem__("b", [float(x) for x in entry["b"]]),
+        lambda entry: entry["R"].__setitem__("den_terms", []),
     ],
-    ids=["missing-key", "bad-term-list"],
+    ids=["missing-key", "bad-term-list", "short-b", "float-b", "zero-denominator"],
 )
 def test_malformed_entry_rejected(tmp_path, mutate):
     path = tmp_path / "bad.json"
     _write_store_with_entry(path, mutate)
     with pytest.raises(StoreIOError, match="malformed entry 1"):
         ResultStore.load(str(path))
+
+
+def _stdlib_text(value):
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+_TRICKY_CHARACTERS = ['"', "\\", "\n", "\x00", "\u00e9", "\u2028", "\U0001d49f", "a", "k"]
+
+
+def _random_text(rng):
+    return "".join(rng.choice(_TRICKY_CHARACTERS) for _ in range(rng.randrange(4)))
+
+
+def _random_value(rng, depth):
+    """A nested value of the types json.loads returns, empty containers included."""
+    kind = rng.randrange(9 if depth else 6)
+    if kind == 0:
+        return rng.randrange(-(2**70), 2**70)
+    if kind == 1:
+        return _random_text(rng)
+    if kind == 2:
+        return rng.choice([True, False, None])
+    if kind == 3:
+        return rng.choice([0.5, -0.0, 1e300, 5e-324, math.inf, -math.inf, math.nan])
+    if kind == 4:
+        return []
+    if kind == 5:
+        return {}
+    if kind in (6, 7):
+        return [_random_value(rng, depth - 1) for _ in range(rng.randrange(1, 4))]
+    return {_random_text(rng): _random_value(rng, depth - 1) for _ in range(rng.randrange(1, 4))}
+
+
+def test_writer_matches_json_dumps_on_stores(tmp_path):
+    store = turbo_dyson(3, 2).store
+    path = tmp_path / "s.json"
+    store.save(str(path))
+    for data in (store.to_json(), ResultStore.load(str(path)).to_json(), ResultStore().to_json()):
+        assert _json_text(data) == _stdlib_text(data)
+    assert path.read_text(encoding="utf-8") == _stdlib_text(store.to_json()) + "\n"
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_writer_matches_json_dumps_on_random_values(seed):
+    rng = random.Random(seed)
+    value = [_random_value(rng, 4) for _ in range(30)]
+    assert _json_text(value) == _stdlib_text(value)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [2**100, -(2**100), True, False, None, -0.0, 1e300, 5e-324, math.nan, math.inf, -math.inf],
+)
+def test_writer_matches_json_dumps_on_scalars(value):
+    assert _json_text(value) == _stdlib_text(value)
+    assert _json_text([value, {"v": value}]) == _stdlib_text([value, {"v": value}])
+
+
+def test_writer_rejects_what_json_dumps_rejects():
+    with pytest.raises(TypeError):
+        _stdlib_text({"v": {1, 2}})
+    with pytest.raises(TypeError):
+        _json_text({"v": {1, 2}})
