@@ -10,17 +10,20 @@ is expanded one variable at a time.  The two factors of each unordered pair
 Only the pair factors of x_1 are expanded, and only their terms that land
 on the target x_1-exponent are kept.  Each such term leaves an (n-1)-variable
 instance over x_2..x_n with shifted targets, whose coefficient is computed
-the same way; every sub-instance is memoized in the one cache, so the
-arrangements sampled by a fit share their (n-1)- and (n-2)-variable
-constant terms.  Coefficients are arbitrary-precision integers throughout,
-so nothing can overflow.
+the same way.  Coefficients are arbitrary-precision integers throughout, so
+nothing can overflow.
 
 The constant term is unchanged when the pairs (a_i, b_i) are relabeled
 together, so every instance is first reduced to one canonical arrangement:
-the pairs sorted ascending.  That arrangement is the key of the top-level
-cache entry and also the elimination order, so the variables with the
-smallest exponents are peeled off first.  Also here: the symbolic Taylor
-coefficients P_k used by the boundary conditions of the proof engine.
+the pairs sorted ascending.  That arrangement is the elimination order, so
+the variables with the smallest exponents are peeled off first, and its
+exponent vector a is the key of the one cache.  An entry holds a's pair
+rows, built once, and every target computed for a so far, by a top-level
+call or as a sub-instance, stored by line: b[:-2], then b[-2] (b[-1] is
+fixed by the zero sum).  So the arrangements sampled by a fit share their
+(n-1)- and (n-2)-variable constant terms, and the innermost loop of the
+expansion reads all its terms from one line.  Also here: the symbolic
+Taylor coefficients P_k used by the boundary conditions of the proof engine.
 """
 
 from __future__ import annotations
@@ -85,25 +88,60 @@ def _signed_row(ah: int, aj: int) -> List[int]:
     return [-comb(s, k) if (k - ah) & 1 else comb(s, k) for k in range(s + 1)]
 
 
+class _Family:
+    """The cache entry of one sorted exponent vector a, n >= 3.
+
+    ``rows`` are a's pair rows, built once: _signed_row(a_0, a_j) for each
+    partner j of the first variable, and at n = 3 also the row of the pair
+    (1, 2), whose two-variable sub-instances are read from it.  ``lines``
+    holds every target computed so far, stored by line:
+    ``lines[b[:-2]][b[-2]]`` is the constant term at b, whose last entry is
+    fixed by sum(b) = 0.
+    """
+
+    __slots__ = ("rows", "lines")
+
+    def __init__(self, a: Tuple[int, ...]):
+        a0 = a[0]
+        self.rows = [_signed_row(a0, aj) for aj in a[1:]]
+        if len(a) == 3:
+            self.rows.append(_signed_row(a[1], a[2]))
+        self.lines: Dict[Tuple[int, ...], Dict[int, int]] = {}
+
+
+# maxsize bounds exponent vectors, not targets: one entry holds every target
+# computed for its vector, so clearing the cache drops every value and row
 @lru_cache(maxsize=200000)
-def _ct_cached(n: int, a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
-    # Callers pass the canonical arrangement (see ct); the recursion itself
-    # is correct for any arrangement.  Only the pair factors (0, j) are
-    # expanded: summand m_j in [-a_0, a_j] contributes rows[j][a_0 + m_j]
-    # and x_0^{m_j} x_j^{-m_j}.  The slice x_0^{b_0} has sum m_j = b_0 and
-    # leaves the sub-instance (n - 1, a[1:], b[1:] + m), looked up in this
-    # same cache; a[1:] is sorted whenever a is.
-    if sum(b):
-        return 0
-    if n == 1:
-        return 1
+def _ct_cached(n: int, a: Tuple[int, ...]) -> _Family:
+    return _Family(a)
+
+
+def _expand(n: int, a: Tuple[int, ...], rows: List[List[int]], b: Tuple[int, ...]) -> int:
+    """Constant term at (n, a, b) for n >= 3 and sum(b) = 0, uncached.
+
+    ``rows`` are the family rows of ``a`` (see _Family).  Callers pass the
+    canonical arrangement (see ct); the expansion itself is correct for any
+    arrangement.  Only the pair factors (0, j) are expanded: summand m_j in
+    [-a_0, a_j] contributes rows[j][a_0 + m_j] and x_0^{m_j} x_j^{-m_j}.  The
+    slice x_0^{b_0} has sum m_j = b_0 and leaves the zero-sum sub-instance
+    (n - 1, a[1:], b[1:] + m), read from the family of a[1:] (sorted
+    whenever a is) and computed there on a miss.
+    """
     a0, highs, tail = a[0], a[1:], b[1:]
-    if n == 2:
-        # the single pair factor: one entry of _signed_row(a0, highs[0])
-        if not -a0 <= b[0] <= highs[0]:
-            return 0
-        return (-1 if b[0] & 1 else 1) * comb(a0 + highs[0], a0 + b[0])
-    rows = [_signed_row(a0, aj) for aj in highs]
+    if n == 3:
+        # the sub-instances have two variables: entry h0 + k of the pair
+        # row (1, 2) is the constant term at (k, -k), zero off the row
+        row0, row1, row12 = rows
+        h0, h1 = highs
+        b0, b1 = b[0], tail[0]
+        lo = max(-a0, b0 - h1, -h0 - b1)
+        hi = min(h0, b0 + a0, h1 - b1)
+        total = 0
+        for m in range(lo, hi + 1):
+            total += row0[a0 + m] * row1[a0 + b0 - m] * row12[h0 + b1 + m]
+        return total
+    sub = _ct_cached(n - 1, highs)
+    sub_rows, sub_lines = sub.rows, sub.lines
     last = n - 2
     # upper bounds on the m-sum over partners idx..last, for pruning
     suffix_hi = [sum(highs[i:]) for i in range(last + 2)]
@@ -115,11 +153,16 @@ def _ct_cached(n: int, a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
         row, e = rows[idx], tail[idx]
         total = 0
         if idx == last - 1:
-            # the last partner takes the whole remaining need
+            # the last partner takes the whole remaining need; every term
+            # of this loop lies on the sub-instance's line ``shifted``
             row_l, e_l = rows[last], tail[last] + need
+            line = sub_lines.setdefault(shifted, {})
             for m in range(lo, hi + 1):
-                sub = _ct_cached(n - 1, highs, shifted + (e + m, e_l - m))
-                total += row[a0 + m] * row_l[a0 + need - m] * sub
+                k = e + m
+                value = line.get(k)
+                if value is None:
+                    value = line[k] = _expand(n - 1, highs, sub_rows, shifted + (k, e_l - m))
+                total += row[a0 + m] * row_l[a0 + need - m] * value
             return total
         for m in range(lo, hi + 1):
             total += row[a0 + m] * walk(idx + 1, need - m, shifted + (e + m,))
@@ -133,13 +176,17 @@ def ct(n: int, a, b) -> int:
     and b of length n and every a_i nonnegative (ValueError otherwise).
 
     Equivalently the constant term of F_n(x; a; b); computed by exact
-    expansion, one variable at a time, as a memoized recursion on
-    sub-instances with one variable fewer.  Relabeling the pairs (a_i, b_i)
-    together leaves the constant term unchanged, so the pairs are first
-    sorted ascending (by a_i, then b_i).  That canonical arrangement is both
-    the cache key, shared by every relabeling, and the elimination order:
+    expansion, one variable at a time, as a recursion on sub-instances with
+    one variable fewer.  Relabeling the pairs (a_i, b_i) together leaves the
+    constant term unchanged, so the pairs are first sorted ascending (by
+    a_i, then b_i).  That canonical arrangement is the elimination order:
     the variable with the smallest exponent is peeled off first, which keeps
-    its pair rows short, and its sub-instances stay sorted.
+    its pair rows short, and its sub-instances stay sorted.  The cache
+    ``_ct_cached`` holds one entry per sorted exponent vector (n >= 3): its
+    pair rows, and every target computed for it, by this call or as a
+    sub-instance, stored by line.  So every relabeling and every fit sample
+    with the same a shares one entry, and the samples share their (n-1)- and
+    (n-2)-variable constant terms.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -148,7 +195,23 @@ def ct(n: int, a, b) -> int:
     if any(ai < 0 for ai in a):
         raise ValueError("all a_i must be nonnegative")
     a, b = zip(*sorted(zip(a, b)))
-    return _ct_cached(n, a, b)
+    # before any lookup: a target off the zero-sum plane shares its line key
+    # with targets on it
+    if sum(b):
+        return 0
+    if n == 1:
+        return 1
+    if n == 2:
+        # the single pair factor: one entry of _signed_row(a[0], a[1])
+        if not -a[0] <= b[0] <= a[1]:
+            return 0
+        return (-1 if b[0] & 1 else 1) * comb(a[0] + a[1], a[0] + b[0])
+    family = _ct_cached(n, a)
+    line = family.lines.setdefault(b[:-2], {})
+    value = line.get(b[-2])
+    if value is None:
+        value = line[b[-2]] = _expand(n, a, family.rows, b)
+    return value
 
 
 # ----------------------------------------------------------------------

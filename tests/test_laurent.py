@@ -5,8 +5,11 @@ from typing import Dict, Tuple
 import pytest
 
 from conftest import literal_ct
+from dysonct import laurent
 from dysonct.laurent import (
     _ct_cached,
+    _expand,
+    _Family,
     _signed_row,
     ct,
     multinomial,
@@ -75,22 +78,22 @@ def _zero_sum(n, bound):
 
 
 def test_raw_dp_is_invariant_under_relabeling():
-    # the kernel itself, bypassing the canonical arrangement and the cache:
-    # every arrangement of the pairs (a_i, b_i) must give the literal value
-    raw = _ct_cached.__wrapped__
-    cases = [
-        (n, a, b)
-        for n in (2, 3)
-        for a in itertools.product(range(3), repeat=n)
-        for b in _zero_sum(n, 2)
-    ]
+    # the uncached kernel itself, bypassing the canonical arrangement and the
+    # top-level lookup: every arrangement of the pairs (a_i, b_i) must give
+    # the literal value; its sub-instances are read from the families of the
+    # unsorted tails.  At n = 2 there is no kernel: ct sorts first and reads
+    # the closed form, checked on every arrangement by
+    # test_against_literal_expansion
+    _ct_cached.cache_clear()
+    cases = [(3, a, b) for a in itertools.product(range(3), repeat=3) for b in _zero_sum(3, 2)]
     cases += [(4, a, b) for a in itertools.product(range(2), repeat=4) for b in _zero_sum(4, 1)]
     for n, a, b in cases:
         expected = literal_ct(n, a, b)
         for perm in itertools.permutations(range(n)):
             pa = tuple(a[p] for p in perm)
             pb = tuple(b[p] for p in perm)
-            assert raw(n, pa, pb) == expected, (n, pa, pb)
+            assert _expand(n, pa, _Family(pa).rows, pb) == expected, (n, pa, pb)
+    _ct_cached.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -113,8 +116,9 @@ def test_all_arrangements_share_one_cache_entry(a, b):
 
 
 def _forward_dp_ct(n: int, a: Tuple[int, ...], b: Tuple[int, ...]) -> int:
-    """Reference oracle: the forward-elimination DP that the memoized
-    recursion in ``_ct_cached`` replaced, kept verbatim (without the cache)."""
+    """Reference oracle: the forward-elimination DP that the recursion on
+    sub-instances (``laurent._expand``) replaced, kept verbatim (without the
+    cache)."""
     # Callers pass the canonical arrangement (see ct); the DP itself is
     # correct for any arrangement.  DP state: accumulated exponents of the
     # still-active variables h..n-1, mapped to integer coefficients.  Processing variable h absorbs every pair factor (h, j),
@@ -191,6 +195,66 @@ def test_sub_instances_live_in_the_one_cache():
     ct(5, (2, 3, 4, 5, 6), (1, 1, -1, -1, 0))
     info = _ct_cached.cache_info()
     assert info.misses > 0 and info.currsize > 1
+
+
+def test_recursion_matches_forward_dp_at_line_ends():
+    # larger entries than the guess grid; each line b[:-2] is read at both
+    # ends of the range where x_4 and x_5 can reach their exponents, and one
+    # step beyond, where the pruned m-ranges are empty; the head (27, 0, 0)
+    # is out of x_1's reach (27 > 5 + 6 + 7 + 8), so its whole line is zero
+    a = (4, 5, 6, 7, 8)
+    for head in [(3, -2, 1), (-16, 2, 2), (22, 0, 0), (27, 0, 0)]:
+        s = sum(head)
+        lo = max(-4 * a[3], -s - (sum(a) - a[4]))
+        hi = min(sum(a) - a[3], -s + 4 * a[4])
+        nonzero = []
+        for k in (lo - 1, lo, lo + 1, hi - 1, hi, hi + 1):
+            b = head + (k, -s - k)
+            expected = _forward_dp_ct(5, a, b)
+            assert ct(5, a, b) == expected, b
+            nonzero.append(expected != 0)
+        assert nonzero == ([False] * 6 if head[0] == 27 else [False] + [True] * 4 + [False])
+
+
+def test_cache_clear_drops_every_value_and_row(monkeypatch):
+    # count the kernel's expansions and the binomials its rows are built
+    # from: a cold call after cache_clear must redo all of them, a warm call
+    # none
+    counts = {"expand": 0, "comb": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(laurent, "_expand", counted("expand", laurent._expand))
+    monkeypatch.setattr(laurent, "comb", counted("comb", laurent.comb))
+    a, b = (2, 3, 4, 5, 6), (1, 1, -1, -1, 0)
+    cold = []
+    for _ in range(2):
+        _ct_cached.cache_clear()
+        assert _ct_cached.cache_info().currsize == 0
+        counts.update(expand=0, comb=0)
+        assert ct(5, a, b) == _forward_dp_ct(5, a, b)
+        cold.append((_ct_cached.cache_info().misses, counts["expand"], counts["comb"]))
+    assert cold[0] == cold[1] and min(cold[0]) > 0
+    counts.update(expand=0, comb=0)
+    ct(5, a, b)
+    assert counts == {"expand": 0, "comb": 0}
+
+
+def test_off_plane_target_is_not_read_from_its_line():
+    # (1, 0, 0) has the line key and b[-2] of the stored (0, 0, 0)
+    _ct_cached.cache_clear()
+    assert ct(3, (1, 1, 1), (0, 0, 0)) == 6
+    assert ct(3, (1, 1, 1), (1, 0, 0)) == 0
+
+
+@pytest.mark.parametrize("a", [0, 1, 7])
+def test_one_variable(a):
+    assert ct(1, (a,), (0,)) == 1
+    assert ct(1, (a,), (1,)) == 0
 
 
 def test_zero_sum_law():
