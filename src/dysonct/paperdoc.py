@@ -20,6 +20,7 @@ from .prover import ProofCertificate
 from .render import (
     ASCII,
     LATEX,
+    Style,
     fmt_b_vector,
     fmt_c_symbol,
     fmt_closed_form,
@@ -36,16 +37,12 @@ class _Notation:
     """How one output format spells the parts of a document.  Every template
     takes one ``str.format`` argument."""
 
-    style: str  # the render style of every formula
+    style: Style  # spells every formula
     section: str
     subsection: str
     label: str
     math: str  # inline formula
-    bold: str  # vector symbol
-    sub: str  # subscript
-    geq: str
     qed: str
-    coeff_sep: str  # between a boundary coefficient and its c-symbol
     gloss: str  # opens the sentence that follows the statement display
     punctuates: bool  # whether a formula ending a sentence takes its stop
     display_one: Tuple[str, str]  # opens and closes a display of one row
@@ -71,8 +68,7 @@ class _Notation:
 _NOTATIONS = {
     "markdown": _Notation(
         style=ASCII, section="# {}", subsection="## {}", label="**{}.**",
-        math="{}", bold="{}", sub="_{}",
-        geq=">=", qed="QED", coeff_sep=" ", gloss="where",
+        math="{}", qed="QED", gloss="where",
         punctuates=False, display_one=("", ""), display_many=("", ""),
         display_indent="    ", row_end="",
         list_open=("",), sublist_open=(), list_close=(), item="- {}",
@@ -82,8 +78,7 @@ _NOTATIONS = {
     "latex": _Notation(
         style=LATEX, section=r"\section*{{{}}}", subsection=r"\subsection*{{{}}}",
         label=r"\noindent\textbf{{{}.}}",
-        math="${}$", bold=r"\mathbf{{{}}}", sub="_{{{}}}",
-        geq=r"\geq", qed=r"\qed", coeff_sep=r"\, ", gloss="Here",
+        math="${}$", qed=r"\qed", gloss="Here",
         punctuates=True, display_one=(r"\[", r"\]"),
         display_many=(r"\begin{gather*}", r"\end{gather*}"),
         display_indent="", row_end=r" \\",
@@ -112,7 +107,7 @@ def build_document(cert: ProofCertificate, fmt: str = "markdown") -> str:
 def _document(cert: ProofCertificate, nota: _Notation) -> List[str]:
     form, style = cert.form, nota.style
     n, b = form.n, form.b
-    math, label, bold = nota.math.format, nota.label.format, nota.bold.format
+    math, label, bold = nota.math.format, nota.label.format, style.bold.format
     c_sym, d_sym = fmt_c_symbol(n, b, style), fmt_d_symbol(n, b, style)
     conclusion = (
         f"{label('Conclusion')} The recursion, the {n} boundary identities, and the "
@@ -134,7 +129,7 @@ def _document(cert: ProofCertificate, nota: _Notation) -> List[str]:
         return lines + ["", conclusion]
 
     variables = ", ".join(math(fmt_var(i, style)) for i in range(n))
-    product = f"F{nota.sub.format(n)}({bold('x')}; {bold('a')}; {fmt_b_vector(b, style)})"
+    product = f"F_{style.group.format(n)}({bold('x')}; {bold('a')}; {fmt_b_vector(b, style)})"
     lines.append(f"{label('Statement')} For all nonnegative integers {variables},")
     lines += nota.display([f"{c_sym} = {d_sym} = {fmt_closed_form(form, style)}"], ".")
     lines += [
@@ -146,7 +141,7 @@ def _document(cert: ProofCertificate, nota: _Notation) -> List[str]:
     ]
 
     shifted = [fmt_c_symbol(n, b, style, a_text=_a_minus_e(n, i, style)) for i in range(n)]
-    lines.append(f"{label('Recursion')} For {variables} {math(f'{nota.geq} 1')},")
+    lines.append(f"{label('Recursion')} For {variables} {math(f'{style.geq} 1')},")
     lines += nota.display([f"{c_sym} = {' + '.join(shifted)}"], ",")
     lines += [
         "and the closed form satisfies the same relation (verified as an identity "
@@ -200,11 +195,11 @@ def _appendix_entry(dep: ProofCertificate, nota: _Notation) -> List[str]:
     return lines
 
 
-def _a_with_zero(n: int, k: int, style: str) -> str:
+def _a_with_zero(n: int, k: int, style: Style) -> str:
     return fmt_b_vector(["0" if i == k else fmt_var(i, style) for i in range(n)], style)
 
 
-def _a_minus_e(n: int, i: int, style: str) -> str:
+def _a_minus_e(n: int, i: int, style: Style) -> str:
     parts = [f"{fmt_var(j, style)}-1" if j == i else fmt_var(j, style) for j in range(n)]
     return fmt_b_vector(parts, style)
 
@@ -225,5 +220,5 @@ def _boundary_rhs(cert: ProofCertificate, k: int, nota: _Notation) -> str:
         elif coeff == "-1":
             pieces.append(f"-{call}")
         else:
-            pieces.append(f"{coeff}{nota.coeff_sep}{call}")
+            pieces.append(f"{coeff}{style.thin}{call}")
     return " + ".join(pieces).replace(" + -", " - ")

@@ -3,61 +3,87 @@
 Internal canonical forms are expanded and monic; for display the
 denominators (and numerators, when possible) are re-factored into the
 rising-factorial-style linear pieces the subject is usually written in, with
-a plain expanded fallback when a polynomial does not split that way.
+a plain expanded fallback when a polynomial does not split that way.  Every
+spelling that differs between plain text and LaTeX is a field of ``Style``;
+``ASCII`` and ``LATEX`` are its two values, and no function branches on which
+one it was given.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .conjecture import ClosedForm
 from .laurent import PkTerm
 from .poly import LinearForm, Poly
 from .prover import linear_factors
-from .ratfunc import RatFunc
-
-ASCII = "ascii"
-LATEX = "latex"
 
 
-def fmt_var(i: int, style: str) -> str:
-    return f"a_{{{i + 1}}}" if style == LATEX else f"a_{i + 1}"
+@dataclass(frozen=True)
+class Style:
+    """How one output style spells formulas.  A template takes ``str.format``
+    arguments in the order its comment gives."""
+
+    group: str  # the argument of a subscript or exponent
+    bold: str  # a vector symbol
+    vector: str  # a vector's comma-joined components
+    times: str  # between factors of a product
+    wide_times: str  # between R's numerator or denominator and its factorials
+    thin: str  # between the multinomial's factorials; before a boundary c-symbol
+    fraction: str  # a rational coefficient: numerator, denominator
+    over: str  # a falling factorial over its factorial
+    quotient: str  # a closed form's upper and lower halves
+    expanded: str  # a numerator or denominator that does not factor
+    negate: str  # opens a factored product whose coefficient is -1
+    geq: str
 
 
-def fmt_b_vector(b: Sequence[int], style: str) -> str:
-    inner = ",".join(str(x) for x in b)
-    if style == LATEX:
-        return rf"\langle {inner} \rangle"
-    return f"<{inner}>"
+ASCII = Style(
+    group="{}", bold="{}", vector="<{}>", times="*", wide_times=" * ", thin=" ",
+    fraction="({}/{})", over="({})/{}", quotient="{} / ({})",
+    # the benchmark references pin the bare sum and the -1 coefficient
+    expanded="{}", negate="-1*", geq=">=",
+)
+LATEX = Style(
+    group="{{{}}}", bold=r"\mathbf{{{}}}", vector=r"\langle {} \rangle", times=" ",
+    wide_times=" ", thin=r"\, ", fraction=r"\tfrac{{{}}}{{{}}}",
+    over=r"\frac{{{}}}{{{}}}", quotient=r"\frac{{{}}}{{{}}}",
+    expanded="({})", negate="-1 ", geq=r"\geq",
+)
 
 
-def fmt_coeff(c: Fraction, style: str) -> str:
+def fmt_var(i: int, style: Style) -> str:
+    return f"a_{style.group.format(i + 1)}"
+
+
+def fmt_b_vector(b: Sequence[int], style: Style) -> str:
+    return style.vector.format(",".join(str(x) for x in b))
+
+
+def fmt_coeff(c: Fraction, style: Style) -> str:
     if c.denominator == 1:
         return str(c.numerator)
-    if style == LATEX:
-        return rf"\tfrac{{{c.numerator}}}{{{c.denominator}}}"
-    return f"({c.numerator}/{c.denominator})"
+    return style.fraction.format(c.numerator, c.denominator)
 
 
-def fmt_poly(p: Poly, style: str) -> str:
+def fmt_poly(p: Poly, style: Style) -> str:
     """Expanded rendering, terms in graded-lex descending order."""
     if p.is_zero():
         return "0"
     parts: List[str] = []
     for mono, c in p.sorted_terms():
         mono_txt = _fmt_monomial(mono, style)
-        if mono_txt:
-            if c == 1:
-                term = mono_txt
-            elif c == -1:
-                term = f"-{mono_txt}"
-            else:
-                sep = " " if style == LATEX else "*"
-                term = f"{fmt_coeff(c, style)}{sep}{mono_txt}"
-        else:
+        if not mono_txt:
             term = fmt_coeff(c, style)
+        elif c == 1:
+            term = mono_txt
+        elif c == -1:
+            term = f"-{mono_txt}"
+        else:
+            term = f"{fmt_coeff(c, style)}{style.times}{mono_txt}"
         parts.append(term)
     text = parts[0]
     for term in parts[1:]:
@@ -68,23 +94,17 @@ def fmt_poly(p: Poly, style: str) -> str:
     return text
 
 
-def _fmt_monomial(mono: Tuple[int, ...], style: str) -> str:
+def _fmt_monomial(mono: Tuple[int, ...], style: Style) -> str:
     pieces = []
     for i, e in enumerate(mono):
         if e == 0:
             continue
         v = fmt_var(i, style)
-        if e == 1:
-            pieces.append(v)
-        elif style == LATEX:
-            pieces.append(f"{v}^{{{e}}}")
-        else:
-            pieces.append(f"{v}^{e}")
-    sep = " " if style == LATEX else "*"
-    return sep.join(pieces)
+        pieces.append(v if e == 1 else f"{v}^{style.group.format(e)}")
+    return style.times.join(pieces)
 
 
-def fmt_linear_form(f: LinearForm, style: str) -> str:
+def fmt_linear_form(f: LinearForm, style: Style) -> str:
     parts: List[str] = []
     if f.constant:
         parts.append(str(f.constant))
@@ -101,10 +121,9 @@ def fmt_linear_form(f: LinearForm, style: str) -> str:
     return "".join(parts) if parts else "0"
 
 
-def _factor_for_display(p: Poly, style: str) -> Optional[Tuple[Fraction, str]]:
-    """Try to render p as const * monomial * product of linear forms."""
-    if p.is_zero():
-        return None
+def _fmt_factored(p: Poly, style: Style) -> str:
+    """A nonzero p as the left factor of a product: const * monomial * linear
+    forms when it splits so, else expanded."""
     terms = p.sorted_terms()
     mins = [min(m[i] for m, _ in terms) for i in range(p.nvars)]
     core = Poly(
@@ -113,105 +132,49 @@ def _factor_for_display(p: Poly, style: str) -> Optional[Tuple[Fraction, str]]:
     )
     split = linear_factors(core)
     if split is None:
-        return None
+        return style.expanded.format(fmt_poly(p, style))
     factors, const = split
     monomial = _fmt_monomial(tuple(mins), style)
     pieces = [monomial] if monomial else []
     ordered = sorted(factors, key=lambda f: (f.coeffs, f.constant), reverse=True)
     pieces.extend(f"({fmt_linear_form(f, style)})" for f in ordered)
-    sep = " " if style == LATEX else "*"
-    return const, sep.join(pieces) if pieces else "1"
-
-
-def fmt_poly_factored(p: Poly, style: str) -> str:
-    """Factored rendering when p splits into linear pieces, expanded otherwise."""
-    factored = _fmt_factored(p, style)
-    return fmt_poly(p, style) if factored is None else factored
-
-
-def _fmt_factored(p: Poly, style: str) -> Optional[str]:
-    split = _factor_for_display(p, style)
-    if split is None:
-        return None
-    const, body = split
+    if not pieces:
+        return fmt_coeff(const, style)
+    body = style.times.join(pieces)
     if const == 1:
         return body
-    if body == "1":
-        return fmt_coeff(const, style)
-    sep = " " if style == LATEX else "*"
-    return f"{fmt_coeff(const, style)}{sep}{body}"
+    if const == -1:
+        return style.negate + body
+    return f"{fmt_coeff(const, style)}{style.times}{body}"
 
 
-def fmt_ratfunc(r: RatFunc, style: str) -> str:
-    if r.is_zero():
-        return "0"
-    num = fmt_poly_factored(r.num, style)
-    if r.den.is_constant() and r.den.constant_value() == 1:
-        return num
-    den = fmt_poly_factored(r.den, style)
-    if style == LATEX:
-        return rf"\frac{{{num}}}{{{den}}}"
-    return f"({num}) / ({den})"
-
-
-def fmt_multinomial(n: int, style: str) -> Tuple[str, str]:
-    """(numerator factorial, denominator factorials) of the multinomial."""
-    variables = [fmt_var(i, style) for i in range(n)]
-    top = "(" + "+".join(variables) + ")!"
-    if style == LATEX:
-        bottom = r"\, ".join(f"{v}!" for v in variables)
-    else:
-        bottom = " ".join(f"{v}!" for v in variables)
-    return top, bottom
-
-
-def fmt_closed_form(form: ClosedForm, style: str) -> str:
+def fmt_closed_form(form: ClosedForm, style: Style) -> str:
     """The full d_n(a; b) display: R folded with the multinomial."""
-    n = form.n
     if form.R.is_zero():
         return "0"
-    top, bottom = fmt_multinomial(n, style)
-    num = _fmt_multiplier(form.R.num, style)
-    den_trivial = form.R.den.is_constant() and form.R.den.constant_value() == 1
-    den = None if den_trivial else _fmt_multiplier(form.R.den, style)
-    if style == LATEX:
-        upper = f"{num} {top}" if num != "1" else top
-        lower = f"{den} {bottom}" if den else bottom
-        return rf"\frac{{{upper}}}{{{lower}}}"
-    upper = f"{num} * {top}" if num != "1" else top
-    lower = f"{den} * {bottom}" if den else bottom
-    return f"{upper} / ({lower})"
+    variables = [fmt_var(i, style) for i in range(form.n)]
+    top = "(" + "+".join(variables) + ")!"
+    bottom = style.thin.join(f"{v}!" for v in variables)
+    num = _fmt_factored(form.R.num, style)
+    den = _fmt_factored(form.R.den, style)
+    upper = top if num == "1" else f"{num}{style.wide_times}{top}"
+    lower = bottom if den == "1" else f"{den}{style.wide_times}{bottom}"
+    return style.quotient.format(upper, lower)
 
 
-def _fmt_multiplier(p: Poly, style: str) -> str:
-    """fmt_poly_factored for the left factor of a product.  LaTeX parenthesizes
-    the expanded fallback, a sum of two or more terms (one term always
-    factors); ASCII keeps the bare sum that the benchmark references pin."""
-    factored = _fmt_factored(p, style)
-    if factored is not None:
-        return factored
-    expanded = fmt_poly(p, style)
-    return f"({expanded})" if style == LATEX else expanded
+def fmt_d_symbol(n: int, b: Sequence[int], style: Style) -> str:
+    return f"d_{style.group.format(n)}({style.bold.format('a')}; {fmt_b_vector(b, style)})"
 
 
-def fmt_d_symbol(n: int, b: Sequence[int], style: str) -> str:
-    if style == LATEX:
-        return rf"d_{{{n}}}(\mathbf{{a}}; {fmt_b_vector(b, LATEX)})"
-    return f"d_{n}(a; {fmt_b_vector(b, ASCII)})"
-
-
-def fmt_c_symbol(n: int, b: Sequence[int], style: str, a_text: str | None = None) -> str:
+def fmt_c_symbol(n: int, b: Sequence[int], style: Style, a_text: str | None = None) -> str:
     if a_text is None:
-        a_text = r"\mathbf{a}" if style == LATEX else "a"
-    if style == LATEX:
-        return rf"c_{{{n}}}({a_text}; {fmt_b_vector(b, LATEX)})"
-    return f"c_{n}({a_text}; {fmt_b_vector(b, ASCII)})"
+        a_text = style.bold.format("a")
+    return f"c_{style.group.format(n)}({a_text}; {fmt_b_vector(b, style)})"
 
 
-def fmt_pk_coeff(term: PkTerm, others: Sequence[int], style: str) -> str:
+def fmt_pk_coeff(term: PkTerm, others: Sequence[int], style: Style) -> str:
     """Render prod (-1)^{m_i} C(a_i, m_i) in falling-factorial style,
     e.g. m = (2, 0) over (a_2, a_3) -> a_2(a_2-1)/2."""
-    sign = -1 if sum(term.m) % 2 else 1
     num_pieces: List[str] = []
     den = 1
     for var, mi in zip(others, term.m):
@@ -223,10 +186,5 @@ def fmt_pk_coeff(term: PkTerm, others: Sequence[int], style: str) -> str:
         den *= factorial(mi)
     body = " ".join(num_pieces) if num_pieces else "1"
     if den > 1:
-        if style == LATEX:
-            body = rf"\frac{{{body}}}{{{den}}}"
-        else:
-            body = f"({body})/{den}"
-    if sign < 0:
-        body = f"-{body}"
-    return body
+        body = style.over.format(body, den)
+    return f"-{body}" if sum(term.m) % 2 else body

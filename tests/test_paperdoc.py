@@ -7,7 +7,7 @@ from dysonct.conjecture import ClosedForm
 from dysonct.paperdoc import build_document
 from dysonct.prover import ProofCertificate, Resolver, prove
 from dysonct.ratfunc import RatFunc
-from dysonct.render import ASCII, LATEX, fmt_closed_form, fmt_poly, fmt_ratfunc
+from dysonct.render import ASCII, LATEX, fmt_closed_form, fmt_poly
 from dysonct.poly import Poly
 
 
@@ -112,8 +112,8 @@ def test_displays_rederivable_from_certificate(cert_2m1m1):
 
 def test_render_fallback_for_nonsplitting_polys():
     a1, a2 = Poly.variable(2, 0), Poly.variable(2, 1)
-    r = RatFunc.make(Poly.const(2, 1), a1 * a1 + a2 + Poly.const(2, 1))
-    text = fmt_ratfunc(r, ASCII)
+    form = ClosedForm(2, (0, 0), RatFunc.make(Poly.const(2, 1), a1 * a1 + a2 + Poly.const(2, 1)))
+    text = fmt_closed_form(form, ASCII)
     assert "a_1^2" in text  # expanded, not factored
     assert fmt_poly(Poly.zero(2), ASCII) == "0"
 
