@@ -48,6 +48,12 @@ def _int_list(text: str) -> Tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
 
+def _nonnegative_int(text: str) -> int:
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="dysonct", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -60,7 +66,7 @@ def _build_parser() -> _Parser:
     p_guess = sub.add_parser("guess", help="conjecture a closed form for d_n(a; b)")
     p_guess.add_argument("-n", type=int, required=True)
     p_guess.add_argument("-b", type=_int_list, required=True, metavar="B1,B2,...")
-    p_guess.add_argument("--max-t", type=int, default=DEFAULT_MAX_T, dest="max_t")
+    p_guess.add_argument("--max-t", type=_nonnegative_int, default=DEFAULT_MAX_T, dest="max_t")
     p_guess.add_argument("--no-ansatz", action="store_true")
 
     for name in ("prove", "write-paper"):
@@ -70,13 +76,13 @@ def _build_parser() -> _Parser:
         p.add_argument("--format", choices=("markdown", "latex"), default="markdown")
         p.add_argument("--out", default=None, help="output path for the document")
         p.add_argument("--store", default=None, help="result store path")
-        p.add_argument("--max-t", type=int, default=DEFAULT_MAX_T, dest="max_t")
+        p.add_argument("--max-t", type=_nonnegative_int, default=DEFAULT_MAX_T, dest="max_t")
 
     p_turbo = sub.add_parser("turbo", help="derive all closed forms up to a complexity")
     p_turbo.add_argument("-n", type=int, required=True)
-    p_turbo.add_argument("-C", type=int, required=True, dest="complexity")
+    p_turbo.add_argument("-C", type=_nonnegative_int, required=True, dest="complexity")
     p_turbo.add_argument("--store", default=None, help="result store path")
-    p_turbo.add_argument("--max-t", type=int, default=DEFAULT_MAX_T, dest="max_t")
+    p_turbo.add_argument("--max-t", type=_nonnegative_int, default=DEFAULT_MAX_T, dest="max_t")
 
     return parser
 
@@ -212,8 +218,6 @@ def _cmd_prove(args) -> int:
 def _cmd_turbo(args) -> int:
     if args.n < 2:
         raise _UsageError("turbo requires n >= 2")
-    if args.complexity < 0:
-        raise _UsageError("-C must be nonnegative")
     path = store_path(args.store)
     store = ResultStore.load(path)
     resolver = Resolver(max_t=args.max_t)

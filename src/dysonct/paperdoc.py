@@ -7,7 +7,8 @@ conclusion, and an appendix with the tree of lower-level closed forms the
 boundary checks used.  Everything displayed is re-derived from the
 certificate and the deterministic expansion machinery, never free-typed.
 There is one document structure, ``_document``; each output format is a
-``_Notation`` that spells its headings, labels, math, displays and lists.
+``_Notation`` that spells its headings, labels, math, displays and lists,
+and names the ``render.Style`` that spells its formulas.
 """
 
 from __future__ import annotations
@@ -215,10 +216,8 @@ def _boundary_rhs(cert: ProofCertificate, k: int, nota: _Notation) -> str:
     for term in expansion.terms:
         coeff = fmt_pk_coeff(term, others, style)
         call = fmt_c_symbol(n - 1, term.shifted_b, style, a_text=a_hat)
-        if coeff == "1":
+        if coeff == "1":  # m = 0, an even sign; a bare -1 cannot occur
             pieces.append(call)
-        elif coeff == "-1":
-            pieces.append(f"-{call}")
         else:
             pieces.append(f"{coeff}{style.thin}{call}")
     return " + ".join(pieces).replace(" + -", " - ")

@@ -51,7 +51,7 @@ LATEX = Style(
     group="{{{}}}", bold=r"\mathbf{{{}}}", vector=r"\langle {} \rangle", times=" ",
     wide_times=" ", thin=r"\, ", fraction=r"\tfrac{{{}}}{{{}}}",
     over=r"\frac{{{}}}{{{}}}", quotient=r"\frac{{{}}}{{{}}}",
-    expanded="({})", negate="-1 ", geq=r"\geq",
+    expanded="({})", negate="-", geq=r"\geq",
 )
 
 

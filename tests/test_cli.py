@@ -66,6 +66,31 @@ def test_guess_gives_up_cleanly(capsys):
     assert "samples" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["guess", "-n", "3", "-b", "2,-1,-1", "--max-t", "-1"],
+        ["prove", "-n", "3", "-b", "2,-1,-1", "--max-t", "-1"],
+        ["write-paper", "-n", "3", "-b", "2,-1,-1", "--max-t", "-1"],
+        ["turbo", "-n", "3", "-C", "1", "--max-t", "-1"],
+        ["turbo", "-n", "3", "-C", "-1"],
+    ],
+    ids=["guess", "prove", "write-paper", "turbo", "turbo-complexity"],
+)
+def test_negative_degree_budget_or_complexity_is_a_usage_error(
+    tmp_path, monkeypatch, capsys, argv
+):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started despite a negative argument")
+
+    for name in ("guess_dyson", "prove", "turbo_dyson", "ResultStore"):
+        monkeypatch.setattr(cli, name, no_work)
+    assert main(argv) == EXIT_USAGE
+    flag = argv[-2]
+    assert f"{flag}: expected a nonnegative integer, got '-1'" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_prove_writes_document_and_store(tmp_path, capsys):
     code = main(["prove", "-n", "3", "-b", "2,-1,-1", "--format", "latex"])
     assert code == EXIT_OK

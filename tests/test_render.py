@@ -28,12 +28,12 @@ FORMS = {
     "minus-one-coefficient": (
         RatFunc.make(-A2, ONE + A1),
         "-1*a_2 * (a_1+a_2)! / ((1+a_1) * a_1! a_2!)",
-        r"\frac{-1 a_{2} (a_{1}+a_{2})!}{(1+a_{1}) a_{1}!\, a_{2}!}",
+        r"\frac{-a_{2} (a_{1}+a_{2})!}{(1+a_{1}) a_{1}!\, a_{2}!}",
     ),
     "minus-one-coefficient-nonsplitting-denominator": (
         RatFunc.make(-A2 * (ONE + A1), NONSPLIT),
         "-1*a_2*(1+a_1) * (a_1+a_2)! / (a_1^2 + a_2 + 1 * a_1! a_2!)",
-        r"\frac{-1 a_{2} (1+a_{1}) (a_{1}+a_{2})!}{(a_{1}^{2} + a_{2} + 1) a_{1}!\, a_{2}!}",
+        r"\frac{-a_{2} (1+a_{1}) (a_{1}+a_{2})!}{(a_{1}^{2} + a_{2} + 1) a_{1}!\, a_{2}!}",
     ),
     "constant-numerator": (
         RatFunc.make(Poly.const(2, -1), ONE + A1),
