@@ -1,5 +1,5 @@
-"""Golden strings for the render paths no pinned document reaches, in both
-styles.  They were recorded before the spellings moved into ``Style``."""
+"""Golden strings, in both styles, for the render paths that no pinned
+document or benchmark reference reaches."""
 
 from fractions import Fraction
 
