@@ -12,6 +12,8 @@ Everything is exact: the linear systems are solved over Q, candidates are
 validated on held-out points, and the caller is expected to run the proof
 engine on whatever comes out.  Splits are first screened modulo one prime,
 and only those that can still fit are solved over Q; the screen only skips.
+The screen's methods import numpy when they run, so importing this module
+does not load it; the first fit does.
 """
 
 from __future__ import annotations
@@ -21,14 +23,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from operator import mul
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .laurent import ct, multinomial
 from .linalg import FIRST_PRIME, kernel_mod_p, matmul_mod, solve_nullspace
 from .poly import LinearForm, Poly
 from .ratfunc import RatFunc, rising_factorial
+
+if TYPE_CHECKING:
+    import numpy as np
 
 Oracle = Callable[[int, Tuple[int, ...], Tuple[int, ...]], int]
 
@@ -48,13 +51,15 @@ class GuessExhausted(GuessError):
     """No rational form found up to max_t; carries the samples gathered."""
 
     def __init__(self, n: int, b: Tuple[int, ...], max_t: int, samples: "SampleSet"):
+        from .render import ASCII, fmt_c_symbol  # render imports this module
+
         self.n = n
         self.b = b
         self.max_t = max_t
         self.samples = samples
         super().__init__(
             f"no rational form of total degree <= {max_t} matches "
-            f"c_{n}(a; {list(b)}) on {len(samples.points)} samples"
+            f"{fmt_c_symbol(n, b, ASCII)} on {len(samples.points)} samples"
         )
 
 
@@ -255,6 +260,8 @@ class _Screen:
     """guess_rat's checks on a split, modulo linalg.FIRST_PRIME."""
 
     def __init__(self, mono_vals: List[List[int]], values: List[Fraction], nfit: int):
+        import numpy as np
+
         p = FIRST_PRIME
         self.monos = np.array([[v % p for v in vals] for vals in mono_vals], dtype=np.int64)
         self.value_num = np.array([f.numerator % p for f in values], dtype=np.int64)
@@ -266,6 +273,8 @@ class _Screen:
         coprime entries fn and -fd in its constant-monomial columns, so it is
         already primitive and this is the reduction solve_nullspace starts
         from."""
+        import numpy as np
+
         fit = slice(None, self.nfit)
         den = self.value_num[fit, None] * self.monos[fit, :n_den]
         num = -self.value_den[fit, None] * self.monos[fit, :n_num]
@@ -274,6 +283,8 @@ class _Screen:
     def may_fit(self, n_den: int, n_num: int) -> bool:
         """False if the split's nullspace holds no candidate mod p, or holds
         one that misses a held-out value mod p."""
+        import numpy as np
+
         p = FIRST_PRIME
         kernel = kernel_mod_p(self.rows_mod_p(n_den, n_num), p)
         kernel = kernel[:, kernel[:n_den].any(axis=0)]

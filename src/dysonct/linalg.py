@@ -17,6 +17,9 @@ the exact pivots, and p divides no denominator of the exact reduced basis,
 the mod-p basis is the exact basis reduced mod p, vector for vector, so a
 property that holds exactly (a nonzero entry, a nonzero value) still holds
 mod p unless p divides one particular nonzero integer.
+
+numpy is imported inside the functions that build or reduce an array, so
+importing this module does not load it; the first mod-p reduction does.
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ import itertools
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # 31-bit primes in descending order from 2**31 - 1, extended by _prime on demand
 _primes: List[int] = []
@@ -84,6 +88,8 @@ def _clear_row(row: Sequence[Fraction | int]) -> List[int]:
 
 
 def _rref_mod(matrix: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
+    import numpy as np
+
     m = matrix % p
     nrows, ncols = m.shape
     pivots: List[int] = []
@@ -190,6 +196,8 @@ class _PivotGroup:
 
 
 def _reduce(int_rows: List[List[int]], ncols: int, p: int) -> Tuple[np.ndarray, List[int]]:
+    import numpy as np
+
     matrix = np.array([[x % p for x in row] for row in int_rows], dtype=np.int64)
     return _rref_mod(matrix.reshape(len(int_rows), ncols), p)
 
@@ -214,6 +222,8 @@ def kernel_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
     integer rows this is solve_nullspace's basis reduced mod p, vector for
     vector and up to scale, whenever the reduction has the exact pivots and p
     divides no denominator of the exact RREF."""
+    import numpy as np
+
     rref, pivots = _rref_mod(matrix, p)
     ncols = matrix.shape[1]
     pivot_set = set(pivots)

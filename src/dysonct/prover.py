@@ -59,11 +59,13 @@ class ProofError(Exception):
     """A check failed; carries the counterexample report."""
 
     def __init__(self, form: ClosedForm, outcome: CheckOutcome):
+        from .render import ASCII, fmt_d_symbol  # render imports this module
+
         self.form = form
         self.outcome = outcome
         where = f" at k={outcome.k + 1}" if outcome.k is not None else ""
         msg = (
-            f"proof of d_{form.n}(a; {list(form.b)}) failed: "
+            f"proof of {fmt_d_symbol(form.n, form.b, ASCII)} failed: "
             f"{outcome.check}{where} does not hold"
         )
         if outcome.difference is not None:

@@ -1,5 +1,9 @@
 import inspect
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -62,8 +66,10 @@ def test_guess_single_move_and_multinomial(capsys):
 
 def test_guess_gives_up_cleanly(capsys):
     assert main(["guess", "-n", "3", "-b", "2,-1,-1", "--max-t", "0"]) == EXIT_MATH
-    err = capsys.readouterr().err
-    assert "samples" in err
+    assert capsys.readouterr().err == (
+        "no closed form found: no rational form of total degree <= 0 matches "
+        "c_3(a; <2,-1,-1>) on 10 samples (retry with a larger --max-t)\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -205,17 +211,22 @@ def test_unexpected_exception_exit_code(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "exc",
+    "exc, message",
     [
-        GuessError("no rational form fits the samples"),
-        ProofError(
-            ClosedForm(3, (0, -1, 1), RatFunc.one(3)),
-            CheckOutcome(ok=False, check="boundary", k=1),
+        (GuessError("no rational form fits the samples"), "no rational form fits the samples"),
+        (
+            ProofError(
+                ClosedForm(3, (0, -1, 1), RatFunc.one(3)),
+                CheckOutcome(ok=False, check="boundary", k=1),
+            ),
+            "proof of d_3(a; <0,-1,1>) failed: boundary at k=2 does not hold",
         ),
     ],
     ids=["guess-error", "proof-error"],
 )
-def test_turbo_records_failed_entry_and_keeps_the_rest(tmp_path, monkeypatch, capsys, exc):
+def test_turbo_records_failed_entry_and_keeps_the_rest(
+    tmp_path, monkeypatch, capsys, exc, message
+):
     bad = (0, -1, 1)
     real_prove = turbo.prove
 
@@ -225,13 +236,16 @@ def test_turbo_records_failed_entry_and_keeps_the_rest(tmp_path, monkeypatch, ca
         return real_prove(n, b, resolver)
 
     monkeypatch.setattr(turbo, "prove", prove_failing_once)
+    monkeypatch.setattr(cli, "prove", prove_failing_once)
     assert main(["turbo", "-n", "3", "-C", "1", "--store", "s.json"]) == EXIT_MATH
     out = capsys.readouterr().out
-    assert f"FAILED: {exc}" in out
+    assert f"<0,-1,1>  FAILED: {message}\n" in out
     assert "6 new entries" in out
     store = ResultStore.load(str(tmp_path / "s.json"))
     assert len(store) == 6
     assert (3, bad) not in store
+    assert main(["prove", "-n", "3", "-b", "0,-1,1", "--store", "s.json"]) == EXIT_MATH
+    assert capsys.readouterr().err == f"mathematical failure: {message}\n"
 
 
 def test_every_entry_point_has_the_same_default_degree_budget():
@@ -247,3 +261,44 @@ def test_every_entry_point_has_the_same_default_degree_budget():
     for fit in (guess_dyson, guess_dyson_with_details):
         defaults.add(inspect.signature(fit).parameters["max_t"].default)
     assert defaults == {DEFAULT_MAX_T}
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+# runs the CLI on its arguments, then prints whether numpy was loaded
+RUN_CLI = (
+    "import dysonct, dysonct.cli; code = dysonct.cli.main(sys.argv[1:]); "
+    "print(sys.modules.get('numpy') is not None, file=sys.stderr); sys.exit(code)"
+)
+BLOCK_NUMPY = "sys.modules['numpy'] = None; "
+
+
+def _fresh_cli(argv, *, block_numpy):
+    """The CLI run on argv in a new interpreter, numpy unimportable if asked."""
+    env = {k: v for k, v in os.environ.items() if k != "DYSON_STORE"}
+    env["PYTHONPATH"] = str(SRC)
+    code = "import sys; " + (BLOCK_NUMPY if block_numpy else "") + RUN_CLI
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+def test_commands_that_fit_nothing_run_without_numpy(tmp_path):
+    ct5 = _fresh_cli(["ct", "-n", "5", "-a", "6,7,8,9,10", "-b", "0,0,0,0,0"], block_numpy=True)
+    assert (ct5.returncode, ct5.stdout) == (EXIT_OK, "4234824783966213204768000\n")
+    assert _fresh_cli(["--help"], block_numpy=True).returncode == 0
+    assert _fresh_cli(["ct", "-n", "2"], block_numpy=True).returncode == EXIT_USAGE
+    sweep = ["turbo", "-n", "3", "-C", "1", "--store", "s.json"]
+    certify = ["prove", "-n", "3", "-b", "2,-1,-1", "--store", "s.json"]
+    assert main(sweep) == EXIT_OK and main(certify) == EXIT_OK
+    stored = (tmp_path / "s.json").read_bytes()
+    for argv in (certify, sweep):
+        run = _fresh_cli(argv, block_numpy=True)
+        assert run.returncode == EXIT_OK, run.stderr
+    assert (tmp_path / "s.json").read_bytes() == stored
+
+
+def test_a_fit_imports_numpy():
+    # the companion of the test above: a fit does load numpy, so that test's
+    # blocker would have stopped any command that needed it
+    run = _fresh_cli(["guess", "-n", "3", "-b", "1,-1,0"], block_numpy=False)
+    assert (run.returncode, run.stderr) == (EXIT_OK, "True\n")
