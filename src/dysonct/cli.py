@@ -154,6 +154,8 @@ def _cmd_ct(args) -> int:
 
 
 def _cmd_guess(args) -> int:
+    if args.n < 1:
+        raise _UsageError("guess requires n >= 1")
     if len(args.b) != args.n:
         raise _UsageError("-b must carry exactly n integers")
     form = guess_dyson(args.n, args.b, max_t=args.max_t, use_ansatz=not args.no_ansatz)

@@ -12,6 +12,8 @@ Everything is exact: the linear systems are solved over Q, candidates are
 validated on held-out points, and the caller is expected to run the proof
 engine on whatever comes out.  Splits are first screened modulo one prime,
 and only those that can still fit are solved over Q; the screen only skips.
+The screen evaluates the monomials mod p from the sample points, and the
+exact big-integer monomial table is built only when a split passes it.
 The screen's methods import numpy when they run, so importing this module
 does not load it; the first fit does.
 """
@@ -161,17 +163,24 @@ def _monomials_up_to(nvars: int, degree: int) -> List[Tuple[int, ...]]:
     return monos
 
 
+def _mono_steps(monos: List[Tuple[int, ...]]) -> List[Tuple[int, int]]:
+    """(k, i) for each nonconstant monomial of ``monos``, ordered as
+    _monomials_up_to orders them: the monomial is monomial k times variable
+    i, its first variable, so k is an earlier index."""
+    index = {m: k for k, m in enumerate(monos)}
+    steps = []
+    for m in monos[1:]:
+        i = next(i for i, e in enumerate(m) if e)
+        steps.append((index[m[:i] + (m[i] - 1,) + m[i + 1 :]], i))
+    return steps
+
+
 def _mono_values(
     points: Sequence[Tuple[int, ...]], monos: List[Tuple[int, ...]]
 ) -> List[List[int]]:
     """The value of every monomial at every point, for monomials ordered as
     _monomials_up_to orders them."""
-    index = {m: k for k, m in enumerate(monos)}
-    # each nonconstant monomial is an earlier one times its first variable
-    steps = []
-    for m in monos[1:]:
-        i = next(i for i, e in enumerate(m) if e)
-        steps.append((index[m[:i] + (m[i] - 1,) + m[i + 1 :]], i))
+    steps = _mono_steps(monos)
     table = []
     for point in points:
         vals = [1]
@@ -193,16 +202,18 @@ def guess_rat(samples: SampleSet, t: int) -> Optional[RatFunc]:
     inequivalent candidates (the caller should supply more samples).
 
     Each split is screened modulo p = linalg.FIRST_PRIME before its exact
-    rows are built.  A vector of the mod-p nullspace basis counts as a candidate
-    only if its denominator part is nonzero mod p and its denominator is
-    nonzero mod p at every sample point.  The split is skipped when no vector
-    counts, or when exactly one counts and value * den(h) - num(h) is nonzero
-    mod p at some held-out point h; every other split is solved and checked
-    exactly as above.  The screen only ever skips, so whatever is returned
-    has passed every exact check and a skip cannot produce a wrong closed
-    form; at worst it misses a fit.  That takes p dividing one particular
-    nonzero integer (an entry, a denominator value or a held-out residual of
-    an exact basis vector) or a reduction mod p of the wrong rank or pivots.
+    rows are built; the exact monomial table they are read from is built
+    once, for the first split that passes the screen.  A vector of the mod-p
+    nullspace basis counts as a candidate only if its denominator part is
+    nonzero mod p and its denominator is nonzero mod p at every sample
+    point.  The split is skipped when no vector counts, or when exactly one
+    counts and value * den(h) - num(h) is nonzero mod p at some held-out
+    point h; every other split is solved and checked exactly as above.  The
+    screen only ever skips, so whatever is returned has passed every exact
+    check and a skip cannot produce a wrong closed form; at worst it misses
+    a fit.  That takes p dividing one particular nonzero integer (an entry, a
+    denominator value or a held-out residual of an exact basis vector) or a
+    reduction mod p of the wrong rank or pivots.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -224,12 +235,15 @@ def guess_rat(samples: SampleSet, t: int) -> Optional[RatFunc]:
         )
     # the monomials of every split are a prefix of these, in the same order
     monos = _monomials_up_to(nvars, t)
-    mono_vals = _mono_values(samples.points, monos)
-    screen = _Screen(mono_vals, samples.values, len(fit_pts))
+    screen = _Screen(samples.points, samples.values, len(fit_pts), monos)
+    # the exact monomial values, built when a split first passes the screen
+    mono_vals: List[List[int]] = []
     for d_num in range(t, -1, -1):
         n_num, n_den = comb(d_num + nvars, nvars), comb(t - d_num + nvars, nvars)
         if not screen.may_fit(n_den, n_num):
             continue
+        if not mono_vals:
+            mono_vals = _mono_values(samples.points, monos)
         # value * den(p) - num(p) = 0, scaled by the value's denominator
         rows = []
         for vals, f in zip(mono_vals, fit_vals):
@@ -257,13 +271,27 @@ def guess_rat(samples: SampleSet, t: int) -> Optional[RatFunc]:
 
 
 class _Screen:
-    """guess_rat's checks on a split, modulo linalg.FIRST_PRIME."""
+    """guess_rat's checks on a split, modulo linalg.FIRST_PRIME.
 
-    def __init__(self, mono_vals: List[List[int]], values: List[Fraction], nfit: int):
+    The monomial table is built mod p straight from the sample points, one
+    numpy column per monomial, each an earlier column times one coordinate
+    as in _mono_values, so no exact big integer is formed; every split's
+    monomials are a column prefix of it."""
+
+    def __init__(
+        self,
+        points: Sequence[Tuple[int, ...]],
+        values: List[Fraction],
+        nfit: int,
+        monos: List[Tuple[int, ...]],
+    ):
         import numpy as np
 
         p = FIRST_PRIME
-        self.monos = np.array([[v % p for v in vals] for vals in mono_vals], dtype=np.int64)
+        coords = np.array([[x % p for x in point] for point in points], dtype=np.int64)
+        self.monos = np.ones((len(points), len(monos)), dtype=np.int64)
+        for j, (k, i) in enumerate(_mono_steps(monos), 1):
+            self.monos[:, j] = self.monos[:, k] * coords[:, i] % p
         self.value_num = np.array([f.numerator % p for f in values], dtype=np.int64)
         self.value_den = np.array([f.denominator % p for f in values], dtype=np.int64)
         self.nfit = nfit

@@ -1,9 +1,11 @@
 """Exact nullspace computation for the rational-function fitter.
 
-One strategy for every system size: row reduction modulo 31-bit primes
-(vectorized with numpy int64), Chinese-remainder combination extended by one
-prime per step, rational reconstruction, and a final exact big-integer
-verification M v = 0 of every basis vector.
+One strategy for every system size: row reduction modulo 31-bit primes,
+Chinese-remainder combination extended by one prime per step, rational
+reconstruction, and a final exact big-integer verification M v = 0 of every
+basis vector.  One Gauss-Jordan kernel, ``_rref_mod``, does every mod-p
+reduction, the fitter's screen and the exact lift alike: numpy int64 only,
+one in-place update of the trailing block per pivot, no floating point.
 
 A nullity of zero modulo any prime already proves the exact nullspace is
 trivial, so failed fit degrees are rejected quickly; reconstructed vectors
@@ -88,32 +90,48 @@ def _clear_row(row: Sequence[Fraction | int]) -> List[int]:
 
 
 def _rref_mod(matrix: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
+    """The reduced row echelon form of ``matrix`` modulo the prime p < 2**31
+    and its pivot columns in increasing order.
+
+    ``matrix`` is any int64 array and is left unchanged; the RREF is a new
+    array, with entries in [0, p).
+
+    The input is reduced once, into a copy.  Each pivot scales its row to 1,
+    clears its column from every other row in one in-place update of the
+    trailing block (every row, the columns from the pivot's on), and reduces
+    that block with x - x // p * p, which gives the residues of x % p faster
+    than numpy's int64 ``%`` does.  Before that reduction each entry is
+    x - y z with x, y and z in [0, p), so it lies in (-p**2, p), and int64
+    arithmetic is exact.  The copy is held transposed, so that the trailing
+    block is one contiguous run of memory.
+    """
     import numpy as np
 
-    m = matrix % p
-    nrows, ncols = m.shape
+    m = matrix.T.copy()  # m[c] is column c of the matrix
+    m -= m // p * p
+    ncols, nrows = m.shape
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
-        nz = np.flatnonzero(m[r:, c])
-        if nz.size == 0:
-            continue
-        pivot = r + int(nz[0])
-        if pivot != r:
-            m[[r, pivot]] = m[[pivot, r]]
-        # rows r and below are zero left of column c, so only columns c and
-        # beyond change
-        inv = pow(int(m[r, c]), -1, p)
-        m[r, c:] = (m[r, c:] * inv) % p
-        rows = np.flatnonzero(m[:, c])
-        rows = rows[rows != r]
-        if rows.size:
-            m[rows, c:] = (m[rows, c:] - np.outer(m[rows, c], m[r, c:])) % p
-        pivots.append(c)
-        r += 1
         if r == nrows:
             break
-    return m, pivots
+        if not m[c, r]:
+            nz = np.flatnonzero(m[c, r:])
+            if nz.size == 0:
+                continue
+            # rows r and below are zero left of column c, so only columns c
+            # and beyond need swapping
+            pivot = r + int(nz[0])
+            m[c:, [r, pivot]] = m[c:, [pivot, r]]
+        row = m[c:, r] * pow(int(m[c, r]), -1, p) % p
+        # clears column c from every other row; row r itself is overwritten
+        block = m[c:]
+        block -= row[:, None] * m[c]
+        block -= block // p * p
+        block[:, r] = row
+        pivots.append(c)
+        r += 1
+    return m.T, pivots
 
 
 def _rational_reconstruct(x: int, mod: int) -> Tuple[int, int] | None:
@@ -198,6 +216,7 @@ class _PivotGroup:
 def _reduce(int_rows: List[List[int]], ncols: int, p: int) -> Tuple[np.ndarray, List[int]]:
     import numpy as np
 
+    # the rows hold big integers, which fit in int64 only once reduced
     matrix = np.array([[x % p for x in row] for row in int_rows], dtype=np.int64)
     return _rref_mod(matrix.reshape(len(int_rows), ncols), p)
 
@@ -216,9 +235,10 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def kernel_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
-    """The nullspace basis of ``matrix`` modulo the prime p as the columns of
-    an int64 array, one per free column of its RREF mod p in increasing order,
-    with 1 in that free column and 0 in the others.  For a matrix of primitive
+    """The nullspace basis of the int64 array ``matrix`` modulo the prime p
+    as the columns of an int64 array, one per free column of its RREF mod p
+    in increasing order, with 1 in that free column and 0 in the others.
+    ``matrix`` need not be reduced mod p.  For a matrix of primitive
     integer rows this is solve_nullspace's basis reduced mod p, vector for
     vector and up to scale, whenever the reduction has the exact pivots and p
     divides no denominator of the exact RREF."""

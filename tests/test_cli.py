@@ -72,6 +72,12 @@ def test_guess_gives_up_cleanly(capsys):
     )
 
 
+@pytest.mark.parametrize("argv", [["-n", "0", "-b", "0"], ["-n", "-2", "-b", "1"]], ids=["0", "-2"])
+def test_guess_names_its_bound_on_n(capsys, argv):
+    assert main(["guess", *argv]) == EXIT_USAGE
+    assert capsys.readouterr().err == "usage error: guess requires n >= 1\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

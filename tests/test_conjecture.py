@@ -22,7 +22,7 @@ from dysonct.conjecture import (
     sample_grid,
 )
 from dysonct.laurent import ct, multinomial
-from dysonct.linalg import FIRST_PRIME, _clear_row, solve_nullspace
+from dysonct.linalg import FIRST_PRIME, _clear_row, kernel_mod_p, solve_nullspace
 from dysonct.poly import Poly
 from dysonct.ratfunc import RatFunc
 from dysonct.turbo import zero_sum_vectors
@@ -413,7 +413,7 @@ def _assert_screen_rows_are_exact_rows_mod_p(samples, t):
     nvars = len(samples.points[0])
     nfit = len(samples.points) - HOLDOUT
     mono_vals = _mono_values(samples.points, _monomials_up_to(nvars, t))
-    screen = _Screen(mono_vals, samples.values, nfit)
+    screen = _Screen(samples.points, samples.values, nfit, _monomials_up_to(nvars, t))
     for d_num in range(t + 1):
         n_num = len(_monomials_up_to(nvars, d_num))
         n_den = len(_monomials_up_to(nvars, t - d_num))
@@ -440,6 +440,38 @@ def test_screen_rows_are_exact_rows_mod_p_on_random_rational_functions():
     for nvars, _, _, samples_of in _random_rational_functions():
         for t in range(5):
             _assert_screen_rows_are_exact_rows_mod_p(samples_of(_max_unknowns(nvars, t) + 3 + HOLDOUT), t)
+
+
+def test_screen_kernels_are_exact_bases_mod_p_on_every_split():
+    # the screen's premise on the degenerate-grid systems of a real climb:
+    # the samples guess_dyson draws for b = (2,-1,-1) without the ansatz, at
+    # every t up to the fit and every split
+    p = FIRST_PRIME
+    nullities = []
+    for t in range(7):
+        samples = _oracle_samples((2, -1, -1), False, _max_unknowns(3, t) + 3 + HOLDOUT)
+        nfit = len(samples.points) - HOLDOUT
+        monos = _monomials_up_to(3, t)
+        mono_vals = _mono_values(samples.points, monos)
+        screen = _Screen(samples.points, samples.values, nfit, monos)
+        for d_num in range(t, -1, -1):
+            n_num = len(_monomials_up_to(3, d_num))
+            n_den = len(_monomials_up_to(3, t - d_num))
+            rows = [
+                [f.numerator * v for v in vals[:n_den]] + [-f.denominator * v for v in vals[:n_num]]
+                for vals, f in zip(mono_vals[:nfit], samples.values)
+            ]
+            exact = solve_nullspace(rows)
+            kernel = kernel_mod_p(screen.rows_mod_p(n_den, n_num), p)
+            assert kernel.shape == (n_den + n_num, len(exact)), (t, d_num)
+            for column, vec in zip(kernel.T.tolist(), exact):
+                # an RREF basis vector's last nonzero entry sits in its free column
+                fc = max(c for c, v in enumerate(vec) if v)
+                scale = pow(vec[fc], -1, p)
+                assert column == [v * scale % p for v in vec], (t, d_num)
+            assert screen.may_fit(n_den, n_num) == ((t, d_num) == (6, 3)), (t, d_num)
+            nullities.append(len(exact))
+    assert len(nullities) == 28 and max(nullities) == 16
 
 
 def test_only_the_winning_split_is_lifted(monkeypatch):

@@ -1,11 +1,19 @@
 import random
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 import numpy as np
 import pytest
 
-from dysonct.linalg import FIRST_PRIME, _clear_row, kernel_mod_p, matmul_mod, solve_nullspace
+from dysonct.linalg import (
+    FIRST_PRIME,
+    _clear_row,
+    _rref_mod,
+    kernel_mod_p,
+    matmul_mod,
+    solve_nullspace,
+)
 
 
 def test_identity_has_trivial_nullspace():
@@ -142,6 +150,98 @@ def test_mod_p_kernel_is_the_exact_basis_reduced_mod_p():
             assert column == [v * scale % p for v in vec], rows
         compared += 1
     assert compared == 200
+
+
+def _rref_mod_reference(rows, p):
+    """RREF of rows mod p and its pivot columns, by Gauss-Jordan elimination
+    over Python ints."""
+    m = [[x % p for x in row] for row in rows]
+    pivots = []
+    for c in range(len(m[0])):
+        r = len(pivots)
+        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if pivot is None:
+            continue
+        m[r], m[pivot] = m[pivot], m[r]
+        inv = pow(m[r][c], -1, p)
+        m[r] = [x * inv % p for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [(x - f * y) % p for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def _assert_mod_p_kernels_match_reference(rows, p):
+    matrix = np.array(rows, dtype=np.int64)
+    before = matrix.copy()
+    expected, expected_pivots = _rref_mod_reference(rows, p)
+    rref, pivots = _rref_mod(matrix, p)
+    assert (rref.tolist(), pivots) == (expected, expected_pivots), (rows, p)
+    ncols = len(rows[0])
+    free = [c for c in range(ncols) if c not in expected_pivots]
+    kernel = [[int(c == fc) for fc in free] for c in range(ncols)]
+    for row, pc in zip(expected, expected_pivots):
+        kernel[pc] = [-row[fc] % p for fc in free]
+    assert kernel_mod_p(matrix, p).tolist() == kernel, (rows, p)
+    for column in zip(*kernel):
+        assert all(sum(map(mul, row, column)) % p == 0 for row in rows)
+    assert np.array_equal(matrix, before)
+    return len(expected_pivots)
+
+
+@pytest.mark.parametrize(
+    "rows, p",
+    [
+        ([[0, 3], [2, 0]], 7),  # the first pivot needs a row swap
+        ([[0, 0, 5], [0, 0, 1], [0, 0, 2]], 7),  # zero columns
+        ([[1, 2, 3], [1, 2, 3], [2, 4, 6], [0, 1, 1]], 7),  # repeated and dependent rows
+        ([[FIRST_PRIME, 1], [1, 1]], FIRST_PRIME),  # p itself is zero, so row 1 pivots
+        ([[-1, 2 * FIRST_PRIME + 3], [-FIRST_PRIME - 2, 4]], FIRST_PRIME),
+        ([[-(2**63), 2**63 - 1], [1, -(2**62)]], FIRST_PRIME),  # the int64 extremes
+        ([[1, 0, 4, 0, 2], [0, 3, 1, 5, 6]], 7),  # full row rank at column 1 of 5
+        ([[5]], 7),
+        ([[0]], 7),
+        ([[14]], 7),
+        ([[0, 2, 9, 4]], 7),
+        ([[0], [0], [3], [1]], 7),
+    ],
+)
+def test_mod_p_rref_matches_python_reference(rows, p):
+    _assert_mod_p_kernels_match_reference(rows, p)
+
+
+def test_mod_p_rref_matches_python_reference_on_random_matrices():
+    rng = random.Random(12)
+    ranks = set()
+    for _ in range(300):
+        p = rng.choice((2, 7, 101, FIRST_PRIME))
+        shape = rng.choice(("square", "wide", "tall", "row", "column"))
+        ncols = 1 if shape == "column" else rng.randint(1, 9)
+        nrows = {
+            "square": ncols,
+            "wide": rng.randint(1, ncols),
+            "tall": rng.randint(4 * ncols, 4 * ncols + 6),  # as after a doubling
+            "row": 1,
+            "column": rng.randint(1, 9),
+        }[shape]
+        # a product through an inner dimension k has rank at most k
+        k = rng.randint(0, min(nrows, ncols))
+        left = [[rng.randrange(p) for _ in range(k)] for _ in range(nrows)]
+        right = [[rng.randrange(p) for _ in range(ncols)] for _ in range(k)]
+        rows = [[sum(map(mul, lrow, col)) for col in zip(*right)] for lrow in left]
+        if k == 0:
+            rows = [[0] * ncols for _ in range(nrows)]
+        if rng.random() < 0.3:
+            zero = rng.randrange(ncols)
+            rows = [[0 if c == zero else x for c, x in enumerate(row)] for row in rows]
+        if rng.random() < 0.3:
+            rows.insert(rng.randrange(nrows + 1), list(rng.choice(rows)))
+        # unreduced entries: negative, p and its multiples, and beyond p
+        rows = [[x % p + p * rng.randint(-3, 3) for x in row] for row in rows]
+        ranks.add((shape, _assert_mod_p_kernels_match_reference(rows, p) == min(nrows, ncols)))
+    assert len(ranks) == 10  # full and deficient rank in every shape
 
 
 def test_matmul_mod_matches_python_ints():
