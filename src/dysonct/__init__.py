@@ -29,6 +29,7 @@ from .prover import (
     check_denominator_safety,
     check_initial,
     check_recursion,
+    permute_form,
     prove,
 )
 from .ratfunc import RatFunc, rising_factorial
@@ -36,7 +37,6 @@ from .store import ResultStore, StoreEntry, store_path
 from .turbo import (
     complexity,
     derive_by_reduction,
-    permute_form,
     reduction_relation,
     turbo_dyson,
     zero_sum_vectors,

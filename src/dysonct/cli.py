@@ -195,10 +195,10 @@ def _store_certificate_tree(store: ResultStore, cert, provenance_kind: str) -> i
 
 
 def _cmd_prove(args) -> int:
+    if args.n < 2:
+        raise _UsageError(f"{args.command} requires n >= 2")
     if len(args.b) != args.n:
         raise _UsageError("-b must carry exactly n integers")
-    if args.n < 2:
-        raise _UsageError("prove requires n >= 2")
     path = store_path(args.store)
     store = ResultStore.load(path)
     resolver = Resolver(max_t=args.max_t)

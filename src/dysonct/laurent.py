@@ -258,8 +258,11 @@ class PkExpansion:
     terms: Tuple[PkTerm, ...]
 
 
-def pk_expansion(n: int, k: int, b) -> PkExpansion:
-    """Enumerate P_k's terms for pivot ``k`` (zero-based index, n >= 3)."""
+def pk_compositions(n: int, k: int, b) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
+    """(m, shifted_b) for each term of P_k at pivot ``k`` (zero-based index,
+    n >= 3), in pk_expansion's term order, without building the
+    coefficients: m runs over the weak compositions of b_k into the n - 1
+    surviving variables, lex ascending, and there are none when b_k < 0."""
     b = tuple(b)
     if n < 3:
         raise ValueError("pk_expansion needs n >= 3")
@@ -267,15 +270,25 @@ def pk_expansion(n: int, k: int, b) -> PkExpansion:
         raise ValueError(f"pivot index {k} out of range")
     if len(b) != n:
         raise ValueError("b must have length n")
+    if b[k] < 0:
+        return []
+    others = [i for i in range(n) if i != k]
+    return [
+        (m, tuple(b[i] + mi for i, mi in zip(others, m)))
+        for m in _compositions(b[k], n - 1)
+    ]
+
+
+def pk_expansion(n: int, k: int, b) -> PkExpansion:
+    """Enumerate P_k's terms for pivot ``k`` (zero-based index, n >= 3)."""
+    b = tuple(b)
     others = [i for i in range(n) if i != k]
     terms: List[PkTerm] = []
-    if b[k] >= 0:
-        for m in _compositions(b[k], n - 1):
-            coeff = Poly.const(n, 1)
-            for i, mi in zip(others, m):
-                coeff = coeff * binomial_poly(n, i, mi)
-                if mi & 1:
-                    coeff = -coeff
-            shifted = tuple(b[i] + mi for i, mi in zip(others, m))
-            terms.append(PkTerm(m=m, coeff=coeff, shifted_b=shifted))
+    for m, shifted in pk_compositions(n, k, b):
+        coeff = Poly.const(n, 1)
+        for i, mi in zip(others, m):
+            coeff = coeff * binomial_poly(n, i, mi)
+            if mi & 1:
+                coeff = -coeff
+        terms.append(PkTerm(m=m, coeff=coeff, shifted_b=shifted))
     return PkExpansion(n=n, k=k, b=b, terms=tuple(terms))

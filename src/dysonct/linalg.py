@@ -26,11 +26,10 @@ importing this module does not load it; the first mod-p reduction does.
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import TYPE_CHECKING, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -254,10 +253,37 @@ def kernel_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
     return kernel
 
 
+# primes _nullspace_modular tries before it bounds the count; the fitter's
+# systems, up to n = 4 at t = 7, have needed one or two
+_UNBOUNDED_PRIMES = 4
+
+
+def _prime_budget(int_rows: List[List[int]], ncols: int) -> int:
+    """How many primes a sound mod-p reduction can need for ``int_rows``.
+
+    Every minor of the matrix is at most D in size, D the product of the
+    min(rows, ncols) largest row norms (Hadamard), with D < 2**bits.  The
+    exact RREF's entries are ratios of such minors, so rational
+    reconstruction succeeds once the lucky primes' product exceeds 2 D**2.
+    A prime below 2**31 is unlucky, giving other pivots, only if it divides
+    one nonzero minor, so fewer than bits / 30 are; each prime exceeds 2**30.
+    """
+    norm_bits = sorted((sum(x * x for x in row).bit_length() + 1) // 2 for row in int_rows)
+    bits = sum(norm_bits[-min(len(int_rows), ncols) :])
+    return bits // 30 + (2 * bits + 1) // 30 + 2
+
+
+def _candidate_primes(int_rows: List[List[int]], ncols: int) -> Iterator[int]:
+    """The primes _nullspace_modular may try, in order; their count is
+    bounded by _prime_budget, computed only once the first few are spent."""
+    yield from map(_prime, range(_UNBOUNDED_PRIMES))
+    yield from map(_prime, range(_UNBOUNDED_PRIMES, _prime_budget(int_rows, ncols)))
+
+
 def _nullspace_modular(int_rows: List[List[int]], ncols: int) -> List[Tuple[int, ...]]:
     group: _PivotGroup | None = None
-    for i in itertools.count():
-        p = _prime(i)
+    tried = 0
+    for tried, p in enumerate(_candidate_primes(int_rows, ncols), 1):
         rref, pivots = _reduce(int_rows, ncols, p)
         if len(pivots) == ncols:
             return []  # full column rank mod p implies full rank over Q
@@ -276,6 +302,10 @@ def _nullspace_modular(int_rows: List[List[int]], ncols: int) -> List[Tuple[int,
         basis = group.reconstruct(int_rows, ncols)
         if basis is not None:
             return basis
+    raise ArithmeticError(
+        f"no verified nullspace basis after {tried} primes, more than the "
+        "matrix's Hadamard bound allows: the mod-p reduction is unsound"
+    )
 
 
 def solve_nullspace(rows: Sequence[Sequence[Fraction | int]]) -> List[Tuple[int, ...]]:

@@ -25,7 +25,10 @@ split, the boundary identity by cross-multiplying its denominators.
 Boundary dependencies are proved recursively before the checks, bottoming
 out in the built-in n = 2 closed form; each pivot's P_k expansion is built
 once and serves both the dependency list and the boundary check, which
-reads the proved dependencies' forms.
+reads the proved dependencies' forms.  An arrangement of b whose class (its
+sorted b) already has a checked member is certified by relabeling that
+member's certificate, when its forms are that member's relabeled (see
+``prove``).
 """
 
 from __future__ import annotations
@@ -34,10 +37,10 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .conjecture import DEFAULT_MAX_T, ClosedForm, guess_dyson
-from .laurent import PkExpansion, pk_expansion
+from .laurent import PkExpansion, pk_compositions, pk_expansion
 from .poly import LinearForm, Poly, exact_div, make_primitive
 from .ratfunc import RatFunc, rising_factorial
 
@@ -96,6 +99,46 @@ def c2_closed_form(b: Sequence[int]) -> ClosedForm:
     )
     sign = -1 if h % 2 else 1
     return ClosedForm(n=2, b=b, R=prod.reciprocal() * sign)
+
+
+# ----------------------------------------------------------------------
+# relabeling
+
+
+def permute_form(form: ClosedForm, perm: Sequence[int]) -> ClosedForm:
+    """Closed form for b' with b'_i = b_{perm[i]}, via variable relabeling.
+
+    The constant term is invariant under simultaneous relabeling of a and b;
+    chasing the labels through gives R_{b'}(a) = R_b(y) with
+    y_{perm[i]} = a_i, i.e. the a-variables are permuted by the inverse of
+    the permutation applied to b."""
+    perm = tuple(perm)
+    if sorted(perm) != list(range(form.n)):
+        raise ValueError(f"{perm} is not a permutation of 0..{form.n - 1}")
+    b_new = tuple(form.b[p] for p in perm)
+    return ClosedForm(n=form.n, b=b_new, R=form.R.permute_vars(_inverse(perm)))
+
+
+def _inverse(perm: Sequence[int]) -> List[int]:
+    inverse = [0] * len(perm)
+    for i, p in enumerate(perm):
+        inverse[p] = i
+    return inverse
+
+
+def matching_permutation(src: Tuple[int, ...], dst: Tuple[int, ...]) -> Tuple[int, ...]:
+    """Lexicographically smallest perm with dst[i] = src[perm[i]]."""
+    used = [False] * len(src)
+    perm = []
+    for value in dst:
+        for j, s in enumerate(src):
+            if not used[j] and s == value:
+                used[j] = True
+                perm.append(j)
+                break
+        else:
+            raise ValueError(f"{dst} is not a rearrangement of {src}")
+    return tuple(perm)
 
 
 # ----------------------------------------------------------------------
@@ -403,18 +446,34 @@ class ProofCertificate:
         }
 
 
+class _Checked(NamedTuple):
+    """A certificate whose checks ran, with their outcomes: the identities
+    its relabeling class takes when relabeled."""
+
+    certificate: ProofCertificate
+    recursion: CheckOutcome
+    boundaries: List[CheckOutcome]
+    initial: CheckOutcome
+
+
 class Resolver:
     """Cache of closed forms and certificates shared across a proof run.
 
     Forms are looked up in the cache first, then fall back to the built-in
     n = 2 family or to a fresh conjecture; ``guess_calls`` counts how many
     forms actually required sampling and fitting.
+
+    ``checked`` indexes, by relabeling class (n and sorted b), the first
+    n >= 3 certificate of each class that ``prove`` certified by running the
+    checks; ``prove`` certifies the other arrangements of the class by
+    relabeling it.
     """
 
     def __init__(self, max_t: int = DEFAULT_MAX_T):
         self.max_t = max_t
         self.forms: Dict[Tuple[int, Tuple[int, ...]], ClosedForm] = {}
         self.certificates: Dict[Tuple[int, Tuple[int, ...]], ProofCertificate] = {}
+        self.checked: Dict[Tuple[int, Tuple[int, ...]], _Checked] = {}
         self.guess_calls = 0
 
     def form(self, n: int, b: Sequence[int]) -> ClosedForm:
@@ -447,6 +506,82 @@ def _identity_json(outcome: CheckOutcome) -> dict:
     return data
 
 
+def _certificate(
+    form: ClosedForm,
+    dependencies: Tuple[ProofCertificate, ...],
+    recursion: CheckOutcome,
+    boundaries: List[CheckOutcome],
+    initial: CheckOutcome,
+) -> ProofCertificate:
+    return ProofCertificate(
+        form=form,
+        recursion_ok=True,
+        boundary_ok=tuple(True for _ in boundaries),
+        initial_ok=True,
+        denominator_safe=True,
+        base_case=False,
+        dependencies=dependencies,
+        identities={
+            "recursion": _identity_json(recursion),
+            "boundary": [_identity_json(o) for o in boundaries],
+            "initial": _identity_json(initial),
+        },
+    )
+
+
+def _relabeled(outcome: CheckOutcome, perm: Sequence[int], k: Optional[int] = None) -> CheckOutcome:
+    """A passed check's outcome with both sides' variables permuted by perm
+    (as RatFunc.permute_vars reads it) and its pivot set to k."""
+    return CheckOutcome(
+        ok=True,
+        check=outcome.check,
+        k=k,
+        lhs=outcome.lhs.permute_vars(perm),
+        rhs=outcome.rhs.permute_vars(perm),
+        note=outcome.note,
+    )
+
+
+def _relabeled_certificate(
+    source: _Checked,
+    form: ClosedForm,
+    shifted: List[List[Tuple[int, ...]]],
+    dependencies: Tuple[ProofCertificate, ...],
+) -> Optional[ProofCertificate]:
+    """The certificate of ``form`` as the relabeling of ``source``, a
+    certificate of the same class, or None unless ``form`` and each
+    boundary dependency form are the relabelings of the source's.
+
+    ``shifted[k]`` lists the dependency vectors of form's pivot k in term
+    order, and ``dependencies`` holds form's own dependency certificates.
+    With perm taking the source's b to form.b (b_i = b_src[perm[i]]), form's
+    pivot k is the source's pivot perm[k], and sigma relabels the source's
+    surviving variables at that pivot to form's.
+    """
+    src = source.certificate
+    perm = matching_permutation(src.form.b, form.b)
+    if permute_form(src.form, perm).R != form.R:
+        return None
+    inverse = _inverse(perm)
+    src_lower = {dep.form.b: dep.form.R for dep in src.dependencies}
+    lower = {dep.form.b: dep.form.R for dep in dependencies}
+    boundaries = []
+    for k, vectors in enumerate(shifted):
+        pivot = perm[k]
+        sigma = [inverse[j] - (inverse[j] > k) for j in range(form.n) if j != pivot]
+        for v in vectors:
+            if lower[v] != src_lower[tuple(v[i] for i in sigma)].permute_vars(sigma):
+                return None
+        boundaries.append(_relabeled(source.boundaries[pivot], sigma, k))
+    return _certificate(
+        form,
+        dependencies,
+        _relabeled(source.recursion, inverse),
+        boundaries,
+        _relabeled(source.initial, inverse),
+    )
+
+
 def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCertificate:
     """Certify the closed form for (n, b), recursing through its boundary
     dependencies down to the n = 2 base case.
@@ -457,6 +592,23 @@ def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCe
     proved forms.  Of the checks, denominator safety runs first, and its
     split of R's denominator into linear factors is the input of the
     recursion, boundary and initial-value checks that follow.
+
+    A relabeling of an arrangement the resolver already certified by the
+    checks (``Resolver.checked``) is certified without them, when its form
+    is that certificate's form relabeled (the convention of
+    ``permute_form``) and each of its boundary dependency forms is the
+    relabeling of the matching dependency form there.  Its identities are
+    then those of the checked certificate, relabeled: the recursion and the
+    initial value by the permutation, the boundary at pivot k by the
+    checked pivot that k relabels, its surviving variables relabeled and
+    the result rescaled to canonical form; its dependencies are its own
+    certificates, and no P_k expansion is built.  This is sound because
+    permuting the a-variables is a ring automorphism of Q(a): it maps every
+    checked identity to an identity, the denominator's split into positive
+    linear factors to such a split, and the P_k expansion at a pivot to the
+    one at the relabeled pivot.  Canonical forms are unique, so the
+    relabeled identities are exactly the ones the checks would record.  Any
+    mismatch runs the checks.
 
     Raises ProofError with a counterexample report when any check fails, and
     propagates GuessExhausted when a needed form cannot even be conjectured.
@@ -484,6 +636,17 @@ def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCe
         )
         resolver.certificates[key] = cert
         return cert
+
+    relabeling_class = (n, tuple(sorted(b)))
+    source = resolver.checked.get(relabeling_class)
+    if source is not None:
+        shifted = [[v for _, v in pk_compositions(n, k, b)] for k in range(n)]
+        dep_vectors = dict.fromkeys(v for vectors in shifted for v in vectors)
+        dependencies = tuple(prove(n - 1, v, resolver) for v in dep_vectors)
+        cert = _relabeled_certificate(source, form, shifted, dependencies)
+        if cert is not None:
+            resolver.certificates[key] = cert
+            return cert
 
     # prove lower levels first (post-order over the dependency tree)
     expansions = [pk_expansion(n, k, b) for k in range(n)]
@@ -514,19 +677,9 @@ def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCe
     if not initial.ok:
         raise ProofError(form, initial)
 
-    cert = ProofCertificate(
-        form=form,
-        recursion_ok=True,
-        boundary_ok=tuple(True for _ in range(n)),
-        initial_ok=True,
-        denominator_safe=True,
-        base_case=False,
-        dependencies=dependencies,
-        identities={
-            "recursion": _identity_json(recursion),
-            "boundary": [_identity_json(o) for o in boundaries],
-            "initial": _identity_json(initial),
-        },
-    )
+    cert = _certificate(form, dependencies, recursion, boundaries, initial)
     resolver.certificates[key] = cert
+    resolver.checked.setdefault(
+        relabeling_class, _Checked(cert, recursion, boundaries, initial)
+    )
     return cert

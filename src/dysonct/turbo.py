@@ -10,8 +10,12 @@ index-raising identity
                           c_n(a; b - sum_{i in S} e_i + |S| e_n)
 
 can be solved for an unknown vector using only stored forms, that is
-preferred to a fresh fit.  Every entry, however obtained, is re-certified by
-the full prover before it is stored.
+preferred to a fresh fit.  Every entry, however obtained, is certified by
+``prove`` before it is stored.  Within one sweep the first member of each
+permutation class to be proved runs the checks; a later arrangement whose
+form and boundary dependency forms are the relabelings of that member's is
+certified by relabeling its certificate (see ``prove``), and any other runs
+the checks too.
 """
 
 from __future__ import annotations
@@ -23,7 +27,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .conjecture import ClosedForm, GuessError
 from .poly import Poly
-from .prover import ProofError, Resolver, c2_closed_form, prove
+from .prover import (
+    ProofError,
+    Resolver,
+    c2_closed_form,
+    matching_permutation,
+    permute_form,
+    prove,
+)
 from .ratfunc import RatFunc
 from .store import ResultStore, StoreEntry
 
@@ -63,38 +74,6 @@ def zero_sum_vectors(n: int, max_complexity: int) -> List[Tuple[int, ...]]:
         ordered.append(rep)
         ordered.extend(members)
     return ordered
-
-
-def permute_form(form: ClosedForm, perm: Sequence[int]) -> ClosedForm:
-    """Closed form for b' with b'_i = b_{perm[i]}, via variable relabeling.
-
-    The constant term is invariant under simultaneous relabeling of a and b;
-    chasing the labels through gives R_{b'}(a) = R_b(y) with
-    y_{perm[i]} = a_i, i.e. the a-variables are permuted by the inverse of
-    the permutation applied to b."""
-    perm = tuple(perm)
-    if sorted(perm) != list(range(form.n)):
-        raise ValueError(f"{perm} is not a permutation of 0..{form.n - 1}")
-    b_new = tuple(form.b[p] for p in perm)
-    inverse = [0] * form.n
-    for i, p in enumerate(perm):
-        inverse[p] = i
-    return ClosedForm(n=form.n, b=b_new, R=form.R.permute_vars(inverse))
-
-
-def _matching_permutation(src: Tuple[int, ...], dst: Tuple[int, ...]) -> Tuple[int, ...]:
-    """Lexicographically smallest perm with dst[i] = src[perm[i]]."""
-    used = [False] * len(src)
-    perm = []
-    for value in dst:
-        for j, s in enumerate(src):
-            if not used[j] and s == value:
-                used[j] = True
-                perm.append(j)
-                break
-        else:
-            raise ValueError(f"{dst} is not a rearrangement of {src}")
-    return tuple(perm)
 
 
 @dataclass(frozen=True)
@@ -296,7 +275,7 @@ def _obtain_form(
     ]
     if same_class:
         source = rep if rep in same_class else max(same_class)
-        perm = _matching_permutation(source, b)
+        perm = matching_permutation(source, b)
         return permute_form(store.get(n, source).form, perm), "permuted", source
     derived = derive_by_reduction(n, b, lookup)
     if derived is not None:

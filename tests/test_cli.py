@@ -79,6 +79,21 @@ def test_guess_names_its_bound_on_n(capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, err",
+    [
+        ("prove -n 0 -b 0", "usage error: prove requires n >= 2\n"),
+        ("prove -n -1 -b 1", "usage error: prove requires n >= 2\n"),
+        ("write-paper -n 0 -b 0", "usage error: write-paper requires n >= 2\n"),
+    ],
+    ids=["prove-0", "prove-minus-1", "write-paper-0"],
+)
+def test_prove_names_its_bound_on_n(capsys, argv, err):
+    # the bound on n is checked before the length of -b, as guess does
+    assert main(argv.split()) == EXIT_USAGE
+    assert capsys.readouterr().err == err
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["guess", "-n", "3", "-b", "2,-1,-1", "--max-t", "-1"],

@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -291,3 +295,33 @@ def test_modular_path_trivial_nullspace():
 def test_ragged_matrix_rejected():
     with pytest.raises(ValueError):
         solve_nullspace([[1, 2], [1]])
+
+
+UNSOUND_KERNEL = """
+import inspect
+import dysonct.linalg as linalg
+
+# _rref_mod without the write-back of the scaled pivot row, which the block
+# update leaves zero: every reduction is wrong, so no basis ever verifies
+source = inspect.getsource(linalg._rref_mod)
+assert "        block[:, r] = row\\n" in source
+exec("from __future__ import annotations\\n" + source.replace("        block[:, r] = row\\n", ""),
+     linalg.__dict__)
+try:
+    linalg.solve_nullspace([[1, 2, 3], [2, 4, 7], [3, 6, 10]])
+except ArithmeticError as exc:
+    print("raised:", exc)
+"""
+
+
+def test_unsound_reduction_raises_instead_of_spinning():
+    # the prime loop is bounded, so the child ends well inside the timeout
+    result = subprocess.run(
+        [sys.executable, "-c", UNSOUND_KERNEL],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("raised: no verified nullspace basis after ")

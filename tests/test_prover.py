@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from collections import Counter
 from fractions import Fraction
@@ -17,6 +18,7 @@ from dysonct.prover import (
     check_initial,
     check_recursion,
     linear_factors,
+    matching_permutation,
     prove,
 )
 from dysonct.ratfunc import RatFunc
@@ -424,9 +426,14 @@ def test_prove_splits_each_denominator_once_and_expands_each_pivot_once(monkeypa
     resolver = Resolver()
     assert prove(4, (1, -1, 0, 0), resolver).is_valid()
     proved = [c.form for c in resolver.certificates.values() if not c.base_case]
-    assert len(proved) > 1 and {f.n for f in proved} == {3, 4}
-    assert Counter(split_dens) == Counter(f.R.den for f in proved)
-    assert expanded == Counter({(f.n, f.b): f.n for f in proved})
+    checked = [entry.certificate.form for entry in resolver.checked.values()]
+    # the n = 3 dependencies are <-1,0,1>, <-1,1,0>, <0,0,0> and <1,-1,0>,
+    # in proof order; the second and the last relabel the first, so they are
+    # neither split nor expanded
+    assert sorted(f.b for f in checked) == [(-1, 0, 1), (0, 0, 0), (1, -1, 0, 0)]
+    assert sorted(f.b for f in proved if f not in checked) == [(-1, 1, 0), (1, -1, 0)]
+    assert Counter(split_dens) == Counter(f.R.den for f in checked)
+    assert expanded == Counter({(f.n, f.b): f.n for f in checked})
 
 
 def test_prove_rejects_denominator_without_linear_split():
@@ -497,3 +504,104 @@ def test_certificate_serialization_carries_tree():
     assert all(dep["base_case"] for dep in data["dependencies"])
     assert "recursion" in data["identities"]
     assert len(data["identities"]["boundary"]) == 3
+
+
+# ----------------------------------------------------------------------
+# relabeled certificates
+
+
+def _cycle_lengths(perm):
+    seen, lengths = set(), set()
+    for start in range(len(perm)):
+        length, i = 0, start
+        while i not in seen:
+            seen.add(i)
+            i = perm[i]
+            length += 1
+        lengths.add(length)
+    return lengths
+
+
+@pytest.mark.parametrize("n, complexity", [(3, 5), (4, 2)])
+def test_relabeled_certificates_equal_the_checked_ones(monkeypatch, n, complexity):
+    resolver = Resolver()
+    store = ResultStore()
+    turbo_dyson(n, complexity, store=store, resolver=resolver)
+    checked = {id(entry.certificate) for entry in resolver.checked.values()}
+    relabeled = [
+        e for e in store if e.n == n and id(resolver.certificates[(n, e.b)]) not in checked
+    ]
+    assert len(relabeled) == {3: 73, 4: 49}[n]
+    cycles = set()
+    for e in relabeled:
+        source = resolver.checked[(n, tuple(sorted(e.b)))].certificate.form.b
+        cycles |= _cycle_lengths(matching_permutation(source, e.b))
+    # a 3-cycle at n = 3, a 4-cycle at n = 4, and pivots with b_k < 0
+    assert n in cycles
+    assert any(
+        o.get("note") == "empty expansion (b_k < 0)"
+        for e in relabeled
+        for o in e.certificate["identities"]["boundary"]
+    )
+    # on a resolver seeded with the sweep's forms nothing is refitted, and
+    # with relabeling off the recursion check runs once per certificate
+    recursions = []
+    real_recursion = prover_module.check_recursion
+    monkeypatch.setattr(prover_module, "_relabeled_certificate", lambda *args: None)
+    monkeypatch.setattr(
+        prover_module,
+        "check_recursion",
+        lambda form, safety: recursions.append(form.b) or real_recursion(form, safety),
+    )
+    for e in relabeled:
+        fresh = Resolver()
+        for form in resolver.forms.values():
+            fresh.add_form(form)
+        recursions.clear()
+        assert prove(n, e.b, fresh).to_json() == e.certificate
+        assert fresh.guess_calls == 0
+        assert sorted(recursions) == sorted(
+            b for (_, b), c in fresh.certificates.items() if not c.base_case
+        )
+
+
+def _not_splitting(R):
+    a = _vars(3)
+    return RatFunc.make(R.num, R.den * (a[0] * a[0] + a[1] + Poly.const(3, 1)))
+
+
+@pytest.mark.parametrize(
+    "wrong, check",
+    [
+        (lambda R: RatFunc.one(3), "boundary"),
+        (lambda R: R + RatFunc.from_poly(_vars(3)[0]), "recursion"),
+        (_not_splitting, "denominator-safety"),
+    ],
+    ids=["one", "plus-a1", "non-splitting"],
+)
+def test_a_form_that_is_not_the_relabeling_runs_the_checks(wrong, check):
+    b = (-1, 2, -1)
+    resolver = Resolver()
+    prove(3, (2, -1, -1), resolver)
+    form = ClosedForm(3, b, wrong(resolver.form(3, b).R))
+    resolver.add_form(form)
+    with pytest.raises(ProofError) as info:
+        prove(3, b, resolver)
+    alone = Resolver()
+    alone.add_form(form)
+    with pytest.raises(ProofError) as unrelated:
+        prove(3, b, alone)
+    assert info.value.outcome.check == unrelated.value.outcome.check == check
+    assert str(info.value) == str(unrelated.value)
+
+
+def test_a_dependency_that_is_not_the_relabeling_runs_the_checks():
+    resolver = Resolver()
+    prove(3, (1, 0, -1), resolver)
+    # <0,1,-1> relabels <1,0,-1>, and both read <1,-1> at a zero pivot
+    real = resolver.certificates[(2, (1, -1))]
+    doubled = ClosedForm(2, (1, -1), real.form.R * 2)
+    resolver.certificates[(2, (1, -1))] = dataclasses.replace(real, form=doubled)
+    with pytest.raises(ProofError) as info:
+        prove(3, (0, 1, -1), resolver)
+    assert info.value.outcome.check == "boundary"
