@@ -6,7 +6,11 @@ matched against num/den candidates of increasing total degree t, trying the
 splits (t, 0), (t-1, 1), ..., (0, t) in order.  An empirically known factor
 attached to each negative b-component (a product of reciprocal rising
 factorials) is divided out of the samples first, which lowers the degree of
-the residual fit dramatically; the factor is restored on the way out.
+the residual fit dramatically; the factor is restored on the way out.  The
+factor is kept as its linear factors (ansatz_forms), P over Q: a sample is
+the single Fraction ct * Q(p) / (multinomial * P(p)) of integer products,
+and the restore cancels or multiplies in one linear factor at a time by
+exact division, which gives the canonical form without a polynomial gcd.
 
 Everything is exact: the linear systems are solved over Q, candidates are
 validated on held-out points, and the caller is expected to run the proof
@@ -23,14 +27,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .laurent import ct, multinomial
 from .linalg import FIRST_PRIME, kernel_mod_p, matmul_mod, solve_nullspace
-from .poly import LinearForm, Poly
-from .ratfunc import RatFunc, rising_factorial
+from .poly import LinearForm, Poly, cancel_factors
+from .ratfunc import RatFunc
 
 if TYPE_CHECKING:
     import numpy as np
@@ -112,21 +116,72 @@ class SampleSet:
         self.values = vals
 
 
+Ansatz = Tuple[Tuple[LinearForm, ...], Tuple[LinearForm, ...]]
+
+
+def ansatz_forms(b: Sequence[int]) -> Ansatz:
+    """The linear factors of the ansatz factor of R_b: (numerator forms,
+    denominator forms).  Each negative component b_i contributes the
+    numerator forms a_i + 1 - r, r = 1..ceil(|b_i| / 2), and the denominator
+    forms 1 + r + sum_{j != i} a_j, r = 0..|b_i| - 1.
+
+    Every form is irreducible, monic and appears once; numerator constants
+    are <= 0 and denominator constants >= 1, with all coefficients 0 or 1,
+    so no numerator form is associated with a denominator form."""
+    n = len(b)
+    num: List[LinearForm] = []
+    den: List[LinearForm] = []
+    for i, bi in enumerate(b):
+        if bi >= 0:
+            continue
+        unit = tuple(1 if j == i else 0 for j in range(n))
+        rest = tuple(1 - e for e in unit)
+        num += [LinearForm(1 - r, unit) for r in range(1, (1 - bi) // 2 + 1)]
+        den += [LinearForm(1 + r, rest) for r in range(-bi)]
+    return tuple(num), tuple(den)
+
+
 def ansatz_factor(b: Sequence[int]) -> RatFunc:
     """The empirical factor of R_b attached to negative b-components: the
     product over negative components b_i of
     1 / ((1 + a_i)_{floor(b_i / 2)} (1 + sum_{j != i} a_j)_{|b_i|}),
-    as a reduced rational function; 1 when b has no negative components."""
-    b = tuple(b)
+    which is the product of ansatz_forms' numerator forms over the product
+    of its denominator forms; 1 when b has no negative components.  Those
+    products share no factor and the denominator is monic, so the quotient
+    is already reduced."""
     n = len(b)
-    value = RatFunc.one(n)
-    for i, bi in enumerate(b):
-        if bi >= 0:
-            continue
-        first = rising_factorial(LinearForm(1, tuple(1 if j == i else 0 for j in range(n))), bi // 2)
-        second = rising_factorial(LinearForm(1, tuple(0 if j == i else 1 for j in range(n))), abs(bi))
-        value = value * (first * second).reciprocal()
-    return value
+    one = Poly.const(n, 1)
+    num, den = ansatz_forms(b)
+    return RatFunc(
+        prod((f.to_poly() for f in num), start=one),
+        prod((f.to_poly() for f in den), start=one),
+    )
+
+
+def _sample_value(ct_value: int, p: Tuple[int, ...], forms: Ansatz) -> Fraction:
+    """ct_value / (multinomial(p) * P(p) / Q(p)) as one Fraction, for the
+    ansatz factor P/Q whose linear factors are ``forms``."""
+    num_forms, den_forms = forms
+    return Fraction(
+        ct_value * prod(f.evaluate(p) for f in den_forms),
+        multinomial(p) * prod(f.evaluate(p) for f in num_forms),
+    )
+
+
+def restore_ansatz(residual: RatFunc, forms: Ansatz) -> RatFunc:
+    """residual times the ansatz factor with the linear factors ``forms``,
+    in RatFunc.make's canonical form, by exact division and no gcd.
+
+    For residual = N/D, each denominator form is cancelled from N where it
+    divides N and multiplied into D where it does not; then each numerator
+    form likewise between D and N; then D is scaled monic.  N/D is reduced
+    and every form is irreducible, so the result is reduced too
+    (poly.cancel_factors), and a reduced form with a monic denominator is
+    unique."""
+    num_forms, den_forms = forms
+    num, den = cancel_factors(residual.num, residual.den, (f.to_poly() for f in den_forms))
+    den, num = cancel_factors(den, num, (f.to_poly() for f in num_forms))
+    return RatFunc.coprime(num, den)
 
 
 def sample_grid(n: int, b: Sequence[int], count: int) -> List[Tuple[int, ...]]:
@@ -136,9 +191,11 @@ def sample_grid(n: int, b: Sequence[int], count: int) -> List[Tuple[int, ...]]:
     every arrangement of a coordinate set is emitted, so no variable is stuck
     in a narrow band, which would let spurious interpolants through.  The
     ansatz factor is finite and nonzero at every point, so sampled values can
-    always be divided by it: each numerator piece a_i + 1 - r is at least 1,
-    as r <= ceil(|b_i| / 2) <= a_i, and each denominator piece
-    1 + sum_{j != i} a_j + r is positive.
+    always be divided by it: each numerator form a_i + 1 - r is at least 1,
+    as r <= ceil(|b_i| / 2) <= a_i, and each denominator form
+    1 + sum_{j != i} a_j + r is positive (see ansatz_forms).  A value is
+    divided by the factor P/Q by multiplying the integer product Q(p) of the
+    denominator forms into its numerator and P(p) into its denominator.
     """
     if count < 1:
         raise ValueError("count must be positive")
@@ -202,16 +259,17 @@ def guess_rat(samples: SampleSet, t: int) -> Optional[RatFunc]:
     inequivalent candidates (the caller should supply more samples).
 
     Each split is screened modulo p = linalg.FIRST_PRIME before its exact
-    rows are built; the exact monomial table they are read from is built
-    once, for the first split that passes the screen.  A vector of the mod-p
-    nullspace basis counts as a candidate only if its denominator part is
-    nonzero mod p and its denominator is nonzero mod p at every sample
-    point.  The split is skipped when no vector counts, or when exactly one
-    counts and value * den(h) - num(h) is nonzero mod p at some held-out
-    point h; every other split is solved and checked exactly as above.  The
-    screen only ever skips, so whatever is returned has passed every exact
-    check and a skip cannot produce a wrong closed form; at worst it misses
-    a fit.  That takes p dividing one particular nonzero integer (an entry, a
+    rows are built.  The exact monomial table they are read from is built
+    when a split first passes the screen, only as wide as that split reads
+    (max(n_num, n_den) columns), and rebuilt only for a later passing split
+    that reads more.  A vector of the mod-p nullspace basis counts as a
+    candidate only if its denominator part is nonzero mod p and its
+    denominator is nonzero mod p at every sample point.  The split is
+    skipped when no vector counts, or when exactly one counts and
+    value * den(h) - num(h) is nonzero mod p at some held-out point h; every
+    other split is solved and checked exactly as above.  The screen only
+    ever skips, so whatever is returned has passed every exact check and a
+    skip cannot produce a wrong closed form; at worst it misses a fit.  That takes p dividing one particular nonzero integer (an entry, a
     denominator value or a held-out residual of an exact basis vector) or a
     reduction mod p of the wrong rank or pivots.
     """
@@ -236,14 +294,16 @@ def guess_rat(samples: SampleSet, t: int) -> Optional[RatFunc]:
     # the monomials of every split are a prefix of these, in the same order
     monos = _monomials_up_to(nvars, t)
     screen = _Screen(samples.points, samples.values, len(fit_pts), monos)
-    # the exact monomial values, built when a split first passes the screen
+    # the exact values of the first ``width`` monomials
     mono_vals: List[List[int]] = []
+    width = 0
     for d_num in range(t, -1, -1):
         n_num, n_den = comb(d_num + nvars, nvars), comb(t - d_num + nvars, nvars)
         if not screen.may_fit(n_den, n_num):
             continue
-        if not mono_vals:
-            mono_vals = _mono_values(samples.points, monos)
+        if width < max(n_num, n_den):
+            width = max(n_num, n_den)
+            mono_vals = _mono_values(samples.points, monos[:width])
         # value * den(p) - num(p) = 0, scaled by the value's denominator
         rows = []
         for vals, f in zip(mono_vals, fit_vals):
@@ -364,6 +424,12 @@ def guess_dyson_with_details(
     winning residual times the ansatz factor is validated against the oracle
     at 5 fresh points before being returned.  Raises GuessExhausted when
     max_t is used up.
+
+    The ansatz factor enters only through ansatz_forms' linear factors, its
+    numerator product P and denominator product Q: each sample is
+    Fraction(ct(p) * Q(p), multinomial(p) * P(p)), and the residual is
+    restored by restore_ansatz, by exact division alone.  No factor RatFunc
+    is evaluated or multiplied; with no ansatz the forms are empty.
     """
     b = tuple(b)
     if n < 1 or len(b) != n:
@@ -375,7 +441,7 @@ def guess_dyson_with_details(
         details = GuessDetails(t=0, samples_used=0, residual=RatFunc.zero(n), used_ansatz=use_ansatz)
         return zero, details
 
-    factor = ansatz_factor(b) if use_ansatz else RatFunc.one(n)
+    forms = ansatz_forms(b) if use_ansatz else ((), ())
     grid = _grid_iter(n, b)
     points: List[Tuple[int, ...]] = []
     values: List[Fraction] = []
@@ -387,7 +453,7 @@ def guess_dyson_with_details(
         for _ in range(4):
             for p in itertools.islice(grid, max(0, needed - len(points))):
                 points.append(p)
-                values.append(Fraction(oracle(n, p, b), multinomial(p)) / factor.evaluate(p))
+                values.append(_sample_value(oracle(n, p, b), p, forms))
             samples = SampleSet(points[:needed], values[:needed])
             try:
                 residual = guess_rat(samples, t)
@@ -396,7 +462,7 @@ def guess_dyson_with_details(
                 needed *= 2
         if residual is None:
             continue
-        form_r = factor * residual
+        form_r = restore_ansatz(residual, forms)
         candidate = ClosedForm(n=n, b=b, R=form_r)
         # the fresh points are drawn before any is checked, so a failed check
         # leaves the same grid suffix for the next fit

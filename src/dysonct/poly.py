@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
-from operator import add
+from operator import add, mul
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
@@ -352,6 +352,10 @@ class LinearForm:
                 terms[mono] = c
         return Poly._raw(self.nvars, terms)
 
+    def evaluate(self, point: Sequence[int]) -> int:
+        """The form's value at an integer point."""
+        return self.constant + sum(map(mul, self.coeffs, point))
+
     def shift(self, delta: int) -> "LinearForm":
         return LinearForm(self.constant + delta, self.coeffs)
 
@@ -429,6 +433,19 @@ def exact_div(p: Poly, q: Poly) -> Poly:
     if f != 1:
         quot = {m: c * f for m, c in quot.items()}
     return Poly._reduced(p.nvars, quot, p.den * abs(cont))
+
+
+def cancel_factors(p: Poly, q: Poly, factors: Iterable[Poly]) -> Tuple[Poly, Poly]:
+    """p / (q * prod(factors)) as a pair (p', q'): each factor is divided out
+    of p where it divides p exactly and multiplied into q where it does not.
+    When p and q are coprime and every factor is irreducible, p' and q' are
+    coprime again: a factor left in q' did not divide p', which divides p."""
+    for f in factors:
+        try:
+            p = exact_div(p, f)
+        except ArithmeticError:
+            q = q * f
+    return p, q
 
 
 def make_primitive(p: Poly) -> Poly:

@@ -41,7 +41,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .conjecture import DEFAULT_MAX_T, ClosedForm, guess_dyson
 from .laurent import PkExpansion, pk_compositions, pk_expansion
-from .poly import LinearForm, Poly, exact_div, make_primitive
+from .poly import LinearForm, Poly, cancel_factors, exact_div, make_primitive
 from .ratfunc import RatFunc, rising_factorial
 
 
@@ -171,13 +171,7 @@ def _over(num: Poly, factors: Counter, c: Fraction) -> RatFunc:
     """num / (c * prod factors) in canonical form, reduced one linear factor
     at a time: a linear factor is irreducible, so it either divides num or is
     coprime to it."""
-    den = Poly.const(num.nvars, c)
-    for f in factors.elements():
-        try:
-            num = exact_div(num, f)
-        except ArithmeticError:
-            den = den * f
-    return RatFunc._rescale(num, den)
+    return RatFunc.coprime(*cancel_factors(num, Poly.const(num.nvars, c), factors.elements()))
 
 
 def check_recursion(form: ClosedForm, safety: DenominatorSafety) -> CheckOutcome:

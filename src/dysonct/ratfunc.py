@@ -37,6 +37,14 @@ class RatFunc:
         if not (g.is_constant() and g.constant_value() == 1):
             num = exact_div(num, g)
             den = exact_div(den, g)
+        return cls.coprime(num, den)
+
+    @classmethod
+    def coprime(cls, num: Poly, den: Poly) -> "RatFunc":
+        """num / den for a nonzero den known to share no factor with num:
+        only the denominator's leading coefficient is scaled to 1."""
+        if num.is_zero():
+            return cls.zero(num.nvars)
         lc = den.leading_coeff()
         if lc != 1:
             num = num.scale(1 / lc)
@@ -128,20 +136,10 @@ class RatFunc:
     def shift_var(self, var: int, delta: int) -> "RatFunc":
         # A shift is an automorphism, so reducedness is preserved; only the
         # denominator's leading coefficient needs renormalizing.
-        return self._rescale(self.num.shift_var(var, delta), self.den.shift_var(var, delta))
+        return RatFunc.coprime(self.num.shift_var(var, delta), self.den.shift_var(var, delta))
 
     def permute_vars(self, perm: Sequence[int]) -> "RatFunc":
-        return self._rescale(self.num.permute_vars(perm), self.den.permute_vars(perm))
-
-    @staticmethod
-    def _rescale(num: Poly, den: Poly) -> "RatFunc":
-        if num.is_zero():
-            return RatFunc.zero(num.nvars)
-        lc = den.leading_coeff()
-        if lc != 1:
-            num = num.scale(1 / lc)
-            den = den.scale(1 / lc)
-        return RatFunc(num, den)
+        return RatFunc.coprime(self.num.permute_vars(perm), self.den.permute_vars(perm))
 
     # ------------------------------------------------------------------
     # serialization

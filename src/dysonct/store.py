@@ -29,6 +29,7 @@ from .conjecture import ClosedForm
 SCHEMA_VERSION = 1
 DEFAULT_STORE = "dyson-store.json"
 STORE_ENV = "DYSON_STORE"
+PROVENANCE_KINDS = ("guessed", "permuted", "reduced", "base")
 
 
 class StoreIOError(Exception):
@@ -60,14 +61,15 @@ class StoreEntry:
             raise ValueError(f"n must be an int >= 2, not {n!r}")
         if type(b) is not list or len(b) != n or any(type(x) is not int for x in b):
             raise ValueError(f"b must be a list of {n} ints, not {b!r}")
+        provenance, certificate = data["provenance"], data["certificate"]
+        if type(provenance) is not dict or provenance.get("kind") not in PROVENANCE_KINDS:
+            raise ValueError(
+                f"provenance must be an object with a kind in {PROVENANCE_KINDS}, not {provenance!r}"
+            )
+        if type(certificate) is not dict:
+            raise ValueError(f"certificate must be an object, not {certificate!r}")
         form = ClosedForm.from_json({"n": n, "b": b, "R": data["R"]})
-        return cls(
-            n=n,
-            b=form.b,
-            form=form,
-            provenance=data["provenance"],
-            certificate=data["certificate"],
-        )
+        return cls(n=n, b=form.b, form=form, provenance=provenance, certificate=certificate)
 
 
 class ResultStore:

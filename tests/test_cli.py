@@ -215,6 +215,21 @@ def test_malformed_store_entry_exit_code(tmp_path, capsys):
     assert "malformed entry 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["turbo", "-n", "3", "-C", "1"], ["prove", "-n", "3", "-b", "1,-1,0"]])
+def test_store_entry_with_non_object_certificate_exit_code(tmp_path, capsys, argv):
+    assert main(["turbo", "-n", "3", "-C", "1", "--store", "s.json"]) == EXIT_OK
+    path = tmp_path / "s.json"
+    data = json.loads(path.read_text())
+    data["entries"][0].update(certificate=5, provenance="oops")
+    path.write_text(json.dumps(data))
+    raw = path.read_bytes()
+    capsys.readouterr()
+    assert main(argv + ["--store", "s.json"]) == EXIT_IO
+    err = capsys.readouterr().err
+    assert err.startswith("i/o failure: store s.json has a malformed entry 0 (n=3, b=")
+    assert path.read_bytes() == raw
+
+
 def test_store_that_is_not_utf8_exit_code(tmp_path, capsys):
     (tmp_path / "s.json").write_bytes(b'{"version": 1, "entries": [\xff]}')
     assert main(["turbo", "-n", "2", "-C", "1", "--store", "s.json"]) == EXIT_IO

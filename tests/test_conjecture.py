@@ -6,6 +6,7 @@ from typing import List, Optional, Tuple
 import pytest
 
 import dysonct.conjecture as conjecture
+import dysonct.ratfunc as ratfunc
 from dysonct.conjecture import (
     HOLDOUT,
     AmbiguousFit,
@@ -15,10 +16,13 @@ from dysonct.conjecture import (
     _Screen,
     _mono_values,
     _monomials_up_to,
+    _sample_value,
     ansatz_factor,
+    ansatz_forms,
     guess_dyson,
     guess_dyson_with_details,
     guess_rat,
+    restore_ansatz,
     sample_grid,
 )
 from dysonct.laurent import ct, multinomial
@@ -62,6 +66,54 @@ def test_ansatz_f4_example():
         (one + s) * (two + s) * (three + s) * (one + a[0] + a[1] + a[3]),
     )
     assert ansatz_factor((-3, 2, -1, 2)) == expected
+
+
+def test_factored_sample_values_match_the_factor_rational_function():
+    # a sample divides by the ansatz factor through its forms' integer products
+    for n in range(2, 6):
+        for b in zero_sum_vectors(n, 4):
+            factor, forms = ansatz_factor(b), ansatz_forms(b)
+            for p in sample_grid(n, b, 30):
+                value = ct(n, p, b)
+                assert _sample_value(value, p, forms) == Fraction(value, multinomial(p)) / factor.evaluate(p)
+
+
+@pytest.mark.parametrize("b", [(2, -1, -1), (4, -2, -2), (1, 1, -1, -1, 0), (3, -1, -1, -1)])
+def test_restore_matches_the_general_product_on_fitted_residuals(b):
+    form, details = guess_dyson_with_details(len(b), b)
+    assert form.R == ansatz_factor(b) * details.residual
+    assert restore_ansatz(details.residual, ansatz_forms(b)) == form.R
+
+
+def _synthetic_residuals():
+    """(name, residual) for b = (-3, 2, -1, 2), whose numerator forms are a_1,
+    a_1 - 1 and a_3 and whose denominator forms are 1 + s, 2 + s, 3 + s with
+    s = a_2 + a_3 + a_4, and 1 + a_1 + a_2 + a_4."""
+    a = _vars(4)
+    c = [Poly.const(4, k) for k in range(10)]
+    s = a[1] + a[2] + a[3]
+    other = a[1] + 3 * a[2] + c[7]
+    yield "neither", RatFunc.make(3 * other, c[2] * (a[0] + a[3] + c[9]))
+    yield "den form in N", RatFunc.make((c[2] + s) * (c[2] + s) * other, a[0] + c[5])
+    yield "num form in D", RatFunc.make(other, (a[0] - c[1]) * a[2] * (a[1] + c[4]))
+    yield "both", RatFunc.make((c[1] + s) * (c[1] + a[0] + a[1] + a[3]), a[0] * other)
+    yield "zero", RatFunc.zero(4)
+
+
+def test_restore_matches_the_general_product_on_synthetic_residuals(monkeypatch):
+    b = (-3, 2, -1, 2)
+    forms = ansatz_forms(b)
+    cases = [(name, r, ansatz_factor(b) * r) for name, r in _synthetic_residuals()]
+
+    def no_gcd(p, q):
+        raise AssertionError("the restore computed a polynomial gcd")
+
+    # the restore is exact division alone: it still succeeds without a gcd
+    monkeypatch.setattr(ratfunc, "poly_gcd", no_gcd)
+    for name, residual, expected in cases:
+        assert restore_ansatz(residual, forms) == expected, name
+    with pytest.raises(AssertionError, match="gcd"):
+        ansatz_factor(b) * cases[0][1]
 
 
 def test_sample_grid_first_point_and_prefix_determinism():

@@ -176,8 +176,22 @@ def _write_store_with_entry(path, mutate):
         lambda entry: entry.__setitem__("b", entry["b"][:-1]),
         lambda entry: entry.__setitem__("b", [float(x) for x in entry["b"]]),
         lambda entry: entry["R"].__setitem__("den_terms", []),
+        lambda entry: entry.__setitem__("certificate", 5),
+        lambda entry: entry.__setitem__("provenance", "oops"),
+        lambda entry: entry["provenance"].__setitem__("kind", "made-up"),
+        lambda entry: entry["provenance"].pop("kind"),
     ],
-    ids=["missing-key", "bad-term-list", "short-b", "float-b", "zero-denominator"],
+    ids=[
+        "missing-key",
+        "bad-term-list",
+        "short-b",
+        "float-b",
+        "zero-denominator",
+        "certificate-not-object",
+        "provenance-not-object",
+        "unknown-kind",
+        "missing-kind",
+    ],
 )
 def test_malformed_entry_rejected(tmp_path, mutate):
     path = tmp_path / "bad.json"
