@@ -32,7 +32,7 @@ from .prover import (
     permute_form,
     prove,
 )
-from .ratfunc import RatFunc, rising_factorial
+from .ratfunc import RatFunc
 from .store import ResultStore, StoreEntry, store_path
 from .turbo import (
     complexity,
@@ -76,7 +76,6 @@ __all__ = [
     "poly_gcd",
     "prove",
     "reduction_relation",
-    "rising_factorial",
     "sample_grid",
     "solve_nullspace",
     "store_path",

@@ -25,24 +25,26 @@ split, the boundary identity by cross-multiplying its denominators.
 Boundary dependencies are proved recursively before the checks, bottoming
 out in the built-in n = 2 closed form; each pivot's P_k expansion is built
 once and serves both the dependency list and the boundary check, which
-reads the proved dependencies' forms.  An arrangement of b whose class (its
-sorted b) already has a checked member is certified by relabeling that
-member's certificate, when its forms are that member's relabeled (see
-``prove``).
+reads the proved dependencies' forms.  A ``ProofCertificate`` holds the
+outcomes of its checks, and its validity and stored verdicts are read from
+them.  An arrangement of b whose class (its sorted b) already has a checked
+member is certified by relabeling that member's outcomes, when its forms
+are that member's relabeled (see ``prove``).
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from math import prod
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .conjecture import DEFAULT_MAX_T, ClosedForm, guess_dyson
 from .laurent import PkExpansion, pk_compositions, pk_expansion
 from .poly import LinearForm, Poly, cancel_factors, exact_div, make_primitive
-from .ratfunc import RatFunc, rising_factorial
+from .ratfunc import RatFunc
 
 
 @dataclass
@@ -84,9 +86,12 @@ def c2_closed_form(b: Sequence[int]) -> ClosedForm:
     """Closed form of the two-variable constant term (binomial theorem case).
 
     For b = (h, -h) the value is (-1)^h (a_1+a_2)! / ((a_1+h)! (a_2-h)!),
-    i.e. R = (-1)^h / ((1+a_1)_h (1+a_2)_{-h}); out-of-support factorials
-    correspond to numerator zeros of R at the same integer points, so
-    evaluating R reproduces the convention that the coefficient is 0 there.
+    i.e. R = (-1)^h a_2 (a_2-1) ... (a_2-h+1) / ((a_1+1) ... (a_1+h)) for
+    h >= 0 and the same with a_1 and a_2 swapped for h < 0, built from those
+    linear factors.  The two products share no variable and the denominator
+    is monic, so R is canonical as built.  Out-of-support factorials correspond
+    to numerator zeros of R at the same integer points, so evaluating R
+    reproduces the convention that the coefficient is 0 there.
     """
     b = tuple(b)
     if len(b) != 2:
@@ -94,11 +99,11 @@ def c2_closed_form(b: Sequence[int]) -> ClosedForm:
     if b[0] + b[1] != 0:
         return ClosedForm(n=2, b=b, R=RatFunc.zero(2))
     h = b[0]
-    prod = rising_factorial(LinearForm(1, (1, 0)), h) * rising_factorial(
-        LinearForm(1, (0, 1)), -h
-    )
-    sign = -1 if h % 2 else 1
-    return ClosedForm(n=2, b=b, R=prod.reciprocal() * sign)
+    up, down = ((1, 0), (0, 1)) if h >= 0 else ((0, 1), (1, 0))
+    sign = Poly.const(2, -1 if h % 2 else 1)
+    num = prod((LinearForm(-r, down).to_poly() for r in range(abs(h))), start=sign)
+    den = prod((LinearForm(1 + r, up).to_poly() for r in range(abs(h))), start=Poly.const(2, 1))
+    return ClosedForm(n=2, b=b, R=RatFunc(num, den))
 
 
 # ----------------------------------------------------------------------
@@ -392,62 +397,82 @@ def check_denominator_safety(form: ClosedForm) -> DenominatorSafety:
 # ----------------------------------------------------------------------
 # certificates and the prover driver
 
-
 @dataclass
 class ProofCertificate:
-    """Machine-checkable record that a ClosedForm passed every check.
+    """A ClosedForm with the outcomes of the checks that prove it.
 
-    ``dependencies`` holds the certificates of the level-(n-1) forms used by
-    the boundary checks, recursively down to n = 2, where the built-in
-    binomial-theorem closed form needs no further justification.
+    ``recursion``, ``boundaries`` (one per pivot, in pivot order) and
+    ``initial`` are the outcomes of the checks; ``dependencies`` holds the
+    certificates of the level-(n-1) forms the boundary checks read,
+    recursively down to n = 2.  There the built-in binomial-theorem closed
+    form needs no further justification, so a base-case certificate has no
+    outcomes.  ``is_valid`` and ``to_json`` read every verdict from the
+    outcomes.
     """
 
     form: ClosedForm
-    recursion_ok: bool
-    boundary_ok: Tuple[bool, ...]
-    initial_ok: bool
-    denominator_safe: bool
-    base_case: bool
-    dependencies: Tuple["ProofCertificate", ...]
-    identities: dict = field(default_factory=dict)
+    dependencies: Tuple["ProofCertificate", ...] = ()
+    recursion: Optional[CheckOutcome] = None
+    boundaries: Tuple[CheckOutcome, ...] = ()
+    initial: Optional[CheckOutcome] = None
+
+    @property
+    def base_case(self) -> bool:
+        return self.form.n == 2
 
     def is_valid(self) -> bool:
+        """True for the base case; otherwise there must be one boundary
+        outcome per pivot, every outcome must have passed, and every
+        dependency must be valid."""
         if self.base_case:
             return True
+        outcomes = (self.recursion, *self.boundaries, self.initial)
         return (
-            self.recursion_ok
-            and all(self.boundary_ok)
-            and self.initial_ok
-            and self.denominator_safe
+            len(self.boundaries) == self.form.n
+            and all(o is not None and o.ok for o in outcomes)
             and all(dep.is_valid() for dep in self.dependencies)
         )
 
     def to_json(self) -> dict:
+        if self.base_case:
+            recursion_ok, boundary_ok, initial_ok = True, [True, True], True
+            identities: dict = {"base_case": "binomial-theorem closed form for n = 2"}
+        else:
+            recursion_ok = self.recursion.ok
+            boundary_ok = [o.ok for o in self.boundaries]
+            initial_ok = self.initial.ok
+            identities = {
+                "recursion": _identity_json(self.recursion),
+                "boundary": [_identity_json(o) for o in self.boundaries],
+                "initial": _identity_json(self.initial),
+            }
         return {
             "form": self.form.to_json(),
-            "recursion_ok": self.recursion_ok,
-            "boundary_ok": list(self.boundary_ok),
-            "initial_ok": self.initial_ok,
-            "denominator_safe": self.denominator_safe,
-            # the only guarantee denominator safety certifies; the two keys
-            # keep the stored certificate format unchanged
+            "recursion_ok": recursion_ok,
+            "boundary_ok": boundary_ok,
+            "initial_ok": initial_ok,
+            # every check runs on the denominator's split into positive
+            # linear factors, the only guarantee denominator safety
+            # certifies; the three keys keep the stored format unchanged
+            "denominator_safe": True,
             "denominator_guarantee": "syntactic",
             "initial_limit_used": False,
             "base_case": self.base_case,
             "dependency_b": [list(dep.form.b) for dep in self.dependencies],
             "dependencies": [dep.to_json() for dep in self.dependencies],
-            "identities": self.identities,
+            "identities": identities,
         }
 
 
-class _Checked(NamedTuple):
-    """A certificate whose checks ran, with their outcomes: the identities
-    its relabeling class takes when relabeled."""
-
-    certificate: ProofCertificate
-    recursion: CheckOutcome
-    boundaries: List[CheckOutcome]
-    initial: CheckOutcome
+def _identity_json(outcome: CheckOutcome) -> dict:
+    data: dict = {"ok": outcome.ok}
+    if outcome.lhs is not None:
+        data["lhs"] = outcome.lhs.to_json()
+    if outcome.rhs is not None:
+        data["rhs"] = outcome.rhs.to_json()
+    if outcome.note:
+        data["note"] = outcome.note
+    return data
 
 
 class Resolver:
@@ -457,17 +482,17 @@ class Resolver:
     n = 2 family or to a fresh conjecture; ``guess_calls`` counts how many
     forms actually required sampling and fitting.
 
-    ``checked`` indexes, by relabeling class (n and sorted b), the first
-    n >= 3 certificate of each class that ``prove`` certified by running the
+    ``checked`` maps each relabeling class (n and sorted b) to the first
+    n >= 3 certificate of the class that ``prove`` certified by running the
     checks; ``prove`` certifies the other arrangements of the class by
-    relabeling it.
+    relabeling that certificate's outcomes.
     """
 
     def __init__(self, max_t: int = DEFAULT_MAX_T):
         self.max_t = max_t
         self.forms: Dict[Tuple[int, Tuple[int, ...]], ClosedForm] = {}
         self.certificates: Dict[Tuple[int, Tuple[int, ...]], ProofCertificate] = {}
-        self.checked: Dict[Tuple[int, Tuple[int, ...]], _Checked] = {}
+        self.checked: Dict[Tuple[int, Tuple[int, ...]], ProofCertificate] = {}
         self.guess_calls = 0
 
     def form(self, n: int, b: Sequence[int]) -> ClosedForm:
@@ -489,61 +514,22 @@ class Resolver:
         self.forms[(form.n, form.b)] = form
 
 
-def _identity_json(outcome: CheckOutcome) -> dict:
-    data: dict = {"ok": outcome.ok}
-    if outcome.lhs is not None:
-        data["lhs"] = outcome.lhs.to_json()
-    if outcome.rhs is not None:
-        data["rhs"] = outcome.rhs.to_json()
-    if outcome.note:
-        data["note"] = outcome.note
-    return data
-
-
-def _certificate(
-    form: ClosedForm,
-    dependencies: Tuple[ProofCertificate, ...],
-    recursion: CheckOutcome,
-    boundaries: List[CheckOutcome],
-    initial: CheckOutcome,
-) -> ProofCertificate:
-    return ProofCertificate(
-        form=form,
-        recursion_ok=True,
-        boundary_ok=tuple(True for _ in boundaries),
-        initial_ok=True,
-        denominator_safe=True,
-        base_case=False,
-        dependencies=dependencies,
-        identities={
-            "recursion": _identity_json(recursion),
-            "boundary": [_identity_json(o) for o in boundaries],
-            "initial": _identity_json(initial),
-        },
-    )
-
-
 def _relabeled(outcome: CheckOutcome, perm: Sequence[int], k: Optional[int] = None) -> CheckOutcome:
-    """A passed check's outcome with both sides' variables permuted by perm
-    (as RatFunc.permute_vars reads it) and its pivot set to k."""
-    return CheckOutcome(
-        ok=True,
-        check=outcome.check,
-        k=k,
-        lhs=outcome.lhs.permute_vars(perm),
-        rhs=outcome.rhs.permute_vars(perm),
-        note=outcome.note,
-    )
+    """A passed check's outcome with its variables permuted by perm (as
+    RatFunc.permute_vars reads it) and its pivot set to k.  The sides of a
+    passed check are equal, so one side is permuted and serves as both."""
+    side = outcome.lhs.permute_vars(perm)
+    return CheckOutcome(ok=True, check=outcome.check, k=k, lhs=side, rhs=side, note=outcome.note)
 
 
 def _relabeled_certificate(
-    source: _Checked,
+    source: ProofCertificate,
     form: ClosedForm,
     shifted: List[List[Tuple[int, ...]]],
     dependencies: Tuple[ProofCertificate, ...],
 ) -> Optional[ProofCertificate]:
     """The certificate of ``form`` as the relabeling of ``source``, a
-    certificate of the same class, or None unless ``form`` and each
+    checked certificate of the same class, or None unless ``form`` and each
     boundary dependency form are the relabelings of the source's.
 
     ``shifted[k]`` lists the dependency vectors of form's pivot k in term
@@ -552,12 +538,11 @@ def _relabeled_certificate(
     pivot k is the source's pivot perm[k], and sigma relabels the source's
     surviving variables at that pivot to form's.
     """
-    src = source.certificate
-    perm = matching_permutation(src.form.b, form.b)
-    if permute_form(src.form, perm).R != form.R:
+    perm = matching_permutation(source.form.b, form.b)
+    if permute_form(source.form, perm).R != form.R:
         return None
     inverse = _inverse(perm)
-    src_lower = {dep.form.b: dep.form.R for dep in src.dependencies}
+    src_lower = {dep.form.b: dep.form.R for dep in source.dependencies}
     lower = {dep.form.b: dep.form.R for dep in dependencies}
     boundaries = []
     for k, vectors in enumerate(shifted):
@@ -567,12 +552,14 @@ def _relabeled_certificate(
             if lower[v] != src_lower[tuple(v[i] for i in sigma)].permute_vars(sigma):
                 return None
         boundaries.append(_relabeled(source.boundaries[pivot], sigma, k))
-    return _certificate(
+    return ProofCertificate(
         form,
         dependencies,
-        _relabeled(source.recursion, inverse),
-        boundaries,
-        _relabeled(source.initial, inverse),
+        # both sides of a passed recursion are R, and the source's R
+        # relabeled is form.R, checked above
+        recursion=replace(source.recursion, lhs=form.R, rhs=form.R),
+        boundaries=tuple(boundaries),
+        initial=_relabeled(source.initial, inverse),
     )
 
 
@@ -591,7 +578,7 @@ def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCe
     checks (``Resolver.checked``) is certified without them, when its form
     is that certificate's form relabeled (the convention of
     ``permute_form``) and each of its boundary dependency forms is the
-    relabeling of the matching dependency form there.  Its identities are
+    relabeling of the matching dependency form there.  Its outcomes are
     then those of the checked certificate, relabeled: the recursion and the
     initial value by the permutation, the boundary at pivot k by the
     checked pivot that k relabels, its surviving variables relabeled and
@@ -601,8 +588,11 @@ def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCe
     checked identity to an identity, the denominator's split into positive
     linear factors to such a split, and the P_k expansion at a pivot to the
     one at the relabeled pivot.  Canonical forms are unique, so the
-    relabeled identities are exactly the ones the checks would record.  Any
+    relabeled outcomes equal the ones the checks would return.  Any
     mismatch runs the checks.
+
+    The certificate holds the outcomes of the recursion, boundary and
+    initial checks; an n = 2 certificate holds none.
 
     Raises ProofError with a counterexample report when any check fails, and
     propagates GuessExhausted when a needed form cannot even be conjectured.
@@ -618,16 +608,7 @@ def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCe
 
     form = resolver.form(n, b)
     if n == 2:
-        cert = ProofCertificate(
-            form=form,
-            recursion_ok=True,
-            boundary_ok=(True, True),
-            initial_ok=True,
-            denominator_safe=True,
-            base_case=True,
-            dependencies=(),
-            identities={"base_case": "binomial-theorem closed form for n = 2"},
-        )
+        cert = ProofCertificate(form)
         resolver.certificates[key] = cert
         return cert
 
@@ -671,9 +652,7 @@ def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCe
     if not initial.ok:
         raise ProofError(form, initial)
 
-    cert = _certificate(form, dependencies, recursion, boundaries, initial)
+    cert = ProofCertificate(form, dependencies, recursion, tuple(boundaries), initial)
     resolver.certificates[key] = cert
-    resolver.checked.setdefault(
-        relabeling_class, _Checked(cert, recursion, boundaries, initial)
-    )
+    resolver.checked.setdefault(relabeling_class, cert)
     return cert

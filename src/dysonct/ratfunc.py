@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .poly import LinearForm, Poly, exact_div, poly_gcd
+from .poly import Poly, exact_div, poly_gcd
 
 
 class RatFunc:
@@ -119,11 +119,6 @@ class RatFunc:
             raise ZeroDivisionError("division by the zero rational function")
         return RatFunc.make(self.num * other.den, self.den * other.num)
 
-    def reciprocal(self) -> "RatFunc":
-        if self.is_zero():
-            raise ZeroDivisionError("reciprocal of the zero rational function")
-        return RatFunc.make(self.den, self.num)
-
     # ------------------------------------------------------------------
     # evaluation / substitution
 
@@ -160,23 +155,3 @@ class RatFunc:
     def __repr__(self) -> str:
         return f"RatFunc({self.num!r} / {self.den!r})"
 
-
-def rising_factorial(y: LinearForm, h: int) -> RatFunc:
-    """The rising factorial (y)_h as a reduced rational function.
-
-    h > 0 gives the polynomial y (y+1) ... (y+h-1); h = 0 gives 1; h < 0
-    gives 1 / ((y-1)(y-2)...(y-|h|)), the reading under which
-    (y)_h * (y+h)_{-h} = 1 holds identically.
-    """
-    nvars = y.nvars
-    if h == 0:
-        return RatFunc.one(nvars)
-    if h > 0:
-        prod = Poly.const(nvars, 1)
-        for r in range(h):
-            prod = prod * y.shift(r).to_poly()
-        return RatFunc.make(prod, Poly.const(nvars, 1))
-    prod = Poly.const(nvars, 1)
-    for r in range(1, -h + 1):
-        prod = prod * y.shift(-r).to_poly()
-    return RatFunc.make(Poly.const(nvars, 1), prod)

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from conftest import latex_balanced
 from dysonct.conjecture import ClosedForm
 from dysonct.paperdoc import build_document
-from dysonct.prover import ProofCertificate, Resolver, prove
+from dysonct.prover import CheckOutcome, Resolver, prove
 from dysonct.ratfunc import RatFunc
 from dysonct.render import ASCII, LATEX, fmt_closed_form, fmt_poly
 from dysonct.poly import Poly
@@ -14,6 +15,11 @@ from dysonct.poly import Poly
 @pytest.fixture(scope="module")
 def cert_2m1m1():
     return prove(3, (2, -1, -1), Resolver())
+
+
+@pytest.fixture(scope="module")
+def cert_n4():
+    return prove(4, (1, -1, 0, 0), Resolver())
 
 
 def test_markdown_document_structure(cert_2m1m1):
@@ -71,6 +77,7 @@ def test_zero_form_document_is_short():
 
 def test_base_case_document():
     cert = prove(2, (1, -1), Resolver())
+    assert cert.is_valid()
     doc = build_document(cert, "markdown")
     assert "binomial coefficient" in doc
     assert "Good style proof" not in doc
@@ -78,28 +85,48 @@ def test_base_case_document():
     assert latex_balanced(latex)
 
 
-def test_n4_document_has_dependency_appendix():
-    cert = prove(4, (1, -1, 0, 0), Resolver())
-    doc = build_document(cert, "markdown")
+def test_n4_document_has_dependency_appendix(cert_n4):
+    doc = build_document(cert_n4, "markdown")
     assert "## Appendix: lower-level closed forms" in doc
     assert "d_3(a; <0,0,0>)" in doc
-    latex = build_document(cert, "latex")
+    latex = build_document(cert_n4, "latex")
     assert latex_balanced(latex)
     assert r"\begin{itemize}" in latex
 
 
-def test_invalid_certificate_refused(cert_2m1m1):
-    broken = ProofCertificate(
-        form=cert_2m1m1.form,
-        recursion_ok=False,
-        boundary_ok=(False, False, False),
-        initial_ok=False,
-        denominator_safe=False,
-        base_case=False,
-        dependencies=(),
-    )
+def _failed_boundary(cert):
+    failed = CheckOutcome(ok=False, check="boundary", k=cert.form.n - 1)
+    return dataclasses.replace(cert, boundaries=(*cert.boundaries[:-1], failed))
+
+
+def _invalid_dependency(cert):
+    first, *rest = cert.dependencies
+    return dataclasses.replace(cert, dependencies=(dataclasses.replace(first, initial=None), *rest))
+
+
+@pytest.mark.parametrize(
+    "breaking",
+    [
+        lambda c: dataclasses.replace(c, recursion=CheckOutcome(ok=False, check="recursion")),
+        _failed_boundary,
+        lambda c: dataclasses.replace(c, boundaries=c.boundaries[:-1]),
+        lambda c: dataclasses.replace(c, initial=None),
+        _invalid_dependency,
+    ],
+    ids=["failed-recursion", "failed-boundary", "missing-boundary", "missing-initial",
+         "invalid-dependency"],
+)
+def test_invalid_certificate_refused(cert_n4, breaking):
+    # is_valid reads the outcomes; the n = 4 certificate's first dependency
+    # is an n = 3 certificate with outcomes of its own
+    assert cert_n4.is_valid() and not cert_n4.dependencies[0].base_case
+    broken = breaking(cert_n4)
+    assert not broken.is_valid()
     with pytest.raises(ValueError):
         build_document(broken, "markdown")
+
+
+def test_unknown_format_refused(cert_2m1m1):
     with pytest.raises(ValueError):
         build_document(cert_2m1m1, "pdf")
 

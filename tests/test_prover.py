@@ -73,6 +73,14 @@ def test_c2_matches_oracle_on_grid():
                 assert form.evaluate((a1, a2)) == ct(2, (a1, a2), (h, -h)), (h, a1, a2)
 
 
+def test_c2_is_built_canonical():
+    # built from its linear factors without a gcd, R is already reduced
+    # with a monic denominator
+    for h in range(-12, 13):
+        R = c2_closed_form((h, -h)).R
+        assert RatFunc.make(R.num, R.den) == R, h
+
+
 # ----------------------------------------------------------------------
 # recursion
 
@@ -381,7 +389,7 @@ def test_prove_denominator_with_many_coefficient_vectors():
     # first-degree coefficients allow 117*37*45 = 194805 coefficient vectors
     cert = prove(3, (5, -3, -2), Resolver())
     assert cert.is_valid()
-    assert cert.denominator_safe
+    assert cert.to_json()["denominator_safe"]
 
 
 def test_prove_zero_form():
@@ -393,6 +401,32 @@ def test_prove_zero_form():
 def test_prove_base_case_directly():
     cert = prove(2, (2, -2))
     assert cert.base_case and cert.is_valid()
+    assert (cert.recursion, cert.boundaries, cert.initial) == (None, (), None)
+
+
+def test_base_case_certificate_json():
+    # the verdicts and the identity of the base case are derived, as it
+    # holds no outcomes
+    assert prove(2, (1, -1)).to_json() == {
+        "form": {
+            "n": 2,
+            "b": [1, -1],
+            "R": {
+                "num_terms": [[-1, 1, [0, 1]]],
+                "den_terms": [[1, 1, [1, 0]], [1, 1, [0, 0]]],
+            },
+        },
+        "recursion_ok": True,
+        "boundary_ok": [True, True],
+        "initial_ok": True,
+        "denominator_safe": True,
+        "denominator_guarantee": "syntactic",
+        "initial_limit_used": False,
+        "base_case": True,
+        "dependency_b": [],
+        "dependencies": [],
+        "identities": {"base_case": "binomial-theorem closed form for n = 2"},
+    }
 
 
 def test_prove_n4_end_to_end():
@@ -426,7 +460,7 @@ def test_prove_splits_each_denominator_once_and_expands_each_pivot_once(monkeypa
     resolver = Resolver()
     assert prove(4, (1, -1, 0, 0), resolver).is_valid()
     proved = [c.form for c in resolver.certificates.values() if not c.base_case]
-    checked = [entry.certificate.form for entry in resolver.checked.values()]
+    checked = [c.form for c in resolver.checked.values()]
     # the n = 3 dependencies are <-1,0,1>, <-1,1,0>, <0,0,0> and <1,-1,0>,
     # in proof order; the second and the last relabel the first, so they are
     # neither split nor expanded
@@ -527,14 +561,14 @@ def test_relabeled_certificates_equal_the_checked_ones(monkeypatch, n, complexit
     resolver = Resolver()
     store = ResultStore()
     turbo_dyson(n, complexity, store=store, resolver=resolver)
-    checked = {id(entry.certificate) for entry in resolver.checked.values()}
+    checked = {id(c) for c in resolver.checked.values()}
     relabeled = [
         e for e in store if e.n == n and id(resolver.certificates[(n, e.b)]) not in checked
     ]
     assert len(relabeled) == {3: 73, 4: 49}[n]
     cycles = set()
     for e in relabeled:
-        source = resolver.checked[(n, tuple(sorted(e.b)))].certificate.form.b
+        source = resolver.checked[(n, tuple(sorted(e.b)))].form.b
         cycles |= _cycle_lengths(matching_permutation(source, e.b))
     # a 3-cycle at n = 3, a 4-cycle at n = 4, and pivots with b_k < 0
     assert n in cycles

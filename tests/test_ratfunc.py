@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from dysonct.poly import LinearForm, Poly
-from dysonct.ratfunc import RatFunc, rising_factorial
+from dysonct.poly import Poly
+from dysonct.ratfunc import RatFunc
 
 
 def test_telescoping_sum():
@@ -51,27 +51,6 @@ def test_denominator_is_monic_under_glex():
     r = RatFunc.make(a2, (a1 + a2).scale(3))
     assert r.den.leading_coeff() == 1
     assert r.num == a2.scale(Fraction(1, 3))
-
-
-def test_rising_factorial_examples():
-    y = LinearForm(0, (1, 0))  # y = a_1
-    assert rising_factorial(y, 0) == RatFunc.one(2)
-
-    # (y)_3 = y(y+1)(y+2)
-    a1 = Poly.variable(2, 0)
-    one = Poly.const(2, 1)
-    expected = RatFunc.from_poly(a1 * (a1 + one) * (a1 + one + one))
-    assert rising_factorial(y, 3) == expected
-
-    # (1+a_1)_{-2} = 1/(a_1(a_1-1))
-    got = rising_factorial(LinearForm(1, (1, 0)), -2)
-    assert got == RatFunc.make(one, a1 * (a1 - one))
-
-
-def test_rising_factorial_inverse_identity():
-    y = LinearForm(2, (1, 1))
-    for h in range(-3, 4):
-        assert rising_factorial(y, h) * rising_factorial(y.shift(h), -h) == RatFunc.one(2)
 
 
 def test_shift_and_permute_stay_canonical():
