@@ -21,9 +21,14 @@ exponent vector a is the key of the one cache.  An entry holds a's pair
 rows, built once, and every target computed for a so far, by a top-level
 call or as a sub-instance, stored by line: b[:-2], then b[-2] (b[-1] is
 fixed by the zero sum).  So the arrangements sampled by a fit share their
-(n-1)- and (n-2)-variable constant terms, and the innermost loop of the
-expansion reads all its terms from one line.  Also here: the symbolic
-Taylor coefficients P_k used by the boundary conditions of the proof engine.
+(n-1)- and (n-2)-variable constant terms.  At n >= 4 the entry also holds
+two tables built from its rows, so that no target repeats the work of
+another: per x_1-exponent, the prefix table of the summands of every
+partner of x_1 but the last two, with their products; per need those two
+partners must meet, their pair products.  The expansion is one flat loop
+over a prefix table, and its inner loop reads one row of pair products and
+one line, one multiply per term.  Also here: the symbolic Taylor
+coefficients P_k used by the boundary conditions of the proof engine.
 """
 
 from __future__ import annotations
@@ -31,11 +36,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial
+from operator import add
 from typing import Dict, Iterator, List, Tuple
 
 from .poly import Poly, binomial_poly
 
 Exponents = Tuple[int, ...]
+# a prefix table entry: (prefix, coeff, lo, products), see _prefix_table
+PrefixEntry = Tuple[Tuple[int, ...], int, int, List[int]]
 
 
 def multinomial(a: Tuple[int, ...] | List[int]) -> int:
@@ -93,82 +101,122 @@ class _Family:
 
     ``rows`` are a's pair rows, built once: _signed_row(a_0, a_j) for each
     partner j of the first variable, and at n = 3 also the row of the pair
-    (1, 2), whose two-variable sub-instances are read from it.  ``lines``
-    holds every target computed so far, stored by line:
-    ``lines[b[:-2]][b[-2]]`` is the constant term at b, whose last entry is
-    fixed by sum(b) = 0.
+    (1, 2), whose two-variable sub-instances are read from it.  At n >= 4
+    two tables are built from the rows on demand, each entry once:
+    ``prefixes[b_0]`` is the prefix table of the x_0-slice b_0 (see
+    _prefix_table), and ``pairs[need]`` the pair products of the last two
+    partners at that need (see _pair_products).  ``lines`` holds every target
+    computed so far, stored by line: ``lines[b[:-2]][b[-2]]`` is the
+    constant term at b, whose last entry is fixed by sum(b) = 0.
     """
 
-    __slots__ = ("rows", "lines")
+    __slots__ = ("a", "rows", "prefixes", "pairs", "lines")
 
     def __init__(self, a: Tuple[int, ...]):
         a0 = a[0]
+        self.a = a
         self.rows = [_signed_row(a0, aj) for aj in a[1:]]
         if len(a) == 3:
             self.rows.append(_signed_row(a[1], a[2]))
+        self.prefixes: Dict[int, List[PrefixEntry]] = {}
+        self.pairs: Dict[int, Tuple[int, List[int]]] = {}
         self.lines: Dict[Tuple[int, ...], Dict[int, int]] = {}
 
 
 # maxsize bounds exponent vectors, not targets: one entry holds every target
-# computed for its vector, so clearing the cache drops every value and row
+# computed for its vector, so clearing the cache drops every value and table
 @lru_cache(maxsize=200000)
 def _ct_cached(n: int, a: Tuple[int, ...]) -> _Family:
     return _Family(a)
 
 
-def _expand(n: int, a: Tuple[int, ...], rows: List[List[int]], b: Tuple[int, ...]) -> int:
-    """Constant term at (n, a, b) for n >= 3 and sum(b) = 0, uncached.
+def _pair_products(family: _Family, need: int) -> Tuple[int, List[int]]:
+    """(lo, products), n >= 4: products[i] is the product of the last two
+    partners' row entries at summands m = lo + i and need - m, for every m
+    that both rows reach."""
+    a, rows = family.a, family.rows
+    a0 = a[0]
+    row, row_l = rows[-2], rows[-1]
+    lo, hi = max(-a0, need - a[-1]), min(a[-2], need + a0)
+    return lo, [row[a0 + m] * row_l[a0 + need - m] for m in range(lo, hi + 1)]
 
-    ``rows`` are the family rows of ``a`` (see _Family).  Callers pass the
-    canonical arrangement (see ct); the expansion itself is correct for any
-    arrangement.  Only the pair factors (0, j) are expanded: summand m_j in
-    [-a_0, a_j] contributes rows[j][a_0 + m_j] and x_0^{m_j} x_j^{-m_j}.  The
-    slice x_0^{b_0} has sum m_j = b_0 and leaves the zero-sum sub-instance
-    (n - 1, a[1:], b[1:] + m), read from the family of a[1:] (sorted
-    whenever a is) and computed there on a miss.
+
+def _prefix_table(family: _Family, b0: int) -> List[PrefixEntry]:
+    """The prefix table of the x_0-slice b_0, n >= 4: one entry
+    (prefix, coeff, lo, products) for each prefix (m_1, ..., m_{n-3}) of
+    summands of all partners but the last two, whose need b_0 - sum(prefix)
+    those two can still reach.  ``coeff`` is the product of the prefix's row
+    entries, and (lo, products) are the pair products of its need, built
+    once per need in ``family.pairs`` and shared by every prefix that
+    leaves it."""
+    a, rows, pairs = family.a, family.rows, family.pairs
+    a0, highs = a[0], a[1:]
+    table = [((), 1, b0)]
+    for idx in range(len(a) - 3):
+        # the partners after idx can add up to any sum in [-reach_lo, reach_hi]
+        reach_hi, reach_lo = sum(highs[idx + 1 :]), a0 * (len(a) - 2 - idx)
+        row = rows[idx]
+        table = [
+            (prefix + (m,), coeff * row[a0 + m], need - m)
+            for prefix, coeff, need in table
+            for m in range(max(-a0, need - reach_hi), min(highs[idx], need + reach_lo) + 1)
+        ]
+    for _, _, need in table:
+        if need not in pairs:
+            pairs[need] = _pair_products(family, need)
+    return [(prefix, coeff) + pairs[need] for prefix, coeff, need in table]
+
+
+def _expand(family: _Family, b: Tuple[int, ...]) -> int:
+    """Constant term at (n, a, b) for the family of a, n = len(a) >= 3, and
+    sum(b) = 0, uncached.
+
+    Callers pass the canonical arrangement (see ct); the expansion itself is
+    correct for any arrangement.  Only the pair factors (0, j) are expanded:
+    summand m_j in [-a_0, a_j] contributes rows[j][a_0 + m_j] and
+    x_0^{m_j} x_j^{-m_j}.  The slice x_0^{b_0} has sum m_j = b_0 and leaves
+    the zero-sum sub-instance (n - 1, a[1:], b[1:] + m), read from the
+    family of a[1:] (sorted whenever a is) and computed there on a miss.
+    At n >= 4 the sum is one flat loop over the prefix table of b_0: a
+    prefix fixes every entry of the sub-instance but the last two, so all
+    its terms lie on one line of the sub-family, and its pair products hold
+    the last two partners' row entries multiplied, so each term is one
+    multiply and one line lookup.
     """
-    a0, highs, tail = a[0], a[1:], b[1:]
+    a, b0 = family.a, b[0]
+    n = len(a)
     if n == 3:
-        # the sub-instances have two variables: entry h0 + k of the pair
-        # row (1, 2) is the constant term at (k, -k), zero off the row
-        row0, row1, row12 = rows
-        h0, h1 = highs
-        b0, b1 = b[0], tail[0]
+        # the sub-instances have two variables: entry h0 + k of the row of
+        # the pair (1, 2) is the constant term at (k, -k), zero off the row
+        row0, row1, row12 = family.rows
+        a0, h0, h1 = a
+        b1 = b[1]
         lo = max(-a0, b0 - h1, -h0 - b1)
         hi = min(h0, b0 + a0, h1 - b1)
         total = 0
         for m in range(lo, hi + 1):
             total += row0[a0 + m] * row1[a0 + b0 - m] * row12[h0 + b1 + m]
         return total
-    sub = _ct_cached(n - 1, highs)
-    sub_rows, sub_lines = sub.rows, sub.lines
-    last = n - 2
-    # upper bounds on the m-sum over partners idx..last, for pruning
-    suffix_hi = [sum(highs[i:]) for i in range(last + 2)]
-
-    def walk(idx: int, need: int, shifted: Tuple[int, ...]) -> int:
-        # prune m-ranges that cannot reach the target slice
-        lo = max(-a0, need - suffix_hi[idx + 1])
-        hi = min(highs[idx], need + a0 * (last - idx))
-        row, e = rows[idx], tail[idx]
-        total = 0
-        if idx == last - 1:
-            # the last partner takes the whole remaining need; every term
-            # of this loop lies on the sub-instance's line ``shifted``
-            row_l, e_l = rows[last], tail[last] + need
-            line = sub_lines.setdefault(shifted, {})
-            for m in range(lo, hi + 1):
-                k = e + m
-                value = line.get(k)
-                if value is None:
-                    value = line[k] = _expand(n - 1, highs, sub_rows, shifted + (k, e_l - m))
-                total += row[a0 + m] * row_l[a0 + need - m] * value
-            return total
-        for m in range(lo, hi + 1):
-            total += row[a0 + m] * walk(idx + 1, need - m, shifted + (e + m,))
-        return total
-
-    return walk(0, b[0], ())
+    prefixes = family.prefixes.get(b0)
+    if prefixes is None:
+        prefixes = family.prefixes[b0] = _prefix_table(family, b0)
+    sub = _ct_cached(n - 1, a[1:])
+    sub_lines = sub.lines
+    head, e = b[1:-2], b[-2]
+    total = 0
+    for prefix, coeff, lo, products in prefixes:
+        shifted = tuple(map(add, head, prefix))
+        line = sub_lines.setdefault(shifted, {})
+        rest = -sum(shifted)
+        part = 0
+        for k, product in enumerate(products, e + lo):
+            try:
+                value = line[k]
+            except KeyError:
+                value = line[k] = _expand(sub, shifted + (k, rest - k))
+            part += product * value
+        total += coeff * part
+    return total
 
 
 def ct(n: int, a, b) -> int:
@@ -183,10 +231,12 @@ def ct(n: int, a, b) -> int:
     the variable with the smallest exponent is peeled off first, which keeps
     its pair rows short, and its sub-instances stay sorted.  The cache
     ``_ct_cached`` holds one entry per sorted exponent vector (n >= 3): its
-    pair rows, and every target computed for it, by this call or as a
-    sub-instance, stored by line.  So every relabeling and every fit sample
-    with the same a shares one entry, and the samples share their (n-1)- and
-    (n-2)-variable constant terms.
+    pair rows, at n >= 4 its prefix tables and the pair products of its
+    last two partners (see _Family), and every target computed for it, by
+    this call or as a sub-instance, stored by line.  So every relabeling and
+    every fit sample with the same a shares one entry, and the samples
+    share their (n-1)- and (n-2)-variable constant terms and their tables;
+    clearing the cache drops all of them.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -210,7 +260,7 @@ def ct(n: int, a, b) -> int:
     line = family.lines.setdefault(b[:-2], {})
     value = line.get(b[-2])
     if value is None:
-        value = line[b[-2]] = _expand(n, a, family.rows, b)
+        value = line[b[-2]] = _expand(family, b)
     return value
 
 

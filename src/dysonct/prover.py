@@ -592,7 +592,8 @@ def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCe
     mismatch runs the checks.
 
     The certificate holds the outcomes of the recursion, boundary and
-    initial checks; an n = 2 certificate holds none.
+    initial checks; an n = 2 certificate holds none, and is issued only for
+    the form of c2_closed_form.
 
     Raises ProofError with a counterexample report when any check fails, and
     propagates GuessExhausted when a needed form cannot even be conjectured.
@@ -608,6 +609,21 @@ def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCe
 
     form = resolver.form(n, b)
     if n == 2:
+        # the binomial theorem certifies c2_closed_form alone; a form taken
+        # from elsewhere, such as a store, must be that one
+        closed = c2_closed_form(b).R
+        if form.R != closed:
+            raise ProofError(
+                form,
+                CheckOutcome(
+                    ok=False,
+                    check="base-case",
+                    lhs=form.R,
+                    rhs=closed,
+                    difference=form.R - closed,
+                    note="not the binomial-theorem closed form",
+                ),
+            )
         cert = ProofCertificate(form)
         resolver.certificates[key] = cert
         return cert

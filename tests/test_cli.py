@@ -189,6 +189,26 @@ def test_turbo_n2_store_contents(tmp_path, capsys):
         assert entry.form.R == c2_closed_form(entry.b).R
 
 
+def test_prove_refuses_a_stored_n2_form_that_is_not_the_closed_form(tmp_path, capsys):
+    # the base case is the binomial theorem, which certifies c2_closed_form
+    # alone: an n = 2 entry edited by hand must not be certified
+    assert main(["turbo", "-n", "2", "-C", "1", "--store", "s.json"]) == EXIT_OK
+    path = tmp_path / "s.json"
+    data = json.loads(path.read_text())
+    (entry,) = [e for e in data["entries"] if e["b"] == [1, -1]]
+    for term in entry["R"]["num_terms"]:
+        term[0] *= 2
+    path.write_text(json.dumps(data))
+    raw = path.read_bytes()
+    capsys.readouterr()
+    assert main(["prove", "-n", "2", "-b", "1,-1", "--store", "s.json"]) == EXIT_MATH
+    captured = capsys.readouterr()
+    assert "certified" not in captured.out
+    assert captured.err.startswith("mathematical failure: proof of d_2(a; <1,-1>) failed")
+    assert path.read_bytes() == raw
+    assert not list(tmp_path.glob("proof_*"))
+
+
 def test_store_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("DYSON_STORE", str(tmp_path / "env.json"))
     assert main(["turbo", "-n", "2", "-C", "0"]) == EXIT_OK

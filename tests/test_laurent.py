@@ -53,6 +53,11 @@ def test_multinomial_theorem_small():
     for n in (1, 2, 3):
         for a in itertools.product(range(4), repeat=n):
             assert ct(n, a, (0,) * n) == multinomial(a)
+    for a in itertools.product(range(3), repeat=4):
+        assert ct(4, a, (0,) * 4) == multinomial(a)
+    for a in [(0, 1, 2, 3, 4), (3, 3, 3, 3, 3), (6, 2, 5, 3, 4), (1, 0, 2, 1, 0, 2),
+              (2, 3, 4, 5, 6, 7)]:
+        assert ct(len(a), a, (0,) * len(a)) == multinomial(a), a
 
 
 def test_relabeling_symmetry():
@@ -92,7 +97,7 @@ def test_raw_dp_is_invariant_under_relabeling():
         for perm in itertools.permutations(range(n)):
             pa = tuple(a[p] for p in perm)
             pb = tuple(b[p] for p in perm)
-            assert _expand(n, pa, _Family(pa).rows, pb) == expected, (n, pa, pb)
+            assert _expand(_Family(pa), pb) == expected, (n, pa, pb)
     _ct_cached.cache_clear()
 
 
@@ -178,12 +183,23 @@ def test_recursion_matches_forward_dp_tied_a():
 def test_recursion_matches_forward_dp_random():
     rng = random.Random(7)
     for _ in range(50):
-        n = rng.randint(2, 5)
-        a = tuple(rng.randint(0, 4) for _ in range(n))
+        n = rng.randint(2, 6)
+        a = tuple(rng.randint(0, 4 if n < 6 else 3) for _ in range(n))
         b = [rng.randint(-3, 3) for _ in range(n - 1)]
         b = tuple(b + [-sum(b)])
         # the reference takes any arrangement, ct sorts it first
         assert ct(n, a, b) == _forward_dp_ct(n, a, b), (n, a, b)
+    # warm targets of one family that share b_0 (a_0 is the unique
+    # smallest exponent), so they read one prefix table and its pair
+    # products; the prefix table has depth n - 3, at least 2 only at n >= 5
+    for a in [(1, 2, 2, 3, 4), (1, 2, 2, 3, 3, 4)]:
+        n = len(a)
+        _ct_cached.cache_clear()
+        for _ in range(4):
+            rest = [rng.randint(-3, 3) for _ in range(n - 2)]
+            b = (2, *rest, -2 - sum(rest))
+            assert ct(n, a, b) == _forward_dp_ct(n, a, b), (n, a, b)
+        assert len(_ct_cached(n, a).prefixes) == 1
 
 
 def test_sub_instances_live_in_the_one_cache():
@@ -217,10 +233,10 @@ def test_recursion_matches_forward_dp_at_line_ends():
 
 
 def test_cache_clear_drops_every_value_and_row(monkeypatch):
-    # count the kernel's expansions and the binomials its rows are built
-    # from: a cold call after cache_clear must redo all of them, a warm call
-    # none
-    counts = {"expand": 0, "comb": 0}
+    # count the kernel's expansions, the binomials its rows are built from
+    # and the prefix tables and pair products built from the rows: a cold
+    # call after cache_clear must redo all of them, a warm call none
+    counts = {"expand": 0, "comb": 0, "prefixes": 0, "pairs": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -230,18 +246,20 @@ def test_cache_clear_drops_every_value_and_row(monkeypatch):
 
     monkeypatch.setattr(laurent, "_expand", counted("expand", laurent._expand))
     monkeypatch.setattr(laurent, "comb", counted("comb", laurent.comb))
+    monkeypatch.setattr(laurent, "_prefix_table", counted("prefixes", laurent._prefix_table))
+    monkeypatch.setattr(laurent, "_pair_products", counted("pairs", laurent._pair_products))
     a, b = (2, 3, 4, 5, 6), (1, 1, -1, -1, 0)
     cold = []
     for _ in range(2):
         _ct_cached.cache_clear()
         assert _ct_cached.cache_info().currsize == 0
-        counts.update(expand=0, comb=0)
+        counts.update(dict.fromkeys(counts, 0))
         assert ct(5, a, b) == _forward_dp_ct(5, a, b)
-        cold.append((_ct_cached.cache_info().misses, counts["expand"], counts["comb"]))
+        cold.append((_ct_cached.cache_info().misses, *counts.values()))
     assert cold[0] == cold[1] and min(cold[0]) > 0
-    counts.update(expand=0, comb=0)
+    counts.update(dict.fromkeys(counts, 0))
     ct(5, a, b)
-    assert counts == {"expand": 0, "comb": 0}
+    assert set(counts.values()) == {0}
 
 
 def test_off_plane_target_is_not_read_from_its_line():
