@@ -37,7 +37,6 @@ from .store import ResultStore, StoreEntry, store_path
 from .turbo import (
     complexity,
     derive_by_reduction,
-    reduction_relation,
     turbo_dyson,
     zero_sum_vectors,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "pk_expansion",
     "poly_gcd",
     "prove",
-    "reduction_relation",
     "sample_grid",
     "solve_nullspace",
     "store_path",

@@ -21,7 +21,7 @@ from .laurent import ct
 from .paperdoc import build_document
 from .prover import ProofError, Resolver, prove
 from .render import ASCII, fmt_b_vector, fmt_closed_form, fmt_d_symbol
-from .store import ResultStore, StoreEntry, StoreIOError, store_path
+from .store import ResultStore, StoreIOError, store_path
 from .turbo import turbo_dyson
 
 EXIT_OK = 0
@@ -169,29 +169,11 @@ def _default_doc_name(n: int, b: Tuple[int, ...], fmt: str) -> str:
     return f"proof_n{n}_b{tag}.{ext}"
 
 
-def _seed_resolver(resolver: Resolver, store: ResultStore) -> None:
-    for entry in store:
-        resolver.add_form(entry.form)
-
-
-def _store_certificate_tree(store: ResultStore, cert, provenance_kind: str) -> int:
-    """Insert a certificate and its dependency tree; returns entries added."""
-    added = 0
-    key = (cert.form.n, cert.form.b)
-    if key not in store:
-        store.add(
-            StoreEntry(
-                n=cert.form.n,
-                b=cert.form.b,
-                form=cert.form,
-                provenance={"kind": "base" if cert.base_case else provenance_kind},
-                certificate=cert.to_json(),
-            )
-        )
-        added += 1
-    for dep in cert.dependencies:
-        added += _store_certificate_tree(store, dep, "guessed")
-    return added
+def _record_tree(store: ResultStore, cert) -> int:
+    """Record a certificate and then its dependency tree, pre-order, each
+    as a base case or else as guessed; returns the entries added."""
+    added = store.record(cert, {"kind": "base" if cert.base_case else "guessed"})
+    return added + sum(_record_tree(store, dep) for dep in cert.dependencies)
 
 
 def _cmd_prove(args) -> int:
@@ -202,13 +184,13 @@ def _cmd_prove(args) -> int:
     path = store_path(args.store)
     store = ResultStore.load(path)
     resolver = Resolver(max_t=args.max_t)
-    _seed_resolver(resolver, store)
+    store.seed(resolver)
     cert = prove(args.n, args.b, resolver)
     document = build_document(cert, args.format)
     out_path = args.out or _default_doc_name(args.n, tuple(args.b), args.format)
     with open(out_path, "w") as fh:
         fh.write(document)
-    added = _store_certificate_tree(store, cert, "guessed")
+    added = _record_tree(store, cert)
     if added:
         store.save(path)
     print(f"certified {fmt_d_symbol(args.n, args.b, ASCII)}")

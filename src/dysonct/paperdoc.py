@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .laurent import pk_expansion
+from .laurent import pk_compositions
 from .prover import ProofCertificate
 from .render import (
     ASCII,
@@ -207,15 +207,15 @@ def _a_minus_e(n: int, i: int, style: Style) -> str:
 
 def _boundary_rhs(cert: ProofCertificate, k: int, nota: _Notation) -> str:
     n, b, style = cert.form.n, cert.form.b, nota.style
-    expansion = pk_expansion(n, k, b)
-    if not expansion.terms:
+    compositions = pk_compositions(n, k, b)
+    if not compositions:
         return "0"
     others = [i for i in range(n) if i != k]
     a_hat = fmt_b_vector([fmt_var(i, style) for i in others], style)
     pieces: List[str] = []
-    for term in expansion.terms:
-        coeff = fmt_pk_coeff(term, others, style)
-        call = fmt_c_symbol(n - 1, term.shifted_b, style, a_text=a_hat)
+    for m, shifted_b in compositions:
+        coeff = fmt_pk_coeff(m, others, style)
+        call = fmt_c_symbol(n - 1, shifted_b, style, a_text=a_hat)
         if coeff == "1":  # m = 0, an even sign; a bare -1 cannot occur
             pieces.append(call)
         else:

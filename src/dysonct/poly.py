@@ -356,9 +356,6 @@ class LinearForm:
         """The form's value at an integer point."""
         return self.constant + sum(map(mul, self.coeffs, point))
 
-    def shift(self, delta: int) -> "LinearForm":
-        return LinearForm(self.constant + delta, self.coeffs)
-
     def is_positive_on_grid(self) -> bool:
         """True when the form is positive at every nonnegative integer point."""
         return self.constant > 0 and all(c >= 0 for c in self.coeffs)

@@ -17,7 +17,6 @@ from math import factorial
 from typing import List, Sequence, Tuple
 
 from .conjecture import ClosedForm
-from .laurent import PkTerm
 from .poly import LinearForm, Poly
 from .prover import linear_factors
 
@@ -172,12 +171,12 @@ def fmt_c_symbol(n: int, b: Sequence[int], style: Style, a_text: str | None = No
     return f"c_{style.group.format(n)}({a_text}; {fmt_b_vector(b, style)})"
 
 
-def fmt_pk_coeff(term: PkTerm, others: Sequence[int], style: Style) -> str:
+def fmt_pk_coeff(m: Sequence[int], others: Sequence[int], style: Style) -> str:
     """Render prod (-1)^{m_i} C(a_i, m_i) in falling-factorial style,
     e.g. m = (2, 0) over (a_2, a_3) -> a_2(a_2-1)/2."""
     num_pieces: List[str] = []
     den = 1
-    for var, mi in zip(others, term.m):
+    for var, mi in zip(others, m):
         if mi == 0:
             continue
         v = fmt_var(var, style)
@@ -187,4 +186,4 @@ def fmt_pk_coeff(term: PkTerm, others: Sequence[int], style: Style) -> str:
     body = " ".join(num_pieces) if num_pieces else "1"
     if den > 1:
         body = style.over.format(body, den)
-    return f"-{body}" if sum(term.m) % 2 else body
+    return f"-{body}" if sum(m) % 2 else body

@@ -3,8 +3,11 @@
 The store file is a versioned, human-inspectable archive: one entry per
 (n, b) with the canonical serialized rational function, how the entry was
 obtained (guessed / permuted / reduced / base), and the full certificate
-tree.  Saving is deterministic (sorted entries, sorted keys), so re-saving a
-loaded store reproduces the file byte for byte.  The file holds the bytes of
+tree.  A certificate enters the store only through ``ResultStore.record``,
+which keeps an entry already stored, and ``ResultStore.seed`` hands the
+stored forms to a prover ``Resolver``.  Saving is deterministic (sorted
+entries, sorted keys), so re-saving a loaded store reproduces the file byte
+for byte.  The file holds the bytes of
 ``json.dumps(data, indent=2, sort_keys=True)`` plus a trailing newline:
 2-space indent, keys sorted, every non-ASCII character as a JSON escape.
 ``_json_text`` writes them without json's pure-Python indent encoder.
@@ -90,6 +93,30 @@ class ResultStore:
 
     def add(self, entry: StoreEntry) -> None:
         self.entries[(entry.n, entry.b)] = entry
+
+    def record(self, cert, provenance: dict) -> bool:
+        """Add the entry of the proof certificate ``cert`` with
+        ``provenance``, unless its (n, b) is already stored; True when an
+        entry was added.  This is how every certificate enters the store."""
+        form = cert.form
+        if (form.n, form.b) in self.entries:
+            return False
+        self.add(
+            StoreEntry(
+                n=form.n,
+                b=form.b,
+                form=form,
+                provenance=provenance,
+                certificate=cert.to_json(),
+            )
+        )
+        return True
+
+    def seed(self, resolver) -> None:
+        """Give a prover ``Resolver`` every stored form, so that it answers
+        from them before it fits anything."""
+        for entry in self:
+            resolver.add_form(entry.form)
 
     def __iter__(self) -> Iterator[StoreEntry]:
         return iter(self.sorted_entries())

@@ -1,21 +1,17 @@
 """Complexity-ordered sweep deriving closed forms for whole families of b.
 
-Zero-sum b-vectors are processed in increasing complexity (half the 1-norm).
-Each permutation class is handled through its sorted-descending
-representative: the representative is conjectured and proved, every other
-arrangement is then obtained by relabeling the a-variables, and where the
-index-raising identity
-
-    c_n(a + e_n; b) = sum_{S subset of {1..n-1}} (-1)^{|S|}
-                          c_n(a; b - sum_{i in S} e_i + |S| e_n)
-
-can be solved for an unknown vector using only stored forms, that is
-preferred to a fresh fit.  Every entry, however obtained, is certified by
-``prove`` before it is stored.  Within one sweep the first member of each
-permutation class to be proved runs the checks; a later arrangement whose
-form and boundary dependency forms are the relabelings of that member's is
-certified by relabeling its certificate (see ``prove``), and any other runs
-the checks too.
+Zero-sum b-vectors are processed in increasing complexity (half the 1-norm),
+one permutation class at a time, its sorted-descending representative
+first.  The sweep starts from every form in the store.  An arrangement whose
+class has a stored member is obtained by relabeling the a-variables of the
+lexicographically largest such member; otherwise the index-raising identity
+(``derive_by_reduction``) is tried on the stored forms, and failing that the
+form is conjectured.  Every entry, however obtained, is certified by
+``prove`` and enters the store through ``ResultStore.record``.  Within one
+sweep the first member of each permutation class to be proved runs the
+checks; a later arrangement whose form and boundary dependency forms are the
+relabelings of that member's is certified by relabeling its certificate (see
+``prove``), and any other runs the checks too.
 """
 
 from __future__ import annotations
@@ -23,7 +19,8 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from itertools import combinations_with_replacement, permutations
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .conjecture import ClosedForm, GuessError
 from .poly import Poly
@@ -36,7 +33,7 @@ from .prover import (
     prove,
 )
 from .ratfunc import RatFunc
-from .store import ResultStore, StoreEntry
+from .store import ResultStore
 
 
 def complexity(b: Sequence[int]) -> Fraction:
@@ -48,121 +45,58 @@ def complexity(b: Sequence[int]) -> Fraction:
 def zero_sum_vectors(n: int, max_complexity: int) -> List[Tuple[int, ...]]:
     """All zero-sum b with complexity <= max_complexity, in sweep order:
     by complexity, then by descending permutation-class representative,
-    with the representative first inside each class."""
-    by_class: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
-
-    def fill(prefix: List[int], remaining_abs: int, remaining_sum: int, slots: int):
-        if slots == 0:
-            if remaining_sum == 0 and remaining_abs % 2 == 0:
-                vec = tuple(prefix)
-                rep = tuple(sorted(vec, reverse=True))
-                by_class.setdefault(rep, []).append(vec)
-            return
-        # |value| cannot exceed the 1-norm budget, and the sum still owed
-        # must stay reachable within what remains of it
-        for value in range(-remaining_abs, remaining_abs + 1):
-            if abs(remaining_sum - value) > remaining_abs - abs(value):
-                continue
-            fill(prefix + [value], remaining_abs - abs(value), remaining_sum - value, slots - 1)
-
-    fill([], 2 * max_complexity, 0, n)
-    ordered: List[Tuple[int, ...]] = []
-    reps = sorted(by_class, key=lambda rep: (complexity(rep), tuple(-x for x in rep)))
-    for rep in reps:
-        members = sorted(set(by_class[rep]), reverse=True)
-        members.remove(rep)
-        ordered.append(rep)
-        ordered.extend(members)
-    return ordered
-
-
-@dataclass(frozen=True)
-class ReductionTerm:
-    sign: int
-    b_shift: Tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ReductionRelation:
-    """The index-raising identity instantiated at a base vector b.
-
-    Left side: c_n(a + e_n; b).  Right side: the signed terms below,
-    enumerated over subsets S of {1..n-1} in binary order; the last term
-    (S full) has the unique highest-complexity shift and is what the sweep
-    solves for.
-    """
-
-    n: int
-    b: Tuple[int, ...]
-    terms: Tuple[ReductionTerm, ...]
-
-    def resolved_targets(self) -> List[Tuple[int, Tuple[int, ...]]]:
-        """(sign, absolute b-vector) per right-side term."""
-        return [
-            (t.sign, tuple(x + y for x, y in zip(self.b, t.b_shift)))
-            for t in self.terms
-        ]
-
-
-def reduction_relation(n: int, b: Sequence[int]) -> ReductionRelation:
-    if n < 2:
-        raise ValueError("reduction relation needs n >= 2")
-    b = tuple(b)
-    terms = []
-    for mask in range(2 ** (n - 1)):
-        members = [i for i in range(n - 1) if mask >> i & 1]
-        shift = [0] * n
-        for i in members:
-            shift[i] -= 1
-        shift[n - 1] += len(members)
-        sign = -1 if len(members) % 2 else 1
-        terms.append(ReductionTerm(sign=sign, b_shift=tuple(shift)))
-    return ReductionRelation(n=n, b=b, terms=tuple(terms))
+    each class in descending order.  The representative, b sorted
+    descending, is its class's lexicographic maximum, so it comes first."""
+    reps = [
+        rep[::-1]
+        for rep in combinations_with_replacement(range(-max_complexity, max_complexity + 1), n)
+        if sum(rep) == 0 and sum(map(abs, rep)) <= 2 * max_complexity
+    ]
+    reps.sort(key=lambda rep: (complexity(rep), tuple(-x for x in rep)))
+    return [vec for rep in reps for vec in sorted(set(permutations(rep)), reverse=True)]
 
 
 Lookup = Callable[[Tuple[int, ...]], Optional[ClosedForm]]
 
 
-def _reduction_base(n: int, target_b: Tuple[int, ...]) -> Tuple[int, ...]:
-    """The base vector derive_by_reduction solves from for target_b."""
-    return tuple(x + 1 for x in target_b[: n - 1]) + (target_b[n - 1] - (n - 1),)
-
-
 def derive_by_reduction(n: int, target_b: Sequence[int], lookup: Lookup) -> Optional[ClosedForm]:
-    """Solve the index-raising identity for ``target_b``.
+    """Solve the index-raising identity at the base b for its S = {1..n-1}
+    term, ``target_b``:
 
-    The base vector is b = target + (1, ..., 1, -(n-1)); the derivation
-    succeeds only when the base form and every proper-subset form are
-    available from ``lookup`` (no speculative recursion).  The a-shift on
-    the left side is absorbed by shifting the base form's last variable, so
-    the result is expressed at the common argument a.
+        c_n(a + e_n; b) = sum_{S subset of {1..n-1}} (-1)^{|S|}
+                              c_n(a; b - sum_{i in S} e_i + |S| e_n),
+
+    with b = target + (1, ..., 1, -(n-1)).  ``lookup`` is asked for the base
+    first, then for each proper subset's vector with S in binary order, and
+    the derivation stops at the first miss (no speculative recursion).  The
+    a-shift on the left side is absorbed by shifting the base form's last
+    variable, so the result is expressed at the common argument a.
     """
     target_b = tuple(target_b)
-    base = _reduction_base(n, target_b)
-    *proper_terms, (full_sign, full_b) = reduction_relation(n, base).resolved_targets()
-    assert full_b == target_b
+    base = tuple(x + 1 for x in target_b[:-1]) + (target_b[-1] - (n - 1),)
     base_form = lookup(base)
     if base_form is None:
         return None
-    proper: List[Tuple[int, RatFunc]] = []
-    for sign, vec in proper_terms:
-        f = lookup(vec)
-        if f is None:
+    proper: List[RatFunc] = []
+    for mask in range(2 ** (n - 1) - 1):
+        members = [i for i in range(n - 1) if mask >> i & 1]
+        vec = list(base)
+        for i in members:
+            vec[i] -= 1
+        vec[-1] += len(members)
+        form = lookup(tuple(vec))
+        if form is None:
             return None
-        proper.append((sign, f.R))
+        proper.append(-form.R if len(members) % 2 else form.R)
 
-    nv = n
-    one = Poly.const(nv, 1)
-    s = Poly.zero(nv)
-    for i in range(nv):
-        s = s + Poly.variable(nv, i)
-    ratio = RatFunc.make(one + s, one + Poly.variable(nv, nv - 1))
-    acc = base_form.R.shift_var(nv - 1, 1) * ratio
-    for sign, rf in proper:
-        acc = acc - (rf * sign)
-    if full_sign < 0:
-        acc = -acc
-    return ClosedForm(n=n, b=target_b, R=acc)
+    one = Poly.const(n, 1)
+    a = [Poly.variable(n, i) for i in range(n)]
+    ratio = RatFunc.make(sum(a, one), one + a[-1])
+    acc = base_form.R.shift_var(n - 1, 1) * ratio
+    for rf in proper:
+        acc = acc - rf
+    # the target's term carries the sign (-1)^(n-1)
+    return ClosedForm(n=n, b=target_b, R=acc if n % 2 else -acc)
 
 
 @dataclass
@@ -204,12 +138,7 @@ def turbo_dyson(
         raise ValueError("complexity bound must be nonnegative")
     store = store if store is not None else ResultStore()
     resolver = resolver or Resolver()
-    for entry in store:
-        resolver.add_form(entry.form)
-
-    def lookup(bv: Tuple[int, ...]) -> Optional[ClosedForm]:
-        entry = store.get(n, bv)
-        return entry.form if entry else None
+    store.seed(resolver)
 
     result = SweepResult(store=store)
     for b in zero_sum_vectors(n, max_complexity):
@@ -220,21 +149,12 @@ def turbo_dyson(
             continue
         started = time.perf_counter()
         try:
-            form, kind, source = _obtain_form(n, b, store, lookup, resolver)
+            form, kind, source = _obtain_form(n, b, store, resolver)
             resolver.add_form(form)
-            cert = prove(n, b, resolver)
             provenance = {"kind": kind}
             if source is not None:
                 provenance["source_b"] = list(source)
-            store.add(
-                StoreEntry(
-                    n=n,
-                    b=b,
-                    form=form,
-                    provenance=provenance,
-                    certificate=cert.to_json(),
-                )
-            )
+            store.record(prove(n, b, resolver), provenance)
             result.lines.append(
                 SweepLine(
                     b=b,
@@ -262,7 +182,6 @@ def _obtain_form(
     n: int,
     b: Tuple[int, ...],
     store: ResultStore,
-    lookup: Lookup,
     resolver: Resolver,
 ) -> Tuple[ClosedForm, str, Optional[Tuple[int, ...]]]:
     if n == 2:
@@ -274,10 +193,17 @@ def _obtain_form(
         if key[0] == n and tuple(sorted(key[1], reverse=True)) == rep
     ]
     if same_class:
-        source = rep if rep in same_class else max(same_class)
+        source = max(same_class)
         perm = matching_permutation(source, b)
         return permute_form(store.get(n, source).form, perm), "permuted", source
+    asked: List[Tuple[int, ...]] = []
+
+    def lookup(vec: Tuple[int, ...]) -> Optional[ClosedForm]:
+        asked.append(vec)
+        entry = store.get(n, vec)
+        return entry.form if entry else None
+
     derived = derive_by_reduction(n, b, lookup)
     if derived is not None:
-        return derived, "reduced", _reduction_base(n, b)
+        return derived, "reduced", asked[0]  # the base, which is asked for first
     return resolver.form(n, b), "guessed", None

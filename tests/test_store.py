@@ -9,7 +9,6 @@ import dysonct.store as store_module
 from dysonct.prover import Resolver, prove
 from dysonct.store import (
     ResultStore,
-    StoreEntry,
     StoreIOError,
     _json_text,
     _locked,
@@ -92,15 +91,10 @@ def test_lock_contention(tmp_path):
 def test_certificate_survives_serialization(tmp_path):
     cert = prove(3, (2, -1, -1), Resolver())
     store = ResultStore()
-    store.add(
-        StoreEntry(
-            n=3,
-            b=(2, -1, -1),
-            form=cert.form,
-            provenance={"kind": "guessed"},
-            certificate=cert.to_json(),
-        )
-    )
+    assert store.record(cert, {"kind": "guessed"})
+    # a stored (n, b) keeps its entry
+    assert not store.record(cert, {"kind": "permuted"})
+    assert store.get(3, (2, -1, -1)).provenance == {"kind": "guessed"}
     path = tmp_path / "cert.json"
     store.save(str(path))
     loaded = ResultStore.load(str(path))

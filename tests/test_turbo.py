@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 from dysonct.conjecture import guess_dyson
 from dysonct.laurent import ct
@@ -10,7 +11,6 @@ from dysonct.turbo import (
     complexity,
     derive_by_reduction,
     permute_form,
-    reduction_relation,
     turbo_dyson,
     zero_sum_vectors,
 )
@@ -38,6 +38,20 @@ def test_zero_sum_enumeration_counts():
     for rep in [(1, 0, -1), (2, 0, -2), (2, -1, -1), (1, 1, -2)]:
         cls = [v for v in vecs if tuple(sorted(v, reverse=True)) == rep]
         assert cls[0] == rep
+
+
+def test_zero_sum_vectors_order_against_brute_force():
+    # by complexity, then by descending representative (b sorted descending),
+    # then descending inside the class, which puts the representative first
+    def sweep_order(v):
+        rep = sorted(v, reverse=True)
+        return complexity(v), [-x for x in rep], [-x for x in v]
+
+    for n in range(1, 6):
+        for c in range(5):
+            box = product(range(-c, c + 1), repeat=n)
+            brute = [v for v in box if sum(v) == 0 and sum(map(abs, v)) <= 2 * c]
+            assert zero_sum_vectors(n, c) == sorted(brute, key=sweep_order), (n, c)
 
 
 def test_permute_form_single_move_family():
@@ -72,27 +86,6 @@ def test_permute_form_composition_consistency():
     assert twice == direct
 
 
-def test_reduction_relation_n3_terms():
-    rel = reduction_relation(3, (0, 0, 0))
-    assert [t.sign for t in rel.terms] == [1, -1, -1, 1]
-    assert [t.b_shift for t in rel.terms] == [
-        (0, 0, 0),
-        (-1, 0, 1),
-        (0, -1, 1),
-        (-1, -1, 2),
-    ]
-
-
-def test_reduction_relation_resolved_targets():
-    rel = reduction_relation(3, (2, -1, -1))
-    assert rel.resolved_targets() == [
-        (1, (2, -1, -1)),
-        (-1, (1, -1, 0)),
-        (-1, (2, -2, 0)),
-        (1, (1, -2, 1)),
-    ]
-
-
 def test_reduction_relation_n2_against_base_case():
     # c_2(a + e_2; b) = c_2(a; b) - c_2(a; b + (-1, 1)), as rational functions
     one = Poly.const(2, 1)
@@ -109,9 +102,25 @@ def test_derive_by_reduction_matches_guess():
     forms = {}
     for b in [(2, -1, -1), (1, -1, 0), (2, -2, 0)]:
         forms[b] = guess_dyson(3, b)
-    derived = derive_by_reduction(3, (1, -2, 1), forms.get)
+    asked = []
+
+    def lookup(b):
+        asked.append(b)
+        return forms.get(b)
+
+    derived = derive_by_reduction(3, (1, -2, 1), lookup)
     assert derived is not None
     assert derived.R == guess_dyson(3, (1, -2, 1)).R
+    # the base, then S = {}, {1}, {2} of the identity at the base
+    assert asked == [(2, -1, -1), (2, -1, -1), (1, -1, 0), (2, -2, 0)]
+    # every target of complexity <= 2, from forms fitted on demand
+    resolver = Resolver()
+    for target in zero_sum_vectors(3, 2):
+        derived = derive_by_reduction(3, target, lambda b: resolver.form(3, b))
+        assert derived.R == resolver.form(3, target).R, target
+    # at even n the target's term of the identity is negative
+    derived = derive_by_reduction(4, (0, 0, -1, 1), lambda b: resolver.form(4, b))
+    assert derived.R == resolver.form(4, (0, 0, -1, 1)).R
 
 
 def test_derive_by_reduction_requires_all_ingredients():
@@ -158,6 +167,17 @@ def test_sweep_permutation_closure():
     again = turbo_dyson(3, 1, store=store, resolver=resolver)
     assert resolver.guess_calls == first_calls
     assert again.added == 0
+
+
+def test_sweep_relabels_from_the_largest_stored_member():
+    # <1,-1,0> is stored before its class's representative <1,0,-1>
+    store = ResultStore()
+    store.record(prove(3, (1, -1, 0), Resolver()), {"kind": "guessed"})
+    result = turbo_dyson(3, 1, store=store)
+    sources = {line.b: line.source_b for line in result.lines}
+    assert sources[(1, 0, -1)] == (1, -1, 0)
+    assert sources[(0, 1, -1)] == (1, 0, -1)
+    assert store.get(3, (0, 1, -1)).provenance == {"kind": "permuted", "source_b": [1, 0, -1]}
 
 
 def test_sweep_n2_matches_base_case():
