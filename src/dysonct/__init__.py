@@ -12,7 +12,6 @@ from .conjecture import (
 )
 from .laurent import (
     LaurentPoly,
-    PkExpansion,
     PkTerm,
     ct,
     multinomial,
@@ -46,7 +45,6 @@ __all__ = [
     "GuessExhausted",
     "LaurentPoly",
     "LinearForm",
-    "PkExpansion",
     "PkTerm",
     "Poly",
     "ProofCertificate",

@@ -35,6 +35,7 @@ from .laurent import ct, multinomial
 from .linalg import FIRST_PRIME, kernel_mod_p, matmul_mod, solve_nullspace
 from .poly import LinearForm, Poly, cancel_factors
 from .ratfunc import RatFunc
+from .render import ASCII, fmt_c_symbol
 
 if TYPE_CHECKING:
     import numpy as np
@@ -57,8 +58,6 @@ class GuessExhausted(GuessError):
     """No rational form found up to max_t; carries the samples gathered."""
 
     def __init__(self, n: int, b: Tuple[int, ...], max_t: int, samples: "SampleSet"):
-        from .render import ASCII, fmt_c_symbol  # render imports this module
-
         self.n = n
         self.b = b
         self.max_t = max_t
@@ -394,7 +393,6 @@ class GuessDetails:
     t: int
     samples_used: int
     residual: RatFunc
-    used_ansatz: bool
 
 
 def guess_dyson(
@@ -438,7 +436,7 @@ def guess_dyson_with_details(
         oracle = ct
     if sum(b) != 0:
         zero = ClosedForm(n=n, b=b, R=RatFunc.zero(n))
-        details = GuessDetails(t=0, samples_used=0, residual=RatFunc.zero(n), used_ansatz=use_ansatz)
+        details = GuessDetails(t=0, samples_used=0, residual=RatFunc.zero(n))
         return zero, details
 
     forms = ansatz_forms(b) if use_ansatz else ((), ())
@@ -472,12 +470,7 @@ def guess_dyson_with_details(
             form_r.den.evaluate(p) != 0 and candidate.evaluate(p) == oracle(n, p, b)
             for p in fresh
         ):
-            details = GuessDetails(
-                t=t,
-                samples_used=len(samples.points),
-                residual=residual,
-                used_ansatz=use_ansatz,
-            )
+            details = GuessDetails(t=t, samples_used=len(samples.points), residual=residual)
             return candidate, details
     raise GuessExhausted(n, b, max_t, samples)
 

@@ -296,18 +296,6 @@ class PkTerm:
     shifted_b: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class PkExpansion:
-    """Coefficient of x_k^{b_k} in the Taylor expansion of the segregated
-    factors prod_{i != k} (x_i - x_k)^{a_i} / x_i^{a_i + b_i} about x_k = 0,
-    organized term by term; empty when b_k < 0."""
-
-    n: int
-    k: int  # zero-based pivot index
-    b: Tuple[int, ...]
-    terms: Tuple[PkTerm, ...]
-
-
 def pk_compositions(n: int, k: int, b) -> List[Tuple[Tuple[int, ...], Tuple[int, ...]]]:
     """(m, shifted_b) for each term of P_k at pivot ``k`` (zero-based index,
     n >= 3), in pk_expansion's term order, without building the
@@ -329,9 +317,11 @@ def pk_compositions(n: int, k: int, b) -> List[Tuple[Tuple[int, ...], Tuple[int,
     ]
 
 
-def pk_expansion(n: int, k: int, b) -> PkExpansion:
-    """Enumerate P_k's terms for pivot ``k`` (zero-based index, n >= 3)."""
-    b = tuple(b)
+def pk_expansion(n: int, k: int, b) -> Tuple[PkTerm, ...]:
+    """The terms of P_k for pivot ``k`` (zero-based index, n >= 3): the
+    coefficient of x_k^{b_k} in the Taylor expansion of the segregated
+    factors prod_{i != k} (x_i - x_k)^{a_i} / x_i^{a_i + b_i} about x_k = 0,
+    organized term by term; empty when b_k < 0."""
     others = [i for i in range(n) if i != k]
     terms: List[PkTerm] = []
     for m, shifted in pk_compositions(n, k, b):
@@ -341,4 +331,4 @@ def pk_expansion(n: int, k: int, b) -> PkExpansion:
             if mi & 1:
                 coeff = -coeff
         terms.append(PkTerm(m=m, coeff=coeff, shifted_b=shifted))
-    return PkExpansion(n=n, k=k, b=b, terms=tuple(terms))
+    return tuple(terms)

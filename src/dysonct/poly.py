@@ -14,18 +14,22 @@ the denominator kept beside the map.  Monomials are ordered
 graded-lexicographically with a_1 > a_2 > ... > a_n; that order fixes every
 canonical form in the package.
 
-The gcd machinery at the bottom (content extraction + subresultant
-pseudo-remainder sequences over Z) is what lets rational functions be kept
-fully reduced, which the proof engine relies on.
+``linear_factors`` splits a polynomial into linear forms with nonnegative
+coefficients and positive constants, by trial division; the prover's
+denominator-safety check and the renderer both use it.  The gcd machinery at
+the bottom (content extraction + subresultant pseudo-remainder sequences over
+Z) is what lets rational functions be kept fully reduced, which the proof
+engine relies on.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, gcd, lcm
 from operator import add, mul
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 Monomial = Tuple[int, ...]
 
@@ -453,6 +457,72 @@ def make_primitive(p: Poly) -> Poly:
     if g == 1 and p.den == 1:
         return p
     return Poly._raw(p.nvars, {m: c // g for m, c in p.coeffs.items()})
+
+
+def _divisors(n: int) -> List[int]:
+    n = abs(n)
+    divs = [d for d in range(1, n + 1) if n % d == 0]
+    return divs
+
+
+def linear_factors(p: Poly) -> Optional[Tuple[List[LinearForm], Fraction]]:
+    """Factor p as const * product of integer linear forms with nonnegative
+    coefficients and positive constant terms; None if p is not of that shape.
+
+    A factor c0 + sum c_i a_i of the primitive part has c0 dividing its
+    constant term, and, restricted to the a_i axis, each c_i > 0 divides the
+    leading coefficient and -c0/c_i is a root of that restriction.
+    Trial division over those candidates is a complete search.
+    """
+    if p.is_zero():
+        return None
+    nvars = p.nvars
+    prim = make_primitive(p)
+    scale = p.leading_coeff() / prim.leading_coeff()
+    factors: List[LinearForm] = []
+    work = prim
+    while not work.is_constant():
+        const = work.constant_value()
+        if const <= 0 or const.denominator != 1:
+            return None
+        found = None
+        terms = work.sorted_terms()
+        axes = [{m[i]: int(c) for m, c in terms if sum(m) == m[i]} for i in range(nvars)]
+        for c0 in _divisors(int(const)):
+            candidates = [_axis_coefficients(axis, c0) for axis in axes]
+            for coeffs in itertools.product(*candidates):
+                if not any(coeffs):
+                    continue
+                cand = LinearForm(c0, coeffs)
+                try:
+                    quotient = exact_div(work, cand.to_poly())
+                except ArithmeticError:
+                    continue
+                factors.append(cand)
+                work = quotient
+                found = cand
+                break
+            if found:
+                break
+        if not found:
+            return None
+    tail = work.constant_value()
+    if tail <= 0:
+        return None
+    return factors, scale * tail
+
+
+def _axis_coefficients(axis: Dict[int, int], c0: int) -> List[int]:
+    """The coefficients of a_i that a factor c0 + ... can have, given the
+    restriction to the a_i axis as {exponent: coefficient}: 0, and each
+    positive divisor c of its leading coefficient at whose root t = -c0/c the
+    restriction vanishes (tested as sum coeff * (-c0)^e * c^(deg - e) = 0)."""
+    deg = max(axis)
+    out = [0]
+    for c in _divisors(axis[deg]):
+        if sum(coeff * (-c0) ** e * c ** (deg - e) for e, coeff in axis.items()) == 0:
+            out.append(c)
+    return out
 
 
 def _coeffs_in_var(p: Poly, var: int) -> Dict[int, Poly]:

@@ -22,19 +22,18 @@ when handed a split that is not ok.  Each identity is checked as a
 polynomial comparison over Q, a complete symbolic proof, not sampling: the
 recursion is cleared by the lcm of the shifted linear factors of that
 split, the boundary identity by cross-multiplying its denominators.
-Boundary dependencies are proved recursively before the checks, bottoming
-out in the built-in n = 2 closed form; each pivot's P_k expansion is built
-once and serves both the dependency list and the boundary check, which
-reads the proved dependencies' forms.  A ``ProofCertificate`` holds the
-outcomes of its checks, and its validity and stored verdicts are read from
-them.  An arrangement of b whose class (its sorted b) already has a checked
-member is certified by relabeling that member's outcomes, when its forms
-are that member's relabeled (see ``prove``).
+Boundary dependencies, the shifted b named by each pivot's P_k terms, are
+proved recursively before the checks, bottoming out in the built-in n = 2
+closed form; the boundary check at each pivot builds that pivot's P_k
+expansion and reads the proved dependencies' forms.  A ``ProofCertificate``
+holds the outcomes of its checks, and its validity and stored verdicts are
+read from them.  An arrangement of b whose class (its sorted b) already has
+a checked member is certified by relabeling that member's outcomes, when
+its forms are that member's relabeled (see ``prove``).
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -42,20 +41,21 @@ from math import prod
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .conjecture import DEFAULT_MAX_T, ClosedForm, guess_dyson
-from .laurent import PkExpansion, pk_compositions, pk_expansion
-from .poly import LinearForm, Poly, cancel_factors, exact_div, make_primitive
+from .laurent import pk_compositions, pk_expansion
+from .poly import LinearForm, Poly, cancel_factors, linear_factors
 from .ratfunc import RatFunc
+from .render import ASCII, fmt_d_symbol
 
 
 @dataclass
 class CheckOutcome:
-    """Verdict of one symbolic check, with the failing difference if any."""
+    """Verdict of one symbolic check: the identity's left side, which a
+    passed check's right side equals, and the failing difference if any."""
 
     ok: bool
     check: str
     k: Optional[int] = None
     lhs: Optional[RatFunc] = None
-    rhs: Optional[RatFunc] = None
     difference: Optional[RatFunc] = None
     note: str = ""
 
@@ -64,8 +64,6 @@ class ProofError(Exception):
     """A check failed; carries the counterexample report."""
 
     def __init__(self, form: ClosedForm, outcome: CheckOutcome):
-        from .render import ASCII, fmt_d_symbol  # render imports this module
-
         self.form = form
         self.outcome = outcome
         where = f" at k={outcome.k + 1}" if outcome.k is not None else ""
@@ -165,13 +163,6 @@ def _cross_products(dens: List[Poly], nvars: int) -> Tuple[Poly, List[Poly]]:
     return prefix[-1], others
 
 
-def _product(nvars: int, factors: Counter) -> Poly:
-    out = Poly.const(nvars, 1)
-    for f in factors.elements():
-        out = out * f
-    return out
-
-
 def _over(num: Poly, factors: Counter, c: Fraction) -> RatFunc:
     """num / (c * prod factors) in canonical form, reduced one linear factor
     at a time: a linear factor is irreducible, so it either divides num or is
@@ -200,7 +191,7 @@ def check_recursion(form: ClosedForm, safety: DenominatorSafety) -> CheckOutcome
     n = form.n
     R = form.R
     if R.is_zero():
-        return CheckOutcome(ok=True, check="recursion", lhs=R, rhs=R, note="zero form")
+        return CheckOutcome(ok=True, check="recursion", lhs=R, note="zero form")
     num = R.num
     factors = Counter(f.to_poly() for f in safety.factors)
     c = safety.constant
@@ -211,68 +202,63 @@ def check_recursion(form: ClosedForm, safety: DenominatorSafety) -> CheckOutcome
     s = Poly.zero(n)
     for i in range(n):
         s = s + Poly.variable(n, i)
-    lhs_poly = num * (s * _product(n, lcm - factors))
+    one = Poly.const(n, 1)
+    lhs_poly = num * (s * prod((lcm - factors).elements(), start=one))
     rhs_poly = Poly.zero(n)
     for i, f_i in enumerate(shifted):
-        term = Poly.variable(n, i) * _product(n, lcm - f_i)
+        term = Poly.variable(n, i) * prod((lcm - f_i).elements(), start=one)
         rhs_poly = rhs_poly + num.shift_var(i, -1) * term
     if lhs_poly == rhs_poly:
-        return CheckOutcome(ok=True, check="recursion", lhs=R, rhs=R)
-    cleared = lcm + Counter([s])
-    diff = _over(lhs_poly - rhs_poly, cleared, c)
-    rhs = _over(rhs_poly, cleared, c)
-    return CheckOutcome(ok=False, check="recursion", lhs=R, rhs=rhs, difference=diff)
+        return CheckOutcome(ok=True, check="recursion", lhs=R)
+    diff = _over(lhs_poly - rhs_poly, lcm + Counter([s]), c)
+    return CheckOutcome(ok=False, check="recursion", lhs=R, difference=diff)
 
 
 def check_boundary(
     form: ClosedForm,
     safety: DenominatorSafety,
-    expansion: PkExpansion,
+    k: int,
     lower: Mapping[Tuple[int, ...], ClosedForm],
 ) -> CheckOutcome:
-    """Verify the boundary identity at a_k = 0, k = expansion.k (zero-based).
+    """Verify the boundary identity at a_k = 0 (k zero-based).
 
     Left side: R with a_k set to 0, read in the surviving n-1 variables (the
     multinomial collapses to the (n-1)-variable one on both sides).  R's
     denominator is c * prod F by the ok ``safety`` split, and each F at
     a_k = 0 is still linear with a positive constant, so the left side is
     num(a_k = 0) over c * prod F(a_k = 0), reduced one linear factor at a
-    time.  Right side: sum over ``expansion``, the P_k expansion of (n, b),
-    of coeff(a-hat) * R_{shifted b}(a-hat), with each level-(n-1) form read
-    from ``lower`` by its shifted b.  Empty expansions (b_k < 0) make the
-    right side 0.
+    time.  Right side: sum over the terms of P_k for (n, b), which this
+    check expands, of coeff(a-hat) * R_{shifted b}(a-hat), with each
+    level-(n-1) form read from ``lower`` by its shifted b.  An empty
+    expansion (b_k < 0) makes the right side 0.
     """
     if not safety.ok:
         raise ValueError("check_boundary needs an ok denominator split")
-    n, k = form.n, expansion.k
-    if (expansion.n, expansion.b) != (n, form.b):
-        raise ValueError("the expansion belongs to another (n, b)")
+    n = form.n
     factors = Counter(f.to_poly().at_zero(k) for f in safety.factors)
     lhs = _over(form.R.num.at_zero(k), factors, safety.constant)
 
-    if not expansion.terms:
+    terms = pk_expansion(n, k, form.b)
+    if not terms:
         ok = lhs.is_zero()
-        zero = RatFunc.zero(n - 1)
         return CheckOutcome(
             ok=ok,
             check="boundary",
             k=k,
             lhs=lhs,
-            rhs=zero,
             difference=None if ok else lhs,
             note="empty expansion (b_k < 0)",
         )
 
-    lower_rs = [lower[term.shifted_b].R for term in expansion.terms]
+    lower_rs = [lower[term.shifted_b].R for term in terms]
     den_rhs, others = _cross_products([r.den for r in lower_rs], n - 1)
     num_rhs = Poly.zero(n - 1)
-    for term, r, other in zip(expansion.terms, lower_rs, others):
+    for term, r, other in zip(terms, lower_rs, others):
         num_rhs = num_rhs + term.coeff.at_zero(k) * r.num * other
     if lhs.num * den_rhs == num_rhs * lhs.den:
-        return CheckOutcome(ok=True, check="boundary", k=k, lhs=lhs, rhs=lhs)
-    rhs = RatFunc.make(num_rhs, den_rhs)
+        return CheckOutcome(ok=True, check="boundary", k=k, lhs=lhs)
     diff = RatFunc.make(lhs.num * den_rhs - num_rhs * lhs.den, lhs.den * den_rhs)
-    return CheckOutcome(ok=False, check="boundary", k=k, lhs=lhs, rhs=rhs, difference=diff)
+    return CheckOutcome(ok=False, check="boundary", k=k, lhs=lhs, difference=diff)
 
 
 def check_initial(form: ClosedForm, safety: DenominatorSafety) -> CheckOutcome:
@@ -291,79 +277,12 @@ def check_initial(form: ClosedForm, safety: DenominatorSafety) -> CheckOutcome:
         ok=ok,
         check="initial",
         lhs=RatFunc.const(n, value),
-        rhs=RatFunc.const(n, expected),
         difference=None if ok else RatFunc.const(n, value - expected),
     )
 
 
 # ----------------------------------------------------------------------
 # denominator safety
-
-
-def _divisors(n: int) -> List[int]:
-    n = abs(n)
-    divs = [d for d in range(1, n + 1) if n % d == 0]
-    return divs
-
-
-def linear_factors(p: Poly) -> Optional[Tuple[List[LinearForm], Fraction]]:
-    """Factor p as const * product of integer linear forms with nonnegative
-    coefficients and positive constant terms; None if p is not of that shape.
-
-    A factor c0 + sum c_i a_i of the primitive part has c0 dividing its
-    constant term, and, restricted to the a_i axis, each c_i > 0 divides the
-    leading coefficient and -c0/c_i is a root of that restriction.
-    Trial division over those candidates is a complete search.
-    """
-    if p.is_zero():
-        return None
-    nvars = p.nvars
-    prim = make_primitive(p)
-    scale = p.leading_coeff() / prim.leading_coeff()
-    factors: List[LinearForm] = []
-    work = prim
-    while not work.is_constant():
-        const = work.constant_value()
-        if const <= 0 or const.denominator != 1:
-            return None
-        found = None
-        terms = work.sorted_terms()
-        axes = [{m[i]: int(c) for m, c in terms if sum(m) == m[i]} for i in range(nvars)]
-        for c0 in _divisors(int(const)):
-            candidates = [_axis_coefficients(axis, c0) for axis in axes]
-            for coeffs in itertools.product(*candidates):
-                if not any(coeffs):
-                    continue
-                cand = LinearForm(c0, coeffs)
-                try:
-                    quotient = exact_div(work, cand.to_poly())
-                except ArithmeticError:
-                    continue
-                factors.append(cand)
-                work = quotient
-                found = cand
-                break
-            if found:
-                break
-        if not found:
-            return None
-    tail = work.constant_value()
-    if tail <= 0:
-        return None
-    return factors, scale * tail
-
-
-def _axis_coefficients(axis: Dict[int, int], c0: int) -> List[int]:
-    """The coefficients of a_i that a factor c0 + ... can have, given the
-    restriction to the a_i axis as {exponent: coefficient}: 0, and each
-    positive divisor c of its leading coefficient at whose root t = -c0/c the
-    restriction vanishes (tested as sum coeff * (-c0)^e * c^(deg - e) = 0)."""
-    deg = max(axis)
-    out = [0]
-    for c in _divisors(axis[deg]):
-        if sum(coeff * (-c0) ** e * c ** (deg - e) for e, coeff in axis.items()) == 0:
-            out.append(c)
-    return out
 
 
 @dataclass
@@ -467,9 +386,8 @@ class ProofCertificate:
 def _identity_json(outcome: CheckOutcome) -> dict:
     data: dict = {"ok": outcome.ok}
     if outcome.lhs is not None:
-        data["lhs"] = outcome.lhs.to_json()
-    if outcome.rhs is not None:
-        data["rhs"] = outcome.rhs.to_json()
+        # a passed check's sides are equal; the stored format keeps both
+        data["lhs"] = data["rhs"] = outcome.lhs.to_json()
     if outcome.note:
         data["note"] = outcome.note
     return data
@@ -516,10 +434,8 @@ class Resolver:
 
 def _relabeled(outcome: CheckOutcome, perm: Sequence[int], k: Optional[int] = None) -> CheckOutcome:
     """A passed check's outcome with its variables permuted by perm (as
-    RatFunc.permute_vars reads it) and its pivot set to k.  The sides of a
-    passed check are equal, so one side is permuted and serves as both."""
-    side = outcome.lhs.permute_vars(perm)
-    return CheckOutcome(ok=True, check=outcome.check, k=k, lhs=side, rhs=side, note=outcome.note)
+    RatFunc.permute_vars reads it) and its pivot set to k."""
+    return replace(outcome, k=k, lhs=outcome.lhs.permute_vars(perm))
 
 
 def _relabeled_certificate(
@@ -555,9 +471,9 @@ def _relabeled_certificate(
     return ProofCertificate(
         form,
         dependencies,
-        # both sides of a passed recursion are R, and the source's R
-        # relabeled is form.R, checked above
-        recursion=replace(source.recursion, lhs=form.R, rhs=form.R),
+        # the side of a passed recursion is R, and the source's R relabeled
+        # is form.R, checked above
+        recursion=replace(source.recursion, lhs=form.R),
         boundaries=tuple(boundaries),
         initial=_relabeled(source.initial, inverse),
     )
@@ -567,12 +483,13 @@ def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCe
     """Certify the closed form for (n, b), recursing through its boundary
     dependencies down to the n = 2 base case.
 
-    One pass: the P_k expansion of every pivot is built once; the level-(n-1)
-    forms its terms name are proved first (k ascending, terms in order, first
-    occurrence wins), and the boundary checks read those expansions and the
-    proved forms.  Of the checks, denominator safety runs first, and its
-    split of R's denominator into linear factors is the input of the
-    recursion, boundary and initial-value checks that follow.
+    One pass: the level-(n-1) forms named by the P_k terms of every pivot
+    are proved first (k ascending, terms in order, first occurrence wins),
+    once, before either route below certifies the form; the boundary check
+    at each pivot builds its own P_k expansion and reads the proved forms.
+    Of the checks, denominator safety runs first, and its split of R's
+    denominator into linear factors is the input of the recursion, boundary
+    and initial-value checks that follow.
 
     A relabeling of an arrangement the resolver already certified by the
     checks (``Resolver.checked``) is certified without them, when its form
@@ -619,7 +536,6 @@ def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCe
                     ok=False,
                     check="base-case",
                     lhs=form.R,
-                    rhs=closed,
                     difference=form.R - closed,
                     note="not the binomial-theorem closed form",
                 ),
@@ -628,21 +544,19 @@ def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCe
         resolver.certificates[key] = cert
         return cert
 
+    # prove lower levels first (post-order over the dependency tree)
+    shifted = [[v for _, v in pk_compositions(n, k, b)] for k in range(n)]
+    dep_vectors = dict.fromkeys(v for vectors in shifted for v in vectors)
+    dependencies = tuple(prove(n - 1, v, resolver) for v in dep_vectors)
+
     relabeling_class = (n, tuple(sorted(b)))
     source = resolver.checked.get(relabeling_class)
     if source is not None:
-        shifted = [[v for _, v in pk_compositions(n, k, b)] for k in range(n)]
-        dep_vectors = dict.fromkeys(v for vectors in shifted for v in vectors)
-        dependencies = tuple(prove(n - 1, v, resolver) for v in dep_vectors)
         cert = _relabeled_certificate(source, form, shifted, dependencies)
         if cert is not None:
             resolver.certificates[key] = cert
             return cert
 
-    # prove lower levels first (post-order over the dependency tree)
-    expansions = [pk_expansion(n, k, b) for k in range(n)]
-    dep_vectors = dict.fromkeys(t.shifted_b for e in expansions for t in e.terms)
-    dependencies = tuple(prove(n - 1, v, resolver) for v in dep_vectors)
     lower = {dep.form.b: dep.form for dep in dependencies}
 
     safety = check_denominator_safety(form)
@@ -659,8 +573,8 @@ def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCe
     if not recursion.ok:
         raise ProofError(form, recursion)
     boundaries = []
-    for expansion in expansions:
-        outcome = check_boundary(form, safety, expansion, lower)
+    for k in range(n):
+        outcome = check_boundary(form, safety, k, lower)
         if not outcome.ok:
             raise ProofError(form, outcome)
         boundaries.append(outcome)

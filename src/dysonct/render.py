@@ -14,11 +14,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
-from .conjecture import ClosedForm
-from .poly import LinearForm, Poly
-from .prover import linear_factors
+from .poly import LinearForm, Poly, linear_factors
+
+if TYPE_CHECKING:
+    from .conjecture import ClosedForm
 
 
 @dataclass(frozen=True)

@@ -90,13 +90,12 @@ def test_criterion_3_permutation_family_without_fresh_guessing():
 
 
 def test_criterion_4_boundary_expansion_data():
-    exp = pk_expansion(3, 0, (2, -1, -1))
-    by_shift = {t.shifted_b: t.coeff for t in exp.terms}
+    by_shift = {t.shifted_b: t.coeff for t in pk_expansion(3, 0, (2, -1, -1))}
     assert by_shift[(1, -1)] == binomial_poly(3, 1, 2)  # a_2(a_2-1)/2
     assert by_shift[(-1, 1)] == binomial_poly(3, 2, 2)  # a_3(a_3-1)/2
     assert by_shift[(0, 0)] == Poly.variable(3, 1) * Poly.variable(3, 2)  # a_2 a_3
-    assert pk_expansion(3, 1, (2, -1, -1)).terms == ()
-    assert pk_expansion(3, 2, (2, -1, -1)).terms == ()
+    assert pk_expansion(3, 1, (2, -1, -1)) == ()
+    assert pk_expansion(3, 2, (2, -1, -1)) == ()
     _report(4, True, "P_1 coefficients paired with their c_2 targets; P_2 = P_3 empty")
 
 
@@ -166,9 +165,8 @@ def test_criterion_9_boundary_conditions_are_load_bearing():
     safety = check_denominator_safety(wrong)
     assert check_recursion(wrong, safety).ok
     resolver = Resolver()
-    expansion = pk_expansion(3, 1, wrong.b)
-    lower = {t.shifted_b: prove(2, t.shifted_b, resolver).form for t in expansion.terms}
-    outcome = check_boundary(wrong, safety, expansion, lower)
+    lower = {t.shifted_b: prove(2, t.shifted_b, resolver).form for t in pk_expansion(3, 1, wrong.b)}
+    outcome = check_boundary(wrong, safety, 1, lower)
     assert not outcome.ok
     _report(9, True, "R = 1 passes the recursion but fails the k = 2 boundary")
 

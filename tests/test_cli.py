@@ -1,3 +1,4 @@
+import ast
 import inspect
 import json
 import os
@@ -18,9 +19,10 @@ from dysonct.conjecture import (
     guess_dyson,
     guess_dyson_with_details,
 )
+from dysonct.poly import Poly
 from dysonct.prover import CheckOutcome, ProofError, Resolver
 from dysonct.ratfunc import RatFunc
-from dysonct.store import ResultStore
+from dysonct.store import ResultStore, StoreEntry
 
 
 @pytest.fixture(autouse=True)
@@ -209,6 +211,25 @@ def test_prove_refuses_a_stored_n2_form_that_is_not_the_closed_form(tmp_path, ca
     assert not list(tmp_path.glob("proof_*"))
 
 
+def test_prove_refuses_a_stored_n3_form_that_fails_a_check(tmp_path, capsys):
+    # R + a_1 breaks the recursion; the report names the form and carries
+    # the difference, and nothing is written
+    right = guess_dyson(3, (2, -1, -1))
+    wrong = ClosedForm(3, right.b, right.R + RatFunc.from_poly(Poly.variable(3, 0)))
+    store = ResultStore()
+    store.add(StoreEntry(3, wrong.b, wrong, {"kind": "guessed"}, {}))
+    path = tmp_path / "s.json"
+    store.save(str(path))
+    raw = path.read_bytes()
+    assert main(["prove", "-n", "3", "-b", "2,-1,-1", "--store", "s.json"]) == EXIT_MATH
+    captured = capsys.readouterr()
+    assert "certified" not in captured.out
+    assert captured.err.startswith("mathematical failure: proof of d_3(a; <2,-1,-1>) failed:")
+    assert "; difference" in captured.err
+    assert path.read_bytes() == raw
+    assert not list(tmp_path.glob("proof_*"))
+
+
 def test_store_env_override(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("DYSON_STORE", str(tmp_path / "env.json"))
     assert main(["turbo", "-n", "2", "-C", "0"]) == EXIT_OK
@@ -351,6 +372,21 @@ def test_commands_that_fit_nothing_run_without_numpy(tmp_path):
         run = _fresh_cli(argv, block_numpy=True)
         assert run.returncode == EXIT_OK, run.stderr
     assert (tmp_path / "s.json").read_bytes() == stored
+
+
+def test_no_module_imports_a_sibling_inside_a_function():
+    # the package's modules import each other at module level, so an import
+    # cycle between them fails on import instead of hiding in a call
+    deferred = set()
+    for path in (SRC / "dysonct").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                deferred.update(
+                    f"{path.name}:{inner.lineno}"
+                    for inner in ast.walk(node)
+                    if isinstance(inner, ast.ImportFrom) and inner.level
+                )
+    assert not deferred
 
 
 def test_a_fit_imports_numpy():

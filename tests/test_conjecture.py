@@ -204,7 +204,6 @@ def test_guess_dyson_form_2m1m1():
     form, details = guess_dyson_with_details(3, (2, -1, -1))
     assert form.R == known_R_2m1m1()
     assert details.t == 2  # residual after removing the ansatz factor
-    assert details.used_ansatz
 
 
 def test_guess_dyson_single_move_form():

@@ -305,7 +305,7 @@ def test_boundary_cross_check():
                     a[idx] = val
                 lhs = ct(3, tuple(a), b)
                 rhs = 0
-                for term in expansion.terms:
+                for term in expansion:
                     coeff = term.coeff.evaluate(a)
                     assert coeff.denominator == 1
                     rhs += int(coeff) * ct(2, rest, term.shifted_b)
@@ -313,8 +313,7 @@ def test_boundary_cross_check():
 
 
 def test_pk_expansion_2m1m1_data():
-    exp = pk_expansion(3, 0, (2, -1, -1))
-    by_m = {t.m: t for t in exp.terms}
+    by_m = {t.m: t for t in pk_expansion(3, 0, (2, -1, -1))}
     assert set(by_m) == {(2, 0), (1, 1), (0, 2)}
     assert by_m[(2, 0)].coeff == binomial_poly(3, 1, 2)
     assert by_m[(2, 0)].shifted_b == (1, -1)
@@ -325,14 +324,12 @@ def test_pk_expansion_2m1m1_data():
 
 
 def test_pk_expansion_negative_pivot_is_empty():
-    assert pk_expansion(3, 1, (2, -1, -1)).terms == ()
-    assert pk_expansion(3, 2, (2, -1, -1)).terms == ()
+    assert pk_expansion(3, 1, (2, -1, -1)) == ()
+    assert pk_expansion(3, 2, (2, -1, -1)) == ()
 
 
 def test_pk_expansion_zero_vector():
-    exp = pk_expansion(3, 0, (0, 0, 0))
-    assert len(exp.terms) == 1
-    term = exp.terms[0]
+    (term,) = pk_expansion(3, 0, (0, 0, 0))
     assert term.m == (0, 0)
     assert term.coeff == Poly.const(3, 1)
     assert term.shifted_b == (0, 0)
@@ -341,7 +338,7 @@ def test_pk_expansion_zero_vector():
 def test_pk_expansion_preserves_b_sum():
     for b in [(2, -1, -1), (3, -1, -2), (1, 1, -2)]:
         for k in range(3):
-            for term in pk_expansion(3, k, b).terms:
+            for term in pk_expansion(3, k, b):
                 assert sum(term.shifted_b) == sum(b)
 
 
