@@ -18,7 +18,7 @@ from .laurent import (
     pk_expansion,
 )
 from .linalg import solve_nullspace
-from .poly import LinearForm, Poly, binomial_poly, poly_gcd
+from .poly import LinearForm, Poly, binomial_poly
 from .prover import (
     ProofCertificate,
     ProofError,
@@ -70,7 +70,6 @@ __all__ = [
     "multinomial",
     "permute_form",
     "pk_expansion",
-    "poly_gcd",
     "prove",
     "sample_grid",
     "solve_nullspace",

@@ -12,14 +12,15 @@ the single Fraction ct * Q(p) / (multinomial * P(p)) of integer products,
 and the restore cancels or multiplies in one linear factor at a time by
 exact division, which gives the canonical form without a polynomial gcd.
 
-Everything is exact: the linear systems are solved over Q, candidates are
-validated on held-out points, and the caller is expected to run the proof
-engine on whatever comes out.  Splits are first screened modulo one prime,
-and only those that can still fit are solved over Q; the screen only skips.
-The screen evaluates the monomials mod p from the sample points, and the
-exact big-integer monomial table is built only when a split passes it.
-The screen's methods import numpy when they run, so importing this module
-does not load it; the first fit does.
+Everything is exact: the linear systems are solved over Q, a split fits
+only when its kernel is a single vector, which is then already in lowest
+terms (see guess_rat), the fit is validated on held-out points, and the
+caller is expected to run the proof engine on whatever comes out.  Splits
+are first screened modulo one prime, and only those that can still fit are
+solved over Q; the screen only skips.  The screen evaluates the monomials
+mod p from the sample points, and the exact big-integer monomial table is
+built only when a split passes it.  The screen's methods import numpy when
+they run, so importing this module does not load it; the first fit does.
 """
 
 from __future__ import annotations
@@ -51,7 +52,8 @@ class GuessError(Exception):
 
 
 class AmbiguousFit(GuessError):
-    """The nullspace held several inequivalent candidates; add more data."""
+    """A split's kernel held several vectors, one with a denominator nonzero
+    at every sample; add more data."""
 
 
 class GuessExhausted(GuessError):
@@ -169,7 +171,7 @@ def _sample_value(ct_value: int, p: Tuple[int, ...], forms: Ansatz) -> Fraction:
 
 def restore_ansatz(residual: RatFunc, forms: Ansatz) -> RatFunc:
     """residual times the ansatz factor with the linear factors ``forms``,
-    in RatFunc.make's canonical form, by exact division and no gcd.
+    in canonical form, by exact division and no gcd.
 
     For residual = N/D, each denominator form is cancelled from N where it
     divides N and multiplied into D where it does not; then each numerator
@@ -250,27 +252,35 @@ def guess_rat(samples: SampleSet, t: int) -> Optional[RatFunc]:
     """Fit a rational function of total degree exactly t to the samples.
 
     For each split (d_num, d_den) with d_num + d_den = t, in the order
-    (t, 0), (t-1, 1), ..., (0, t): solve value * den(a) - num(a) = 0 on the
-    fitting points, reject candidates whose denominator vanishes at any
-    sample point, and keep a survivor only if it reproduces the last HOLDOUT
-    samples, held out of the fit, exactly.  Returns None when no split
-    admits a fit; raises AmbiguousFit when a nullspace of dimension > 1 holds
-    inequivalent candidates (the caller should supply more samples).
+    (t, 0), (t-1, 1), ..., (0, t), the kernel of the linear system
+    value * den(a) - num(a) = 0 on the fitting points is solved exactly.  A
+    kernel vector counts when its denominator is nonzero at every sample
+    point.  A split with no counted vector is skipped, and one whose kernel
+    holds a counted vector and more than one vector raises AmbiguousFit (the
+    caller should supply more samples).  A split fits when its kernel is a
+    single counted vector (N, D) that reproduces the last HOLDOUT samples,
+    held out of the fit, exactly; N/D is returned, with D scaled monic.
+    Returns None when no split fits.
+
+    N/D is in lowest terms with no gcd.  If N and D shared a nonconstant
+    factor g, every h * (N/g, D/g) with deg h <= deg g would fit the split's
+    degrees and solve the same system, since D, and with it g, is nonzero at
+    every fitting point; h = 1 and h = a variable of g alone give two
+    independent vectors, so the kernel would hold more than one.
 
     Each split is screened modulo p = linalg.FIRST_PRIME before its exact
-    rows are built.  The exact monomial table they are read from is built
-    when a split first passes the screen, only as wide as that split reads
-    (max(n_num, n_den) columns), and rebuilt only for a later passing split
-    that reads more.  A vector of the mod-p nullspace basis counts as a
-    candidate only if its denominator part is nonzero mod p and its
-    denominator is nonzero mod p at every sample point.  The split is
-    skipped when no vector counts, or when exactly one counts and
+    rows are built, by the same rule on the mod-p kernel: it is skipped when
+    no vector counts mod p, or when the kernel is one vector at which
     value * den(h) - num(h) is nonzero mod p at some held-out point h; every
-    other split is solved and checked exactly as above.  The screen only
-    ever skips, so whatever is returned has passed every exact check and a
-    skip cannot produce a wrong closed form; at worst it misses a fit.  That takes p dividing one particular nonzero integer (an entry, a
-    denominator value or a held-out residual of an exact basis vector) or a
-    reduction mod p of the wrong rank or pivots.
+    other split is solved and checked exactly as above.  The exact monomial
+    table the rows are read from is built when a split first passes the
+    screen, only as wide as that split reads (max(n_num, n_den) columns),
+    and rebuilt only for a later passing split that reads more.  The screen
+    only ever skips, so whatever is returned has passed every exact check
+    and a skip cannot produce a wrong closed form; at worst it misses a fit.
+    That takes p dividing one particular nonzero integer (an entry, a
+    denominator value or a held-out residual of an exact basis vector), or
+    a reduction mod p of the wrong rank or pivots.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -308,24 +318,20 @@ def guess_rat(samples: SampleSet, t: int) -> Optional[RatFunc]:
         for vals, f in zip(mono_vals, fit_vals):
             fn, fd = f.numerator, f.denominator
             rows.append([fn * v for v in vals[:n_den]] + [-fd * v for v in vals[:n_num]])
-        candidates = [
-            RatFunc.make(
-                Poly(nvars, dict(zip(monos, vec[n_den:]))),
-                Poly(nvars, dict(zip(monos, vec[:n_den]))),
-            )
-            for vec in solve_nullspace(rows)
-            if all(sum(map(mul, vals, vec[:n_den])) for vals in mono_vals)
-        ]
-        if not candidates:
+        kernel = solve_nullspace(rows)
+        if not any(all(sum(map(mul, vals, vec[:n_den])) for vals in mono_vals) for vec in kernel):
             continue
-        first = candidates[0]
-        if any(c != first for c in candidates[1:]):
+        if len(kernel) > 1:
             raise AmbiguousFit(
-                f"{len(candidates)} inequivalent candidates at t={t}, "
-                f"split ({d_num},{t - d_num})"
+                f"kernel of {len(kernel)} vectors at t={t}, split ({d_num},{t - d_num})"
             )
-        if all(first.evaluate(p) == v for p, v in zip(hold_pts, hold_vals)):
-            return first
+        (vec,) = kernel
+        fit = RatFunc.coprime(
+            Poly(nvars, dict(zip(monos, vec[n_den:]))),
+            Poly(nvars, dict(zip(monos, vec[:n_den]))),
+        )
+        if all(fit.evaluate(p) == v for p, v in zip(hold_pts, hold_vals)):
+            return fit
     return None
 
 
@@ -368,21 +374,18 @@ class _Screen:
         return np.hstack((den, num)) % FIRST_PRIME
 
     def may_fit(self, n_den: int, n_num: int) -> bool:
-        """False if the split's nullspace holds no candidate mod p, or holds
-        one that misses a held-out value mod p."""
-        import numpy as np
-
+        """False if no vector of the split's kernel mod p counts, or if the
+        kernel is one vector that misses a held-out value mod p."""
         p = FIRST_PRIME
         kernel = kernel_mod_p(self.rows_mod_p(n_den, n_num), p)
-        kernel = kernel[:, kernel[:n_den].any(axis=0)]
         den = matmul_mod(self.monos[:, :n_den], kernel[:n_den], p)
-        counted = np.flatnonzero(den.all(axis=0))
-        if len(counted) != 1:
-            return len(counted) > 1
-        (j,) = counted
+        if not den.all(axis=0).any():
+            return False
+        if kernel.shape[1] > 1:
+            return True
         held = slice(self.nfit, None)
-        num = matmul_mod(self.monos[held, :n_num], kernel[n_den:, j], p)
-        residual = self.value_num[held] * den[held, j] - self.value_den[held] * num
+        num = matmul_mod(self.monos[held, :n_num], kernel[n_den:, 0], p)
+        residual = self.value_num[held] * den[held, 0] - self.value_den[held] * num
         return not (residual % p).any()
 
 

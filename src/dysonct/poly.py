@@ -16,10 +16,10 @@ canonical form in the package.
 
 ``linear_factors`` splits a polynomial into linear forms with nonnegative
 coefficients and positive constants, by trial division; the prover's
-denominator-safety check and the renderer both use it.  The gcd machinery at
-the bottom (content extraction + subresultant pseudo-remainder sequences over
-Z) is what lets rational functions be kept fully reduced, which the proof
-engine relies on.
+denominator-safety check and the renderer both use it.  There is no
+polynomial gcd: a rational function is reduced over the linear factors of
+its denominator (``cancel_factors``), one exact division at a time, and a
+fitted one needs no reduction at all (see ``conjecture.guess_rat``).
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, factorial, gcd, lcm
+from math import comb, factorial, gcd, isqrt, lcm
 from operator import add, mul
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
@@ -136,11 +136,6 @@ class Poly:
             return 0
         return max(sum(m) for m in self.coeffs)
 
-    def degree_in(self, var: int) -> int:
-        if not self.coeffs:
-            return 0
-        return max(m[var] for m in self.coeffs)
-
     def leading_monomial(self) -> Monomial | None:
         if not self.coeffs:
             return None
@@ -214,18 +209,6 @@ class Poly:
         num = c.numerator
         out = {m: v * num for m, v in self.coeffs.items()}
         return Poly._reduced(self.nvars, out, self.den * c.denominator)
-
-    def __pow__(self, e: int) -> "Poly":
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        result = Poly.const(self.nvars, 1)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base if e > 1 else base
-            e >>= 1
-        return result
 
     def __eq__(self, other) -> bool:
         return (
@@ -380,7 +363,7 @@ def binomial_poly(nvars: int, var: int, m: int) -> Poly:
 
 
 # ----------------------------------------------------------------------
-# exact division and gcd
+# exact division and linear factors
 
 
 def _content(p: Poly) -> int:
@@ -460,9 +443,11 @@ def make_primitive(p: Poly) -> Poly:
 
 
 def _divisors(n: int) -> List[int]:
+    """The positive divisors of n in ascending order, by trial division up
+    to its square root."""
     n = abs(n)
-    divs = [d for d in range(1, n + 1) if n % d == 0]
-    return divs
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
 
 
 def linear_factors(p: Poly) -> Optional[Tuple[List[LinearForm], Fraction]]:
@@ -523,97 +508,3 @@ def _axis_coefficients(axis: Dict[int, int], c0: int) -> List[int]:
         if sum(coeff * (-c0) ** e * c ** (deg - e) for e, coeff in axis.items()) == 0:
             out.append(c)
     return out
-
-
-def _coeffs_in_var(p: Poly, var: int) -> Dict[int, Poly]:
-    """View p as univariate in ``var``: degree -> coefficient polynomial."""
-    out: Dict[int, Dict[Monomial, int]] = {}
-    for mono, c in p.coeffs.items():
-        out.setdefault(mono[var], {})[mono[:var] + (0,) + mono[var + 1 :]] = c
-    return {d: Poly._reduced(p.nvars, t, p.den) for d, t in out.items()}
-
-
-def _lead_in_var(p: Poly, var: int) -> Tuple[int, Poly]:
-    """p's degree in ``var`` and the coefficient polynomial of that degree."""
-    d = p.degree_in(var)
-    lead = {
-        mono[:var] + (0,) + mono[var + 1 :]: c
-        for mono, c in p.coeffs.items()
-        if mono[var] == d
-    }
-    return d, Poly._reduced(p.nvars, lead, p.den)
-
-
-def _content_in_var(p: Poly, var: int) -> Poly:
-    coeffs = _coeffs_in_var(p, var)
-    content = Poly.zero(p.nvars)
-    for poly in coeffs.values():
-        content = poly_gcd(content, poly)
-        if content.is_constant():
-            break
-    return content
-
-
-def _prem(p: Poly, q: Poly, var: int) -> Poly:
-    """Pseudo-remainder of p by q with respect to ``var``."""
-    dq, lq = _lead_in_var(q, var)
-    r = p
-    e = p.degree_in(var) - dq + 1
-    while not r.is_zero() and r.degree_in(var) >= dq:
-        dr, lr = _lead_in_var(r, var)
-        shift = Poly.variable(p.nvars, var) ** (dr - dq)
-        r = r * lq - q * lr * shift
-        e -= 1
-    if e > 0:
-        r = r * lq**e
-    return r
-
-
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Gcd over Q[a_1..a_n], returned integer-primitive with positive lead.
-
-    Content extraction in a variable of least degree, then the subresultant
-    pseudo-remainder sequence in it over Z[other variables] (Collins 1967;
-    Brown and Traub 1971); exactness throughout, no floating point anywhere.
-    """
-    if p.is_zero():
-        return make_primitive(q)
-    if q.is_zero():
-        return make_primitive(p)
-    p._check_compatible(q)
-    if p.is_constant() or q.is_constant():
-        return Poly.const(p.nvars, 1)
-    p, q = make_primitive(p), make_primitive(q)
-    # the remainder sequence runs in a variable of least degree; one that
-    # only one side has comes first, as it reduces to a content gcd at once
-    degrees = [sorted((p.degree_in(i), q.degree_in(i))) + [i] for i in range(p.nvars)]
-    var = min(d for d in degrees if d[1] > 0)[2]
-    if p.degree_in(var) == 0:
-        return poly_gcd(p, _content_in_var(q, var))
-    if q.degree_in(var) == 0:
-        return poly_gcd(_content_in_var(p, var), q)
-
-    cont_p = _content_in_var(p, var)
-    cont_q = _content_in_var(q, var)
-    a = make_primitive(exact_div(p, cont_p))
-    b = make_primitive(exact_div(q, cont_q))
-    if a.degree_in(var) < b.degree_in(var):
-        a, b = b, a
-    # dividing each pseudo-remainder by lead * h^delta, a known factor of
-    # it, keeps the coefficients small without a content gcd at every step
-    one = Poly.const(p.nvars, 1)
-    lead = h = one
-    while True:
-        delta = a.degree_in(var) - b.degree_in(var)
-        r = _prem(a, b, var)
-        if r.is_zero():
-            g = exact_div(b, _content_in_var(b, var))
-            break
-        if r.degree_in(var) == 0:
-            g = one
-            break
-        a, b = b, exact_div(r, lead * h**delta)
-        lead = _lead_in_var(a, var)[1]
-        if delta:
-            h = exact_div(lead**delta, h ** (delta - 1))
-    return make_primitive(poly_gcd(cont_p, cont_q) * g)

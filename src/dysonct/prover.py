@@ -42,7 +42,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .conjecture import DEFAULT_MAX_T, ClosedForm, guess_dyson
 from .laurent import pk_compositions, pk_expansion
-from .poly import LinearForm, Poly, cancel_factors, linear_factors
+from .poly import LinearForm, Poly, linear_factors
 from .ratfunc import RatFunc
 from .render import ASCII, fmt_d_symbol
 
@@ -163,13 +163,6 @@ def _cross_products(dens: List[Poly], nvars: int) -> Tuple[Poly, List[Poly]]:
     return prefix[-1], others
 
 
-def _over(num: Poly, factors: Counter, c: Fraction) -> RatFunc:
-    """num / (c * prod factors) in canonical form, reduced one linear factor
-    at a time: a linear factor is irreducible, so it either divides num or is
-    coprime to it."""
-    return RatFunc.coprime(*cancel_factors(num, Poly.const(num.nvars, c), factors.elements()))
-
-
 def check_recursion(form: ClosedForm, safety: DenominatorSafety) -> CheckOutcome:
     """Verify R(a) = sum_i (a_i / (a_1+...+a_n)) R(a - e_i) symbolically.
 
@@ -210,7 +203,7 @@ def check_recursion(form: ClosedForm, safety: DenominatorSafety) -> CheckOutcome
         rhs_poly = rhs_poly + num.shift_var(i, -1) * term
     if lhs_poly == rhs_poly:
         return CheckOutcome(ok=True, check="recursion", lhs=R)
-    diff = _over(lhs_poly - rhs_poly, lcm + Counter([s]), c)
+    diff = RatFunc.over(lhs_poly - rhs_poly, (lcm + Counter([s])).elements(), c)
     return CheckOutcome(ok=False, check="recursion", lhs=R, difference=diff)
 
 
@@ -230,13 +223,17 @@ def check_boundary(
     time.  Right side: sum over the terms of P_k for (n, b), which this
     check expands, of coeff(a-hat) * R_{shifted b}(a-hat), with each
     level-(n-1) form read from ``lower`` by its shifted b.  An empty
-    expansion (b_k < 0) makes the right side 0.
+    expansion (b_k < 0) makes the right side 0.  The sides are compared by
+    cross-multiplying their denominators.  A failing check reports its
+    difference over the lcm of the linear factors of every term, reduced by
+    ``RatFunc.sum_over``; the forms in ``lower`` are proved, so each of
+    their denominators splits into linear factors.
     """
     if not safety.ok:
         raise ValueError("check_boundary needs an ok denominator split")
     n = form.n
-    factors = Counter(f.to_poly().at_zero(k) for f in safety.factors)
-    lhs = _over(form.R.num.at_zero(k), factors, safety.constant)
+    factors = [f.to_poly().at_zero(k) for f in safety.factors]
+    lhs = RatFunc.over(form.R.num.at_zero(k), factors, safety.constant)
 
     terms = pk_expansion(n, k, form.b)
     if not terms:
@@ -257,7 +254,11 @@ def check_boundary(
         num_rhs = num_rhs + term.coeff.at_zero(k) * r.num * other
     if lhs.num * den_rhs == num_rhs * lhs.den:
         return CheckOutcome(ok=True, check="boundary", k=k, lhs=lhs)
-    diff = RatFunc.make(lhs.num * den_rhs - num_rhs * lhs.den, lhs.den * den_rhs)
+    sides = [(form.R.num.at_zero(k), factors, safety.constant)]
+    for term, r in zip(terms, lower_rs):
+        forms, c = linear_factors(r.den)
+        sides.append((-(term.coeff.at_zero(k) * r.num), [f.to_poly() for f in forms], c))
+    diff = RatFunc.sum_over(sides)
     return CheckOutcome(ok=False, check="boundary", k=k, lhs=lhs, difference=diff)
 
 
@@ -528,15 +529,13 @@ def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCe
     if n == 2:
         # the binomial theorem certifies c2_closed_form alone; a form taken
         # from elsewhere, such as a store, must be that one
-        closed = c2_closed_form(b).R
-        if form.R != closed:
+        if form.R != c2_closed_form(b).R:
             raise ProofError(
                 form,
                 CheckOutcome(
                     ok=False,
                     check="base-case",
                     lhs=form.R,
-                    difference=form.R - closed,
                     note="not the binomial-theorem closed form",
                 ),
             )

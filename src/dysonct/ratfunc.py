@@ -2,17 +2,27 @@
 
 Every RatFunc is kept canonical from the moment it is built: numerator and
 denominator share no polynomial factor, the denominator's graded-lex leading
-coefficient is 1, and the zero function is 0/1.  Equality of rational
-functions is therefore a plain structural comparison, which is what turns
-the proof engine's identity checks into complete symbolic proofs.
+coefficient is 1, and the zero function is 0/1.  That form is unique, so
+equality of rational functions is a plain structural comparison, which is
+what turns the proof engine's identity checks into complete symbolic proofs.
+
+There is no general reduction and no arithmetic operator.  A form is built
+canonical in one of two ways: ``coprime`` for a numerator and denominator
+known to share no factor (a fit from a one-vector kernel, a shift or a
+relabeling of a canonical form), and ``over`` for a numerator over linear
+factors, which are divided out one at a time; ``sum_over`` brings a sum of
+such quotients over the lcm of their factors first.  Every denominator the
+prover and the sweep combine splits into linear factors.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
-from typing import Mapping, Sequence
+from math import prod
+from typing import Iterable, Mapping, Sequence, Tuple
 
-from .poly import Poly, exact_div, poly_gcd
+from .poly import Poly, cancel_factors
 
 
 class RatFunc:
@@ -21,23 +31,10 @@ class RatFunc:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Poly, den: Poly):
-        # Trusts the caller; use make() unless both parts are known canonical.
+        # Trusts the caller; use coprime() or over() unless both parts are
+        # known canonical.
         self.num = num
         self.den = den
-
-    @classmethod
-    def make(cls, num: Poly, den: Poly) -> "RatFunc":
-        if num.nvars != den.nvars:
-            raise ValueError("numerator and denominator disagree on nvars")
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            return cls(Poly.zero(num.nvars), Poly.const(num.nvars, 1))
-        g = poly_gcd(num, den)
-        if not (g.is_constant() and g.constant_value() == 1):
-            num = exact_div(num, g)
-            den = exact_div(den, g)
-        return cls.coprime(num, den)
 
     @classmethod
     def coprime(cls, num: Poly, den: Poly) -> "RatFunc":
@@ -50,6 +47,30 @@ class RatFunc:
             num = num.scale(1 / lc)
             den = den.scale(1 / lc)
         return cls(num, den)
+
+    @classmethod
+    def over(cls, num: Poly, factors: Iterable[Poly], constant: Fraction | int) -> "RatFunc":
+        """num / (constant * prod factors) in canonical form, for linear
+        factors and a nonzero constant, reduced one factor at a time: a
+        linear factor is irreducible, so it either divides num or shares no
+        factor with it (poly.cancel_factors)."""
+        return cls.coprime(*cancel_factors(num, Poly.const(num.nvars, constant), factors))
+
+    @classmethod
+    def sum_over(cls, terms: Iterable[Tuple[Poly, Iterable[Poly], Fraction | int]]) -> "RatFunc":
+        """The sum of num / (constant * prod factors) over the terms
+        (num, factors, constant), each as ``over`` takes it, in canonical
+        form: every numerator is brought over the lcm of the factor
+        multisets, and the sum is reduced by ``over``."""
+        terms = [(num, Counter(factors), Fraction(c)) for num, factors, c in terms]
+        lcm: Counter = Counter()
+        for _, factors, _ in terms:
+            lcm |= factors
+        one = Poly.const(terms[0][0].nvars, 1)
+        total = Poly.zero(one.nvars)
+        for num, factors, c in terms:
+            total = total + num.scale(1 / c) * prod((lcm - factors).elements(), start=one)
+        return cls.over(total, lcm.elements(), 1)
 
     @classmethod
     def zero(cls, nvars: int) -> "RatFunc":
@@ -89,35 +110,6 @@ class RatFunc:
 
     def __hash__(self) -> int:
         return hash((self.num, self.den))
-
-    # ------------------------------------------------------------------
-    # arithmetic (always re-canonicalized)
-
-    def __add__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc.make(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __sub__(self, other: "RatFunc") -> "RatFunc":
-        return RatFunc.make(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
-
-    def __neg__(self) -> "RatFunc":
-        return RatFunc(-self.num, self.den)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RatFunc.make(self.num.scale(other), self.den)
-        return RatFunc.make(self.num * other.num, self.den * other.den)
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __truediv__(self, other: "RatFunc") -> "RatFunc":
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc.make(self.num * other.den, self.den * other.num)
 
     # ------------------------------------------------------------------
     # evaluation / substitution

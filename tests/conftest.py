@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dysonct.laurent import LaurentPoly
-from dysonct.poly import Poly
+from dysonct.poly import Poly, exact_div, linear_factors
 
 
 def literal_ct(n: int, a, b) -> int:
@@ -22,6 +22,44 @@ def literal_ct(n: int, a, b) -> int:
             for _ in range(a[j]):
                 f = f * base
     return f.coefficient(tuple(b))
+
+
+def assert_canonical(r, num: Poly, den: Poly, factors) -> None:
+    """Assert that the RatFunc r is num/den in canonical form, with no gcd:
+    the same function (by cross-multiplication), a monic denominator, and
+    no linear polynomial of ``factors`` dividing both r's numerator and its
+    denominator.  When ``factors`` holds every irreducible factor of den,
+    as the linear factors of a den that splits into them do, that is the
+    uniqueness of the canonical form: a common factor of r's numerator and
+    denominator would be one of them."""
+    assert r.num * den == num * r.den
+    assert r.den.leading_coeff() == 1
+    for f in factors:
+        assert not (_divides(f, r.num) and _divides(f, r.den)), f
+
+
+def _divides(f: Poly, p: Poly) -> bool:
+    try:
+        exact_div(p, f)
+    except ArithmeticError:
+        return False
+    return True
+
+
+def sum_term(r, coeff: Poly):
+    """coeff * r as a term (num, factors, constant) of RatFunc.sum_over;
+    r's denominator must split into positive linear factors."""
+    split = linear_factors(r.den)
+    assert split is not None
+    return coeff * r.num, [f.to_poly() for f in split[0]], split[1]
+
+
+def split_factors(p: Poly):
+    """The linear factors of p, which must split into positive ones, as
+    polynomials."""
+    split = linear_factors(p)
+    assert split is not None
+    return [f.to_poly() for f in split[0]]
 
 
 def poly_vars(nvars: int):

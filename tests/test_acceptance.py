@@ -41,7 +41,7 @@ def _vars(n):
 def known_R_2m1m1() -> RatFunc:
     a = _vars(3)
     one, two = Poly.const(3, 1), Poly.const(3, 2)
-    return RatFunc.make(
+    return RatFunc.coprime(
         a[1] * a[2] * (two + 2 * a[0] + a[1] + a[2]),
         (one + a[0] + a[1]) * (one + a[0] + a[2]) * (one + a[0]),
     )
@@ -77,14 +77,14 @@ def test_criterion_3_permutation_family_without_fresh_guessing():
     one = Poly.const(3, 1)
     resolver = Resolver()
     base = resolver.form(3, (-1, 0, 1))
-    assert base.R == RatFunc.make(-a[0], one + a[1] + a[2])
+    assert base.R == RatFunc.coprime(-a[0], one + a[1] + a[2])
     calls_after_base = resolver.guess_calls
     swapped13 = permute_form(base, (2, 1, 0))
     swapped12 = permute_form(base, (1, 0, 2))
     assert swapped13.b == (1, 0, -1)
-    assert swapped13.R == RatFunc.make(-a[2], one + a[0] + a[1])
+    assert swapped13.R == RatFunc.coprime(-a[2], one + a[0] + a[1])
     assert swapped12.b == (0, -1, 1)
-    assert swapped12.R == RatFunc.make(-a[1], one + a[0] + a[2])
+    assert swapped12.R == RatFunc.coprime(-a[1], one + a[0] + a[2])
     assert resolver.guess_calls == calls_after_base
     _report(3, True, "three displayed forms, two derived purely by relabeling")
 
@@ -103,7 +103,7 @@ def test_criterion_5_ansatz_factor_reproduced():
     a = _vars(4)
     one, two, three = (Poly.const(4, c) for c in (1, 2, 3))
     s = a[1] + a[2] + a[3]
-    expected = RatFunc.make(
+    expected = RatFunc.coprime(
         a[0] * (a[0] - one) * a[2],
         (one + s) * (two + s) * (three + s) * (one + a[0] + a[1] + a[3]),
     )

@@ -215,7 +215,8 @@ def test_prove_refuses_a_stored_n3_form_that_fails_a_check(tmp_path, capsys):
     # R + a_1 breaks the recursion; the report names the form and carries
     # the difference, and nothing is written
     right = guess_dyson(3, (2, -1, -1))
-    wrong = ClosedForm(3, right.b, right.R + RatFunc.from_poly(Poly.variable(3, 0)))
+    R = right.R
+    wrong = ClosedForm(3, right.b, RatFunc.coprime(R.num + Poly.variable(3, 0) * R.den, R.den))
     store = ResultStore()
     store.add(StoreEntry(3, wrong.b, wrong, {"kind": "guessed"}, {}))
     path = tmp_path / "s.json"

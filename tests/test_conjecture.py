@@ -1,12 +1,13 @@
+import itertools
 import math
 import random
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import pytest
 
 import dysonct.conjecture as conjecture
-import dysonct.ratfunc as ratfunc
+from conftest import assert_canonical, split_factors
 from dysonct.conjecture import (
     HOLDOUT,
     AmbiguousFit,
@@ -27,7 +28,7 @@ from dysonct.conjecture import (
 )
 from dysonct.laurent import ct, multinomial
 from dysonct.linalg import FIRST_PRIME, _clear_row, kernel_mod_p, solve_nullspace
-from dysonct.poly import Poly
+from dysonct.poly import LinearForm, Poly, exact_div
 from dysonct.ratfunc import RatFunc
 from dysonct.turbo import zero_sum_vectors
 
@@ -39,7 +40,7 @@ def _vars(n):
 def known_R_2m1m1():
     a = _vars(3)
     one, two = Poly.const(3, 1), Poly.const(3, 2)
-    return RatFunc.make(
+    return RatFunc.coprime(
         a[1] * a[2] * (two + 2 * a[0] + a[1] + a[2]),
         (one + a[0] + a[1]) * (one + a[0] + a[2]) * (one + a[0]),
     )
@@ -53,7 +54,7 @@ def test_ansatz_trivial_for_nonnegative_b():
 def test_ansatz_two_negative_components():
     a = _vars(3)
     one = Poly.const(3, 1)
-    expected = RatFunc.make(a[1] * a[2], (one + a[0] + a[2]) * (one + a[0] + a[1]))
+    expected = RatFunc.coprime(a[1] * a[2], (one + a[0] + a[2]) * (one + a[0] + a[1]))
     assert ansatz_factor((2, -1, -1)) == expected
 
 
@@ -61,7 +62,7 @@ def test_ansatz_f4_example():
     a = _vars(4)
     one, two, three = (Poly.const(4, c) for c in (1, 2, 3))
     s = a[1] + a[2] + a[3]
-    expected = RatFunc.make(
+    expected = RatFunc.coprime(
         a[0] * (a[0] - one) * a[2],
         (one + s) * (two + s) * (three + s) * (one + a[0] + a[1] + a[3]),
     )
@@ -81,39 +82,38 @@ def test_factored_sample_values_match_the_factor_rational_function():
 @pytest.mark.parametrize("b", [(2, -1, -1), (4, -2, -2), (1, 1, -1, -1, 0), (3, -1, -1, -1)])
 def test_restore_matches_the_general_product_on_fitted_residuals(b):
     form, details = guess_dyson_with_details(len(b), b)
-    assert form.R == ansatz_factor(b) * details.residual
-    assert restore_ansatz(details.residual, ansatz_forms(b)) == form.R
+    factor, residual = ansatz_factor(b), details.residual
+    den = factor.den * residual.den
+    assert_canonical(form.R, factor.num * residual.num, den, split_factors(den))
+    assert restore_ansatz(residual, ansatz_forms(b)) == form.R
 
 
 def _synthetic_residuals():
-    """(name, residual) for b = (-3, 2, -1, 2), whose numerator forms are a_1,
-    a_1 - 1 and a_3 and whose denominator forms are 1 + s, 2 + s, 3 + s with
-    s = a_2 + a_3 + a_4, and 1 + a_1 + a_2 + a_4."""
+    """(name, residual, the linear factors of its denominator) for
+    b = (-3, 2, -1, 2), whose numerator forms are a_1, a_1 - 1 and a_3 and
+    whose denominator forms are 1 + s, 2 + s, 3 + s with s = a_2 + a_3 + a_4,
+    and 1 + a_1 + a_2 + a_4; each residual is coprime by construction."""
     a = _vars(4)
     c = [Poly.const(4, k) for k in range(10)]
     s = a[1] + a[2] + a[3]
     other = a[1] + 3 * a[2] + c[7]
-    yield "neither", RatFunc.make(3 * other, c[2] * (a[0] + a[3] + c[9]))
-    yield "den form in N", RatFunc.make((c[2] + s) * (c[2] + s) * other, a[0] + c[5])
-    yield "num form in D", RatFunc.make(other, (a[0] - c[1]) * a[2] * (a[1] + c[4]))
-    yield "both", RatFunc.make((c[1] + s) * (c[1] + a[0] + a[1] + a[3]), a[0] * other)
-    yield "zero", RatFunc.zero(4)
+    yield "neither", RatFunc.coprime(3 * other, c[2] * (a[0] + a[3] + c[9])), [a[0] + a[3] + c[9]]
+    yield "den form in N", RatFunc.coprime((c[2] + s) * (c[2] + s) * other, a[0] + c[5]), [a[0] + c[5]]
+    den_factors = [a[0] - c[1], a[2], a[1] + c[4]]
+    yield "num form in D", RatFunc.coprime(other, math.prod(den_factors)), den_factors
+    yield "both", RatFunc.coprime((c[1] + s) * (c[1] + a[0] + a[1] + a[3]), a[0] * other), [a[0], other]
+    yield "zero", RatFunc.zero(4), []
 
 
-def test_restore_matches_the_general_product_on_synthetic_residuals(monkeypatch):
+def test_restore_matches_the_general_product_on_synthetic_residuals():
+    # the restore is exact division alone, and gives the canonical form of
+    # the product of the factor and the residual
     b = (-3, 2, -1, 2)
-    forms = ansatz_forms(b)
-    cases = [(name, r, ansatz_factor(b) * r) for name, r in _synthetic_residuals()]
-
-    def no_gcd(p, q):
-        raise AssertionError("the restore computed a polynomial gcd")
-
-    # the restore is exact division alone: it still succeeds without a gcd
-    monkeypatch.setattr(ratfunc, "poly_gcd", no_gcd)
-    for name, residual, expected in cases:
-        assert restore_ansatz(residual, forms) == expected, name
-    with pytest.raises(AssertionError, match="gcd"):
-        ansatz_factor(b) * cases[0][1]
+    factor, forms = ansatz_factor(b), ansatz_forms(b)
+    for name, residual, factors in _synthetic_residuals():
+        restored = restore_ansatz(residual, forms)
+        num, den = factor.num * residual.num, factor.den * residual.den
+        assert_canonical(restored, num, den, factors + [f.to_poly() for f in forms[1]])
 
 
 def test_sample_grid_first_point_and_prefix_determinism():
@@ -150,7 +150,33 @@ def test_guess_rat_exact_rational():
     pts = sample_grid(2, (0, 0), 30)
     samples = SampleSet(pts, [Fraction(p[0], p[0] + p[1]) for p in pts])
     a1, a2 = Poly.variable(2, 0), Poly.variable(2, 1)
-    assert guess_rat(samples, 2) == RatFunc.make(a1, a1 + a2)
+    assert guess_rat(samples, 2) == RatFunc.coprime(a1, a1 + a2)
+
+
+def test_guess_rat_fits_only_a_one_vector_kernel(monkeypatch):
+    # samples of a_1/(a_1+a_2); with the 5 held-out values moved off by 1,
+    # the (3,1) split's one-vector kernel misses them, and the (2,2) split's
+    # kernel holds the 3 multiples h * (a_1, a_1+a_2), deg h <= 1, all of the
+    # same function: that is ambiguous, not a fit
+    kernels = []
+
+    def recording(rows):
+        basis = solve_nullspace(rows)
+        kernels.append(len(basis))
+        return basis
+
+    monkeypatch.setattr(conjecture, "solve_nullspace", recording)
+    pts = sample_grid(2, (0, 0), 30)
+    values = [Fraction(p[0], p[0] + p[1]) for p in pts]
+    moved = SampleSet(pts, values[:-HOLDOUT] + [v + 1 for v in values[-HOLDOUT:]])
+    with pytest.raises(AmbiguousFit, match=r"^kernel of 3 vectors at t=4, split \(2,2\)$"):
+        guess_rat(moved, 4)
+    assert kernels == [3]
+    a1, a2 = Poly.variable(2, 0), Poly.variable(2, 1)
+    for t in (2, 3, 4):
+        kernels.clear()
+        assert guess_rat(SampleSet(pts, values), t) == RatFunc.coprime(a1, a1 + a2)
+        assert kernels == [1], t
 
 
 def test_guess_rat_scaled_constant_term_ratio():
@@ -159,7 +185,7 @@ def test_guess_rat_scaled_constant_term_ratio():
     pts = sample_grid(3, b, 45)
     samples = SampleSet(pts, [Fraction(ct(3, p, b), multinomial(p)) for p in pts])
     a = _vars(3)
-    expected = RatFunc.make(-a[0], Poly.const(3, 1) + a[1] + a[2])
+    expected = RatFunc.coprime(-a[0], Poly.const(3, 1) + a[1] + a[2])
     assert guess_rat(samples, 3) == expected
 
 
@@ -209,7 +235,7 @@ def test_guess_dyson_form_2m1m1():
 def test_guess_dyson_single_move_form():
     form = guess_dyson(3, (-1, 0, 1))
     a = _vars(3)
-    assert form.R == RatFunc.make(-a[0], Poly.const(3, 1) + a[1] + a[2])
+    assert form.R == RatFunc.coprime(-a[0], Poly.const(3, 1) + a[1] + a[2])
 
 
 def test_guess_dyson_matches_oracle_on_fresh_points():
@@ -292,12 +318,13 @@ def test_pole_at_fresh_point_fails_validation():
     assert seen == grid[:13] + grid[18:]
     a = _vars(3)
     L = a[0] + 10 * a[1] + 100 * a[2] - Poly.const(3, K)
-    assert form.R == RatFunc.make(Poly.const(3, 1), L)
+    assert form.R == RatFunc.coprime(Poly.const(3, 1), L)
     assert details.t == 2
 
 
-# guess_rat before the mod-p screen: every split is solved and checked exactly.
-# Kept verbatim as the reference the screened version must agree with.
+# guess_rat before the mod-p screen: every split is solved and checked exactly,
+# by the same one-vector rule.  The reference the screened version must agree
+# with.
 def _eval_mono(point: Tuple[int, ...], mono: Tuple[int, ...]) -> int:
     v = 1
     for x, e in zip(point, mono):
@@ -340,27 +367,15 @@ def _guess_rat_reference(samples: SampleSet, t: int) -> Optional[RatFunc]:
             row += [-fd * v for v in vals[: len(num_monos)]]
             rows.append(row)
         basis = solve_nullspace(rows)
-        if not basis:
+        dens = [Poly(nvars, dict(zip(den_monos, vec[: len(den_monos)]))) for vec in basis]
+        if not any(all(den.evaluate(p) != 0 for p in samples.points) for den in dens):
             continue
-        candidates: List[RatFunc] = []
-        for vec in basis:
-            den = Poly(nvars, dict(zip(den_monos, vec[: len(den_monos)])))
-            num = Poly(nvars, dict(zip(num_monos, vec[len(den_monos) :])))
-            if den.is_zero():
-                continue
-            if any(den.evaluate(p) == 0 for p in samples.points):
-                continue
-            candidates.append(RatFunc.make(num, den))
-        if not candidates:
-            continue
-        first = candidates[0]
-        if any(c != first for c in candidates[1:]):
-            raise AmbiguousFit(
-                f"{len(candidates)} inequivalent candidates at t={t}, "
-                f"split ({d_num},{d_den})"
-            )
-        if all(first.evaluate(p) == v for p, v in zip(hold_pts, hold_vals)):
-            return first
+        if len(basis) > 1:
+            raise AmbiguousFit(f"kernel of {len(basis)} vectors at t={t}, split ({d_num},{d_den})")
+        num = Poly(nvars, dict(zip(num_monos, basis[0][len(den_monos) :])))
+        fit = RatFunc.coprime(num, dens[0])
+        if all(fit.evaluate(p) == v for p, v in zip(hold_pts, hold_vals)):
+            return fit
     return None
 
 
@@ -449,11 +464,30 @@ def _random_rational_functions():
         yield nvars, num, den, samples_of
 
 
+def _small_linear_divisors(p):
+    """The primitive linear polynomials with coefficients in [-5, 5] and a
+    positive leading one that divide p, by trial division."""
+    out = []
+    for coeffs in itertools.product(range(-5, 6), repeat=p.nvars + 1):
+        lead = next((c for c in coeffs[1:] if c), 0)
+        if lead > 0 and math.gcd(*coeffs) == 1:
+            f = LinearForm(coeffs[0], coeffs[1:]).to_poly()
+            try:
+                exact_div(p, f)
+            except ArithmeticError:
+                continue
+            out.append(f)
+    return out
+
+
 def test_screened_fit_matches_reference_on_random_rational_functions():
     kinds = set()
     for nvars, num, den, samples_of in _random_rational_functions():
         outcomes = _climb(samples_of, nvars, 4)
-        assert outcomes[-1] == RatFunc.make(num, den)
+        # every random den is a constant times linear factors with
+        # coefficients in [-5, 5], but for 3 a_2^2 + 1 in one, whose numerator
+        # is linear
+        assert_canonical(outcomes[-1], num, den, _small_linear_divisors(den))
         kinds.update(type(o) if o is not AmbiguousFit else o for o in outcomes)
     assert kinds == {RatFunc, type(None), AmbiguousFit}
 

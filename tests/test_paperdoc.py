@@ -62,7 +62,7 @@ def test_latex_closed_form_parenthesizes_an_expanded_sum():
     assert r" - a_{2}) (a_{1}+a_{2}+a_{3})!}{(2+a_{1}+a_{3}) (1+a_{1}+a_{3}) (1+a_{1}) a_{1}!\, " in doc
     # a denominator too; factored pieces stay bare
     a1, a2 = Poly.variable(2, 0), Poly.variable(2, 1)
-    form = ClosedForm(2, (0, 0), RatFunc.make(a1, a1 * a1 + a2 + Poly.const(2, 1)))
+    form = ClosedForm(2, (0, 0), RatFunc.coprime(a1, a1 * a1 + a2 + Poly.const(2, 1)))
     expected = r"\frac{a_{1} (a_{1}+a_{2})!}{(a_{1}^{2} + a_{2} + 1) a_{1}!\, a_{2}!}"
     assert fmt_closed_form(form, LATEX) == expected
 
@@ -139,7 +139,7 @@ def test_displays_rederivable_from_certificate(cert_2m1m1):
 
 def test_render_fallback_for_nonsplitting_polys():
     a1, a2 = Poly.variable(2, 0), Poly.variable(2, 1)
-    form = ClosedForm(2, (0, 0), RatFunc.make(Poly.const(2, 1), a1 * a1 + a2 + Poly.const(2, 1)))
+    form = ClosedForm(2, (0, 0), RatFunc.coprime(Poly.const(2, 1), a1 * a1 + a2 + Poly.const(2, 1)))
     text = fmt_closed_form(form, ASCII)
     assert "a_1^2" in text  # expanded, not factored
     assert fmt_poly(Poly.zero(2), ASCII) == "0"

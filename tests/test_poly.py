@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 from math import comb
 
@@ -10,8 +9,6 @@ from dysonct.poly import (
     binomial_poly,
     exact_div,
     glex_key,
-    make_primitive,
-    poly_gcd,
 )
 
 
@@ -109,25 +106,6 @@ def test_exact_div_and_failure():
         exact_div(a1 * a1 + Poly.const(3, 1), a1 + a2)
 
 
-def test_gcd_of_products():
-    rng = random.Random(7)
-    a1, a2, a3 = vars3()
-    basis = [a1 + a2, a1 - a3, a2 + a3 + Poly.const(3, 1), a1 + Poly.const(3, 2)]
-    for _ in range(12):
-        common = basis[rng.randrange(len(basis))]
-        left = common * basis[rng.randrange(len(basis))]
-        right = common * basis[rng.randrange(len(basis))]
-        g = poly_gcd(left, right)
-        # the shared factor divides the gcd
-        exact_div(g, make_primitive(common))
-
-
-def test_gcd_of_coprime_is_constant():
-    a1, a2, _ = vars3()
-    g = poly_gcd(a1 + Poly.const(3, 1), a2 + Poly.const(3, 2))
-    assert g == Poly.const(3, 1)
-
-
 def test_linear_form_to_poly():
     f = LinearForm(2, (1, 0, 3))
     p = f.to_poly()
@@ -211,48 +189,3 @@ def test_json_terms_are_reduced_per_coefficient():
     back = Poly.from_json_terms(3, data)
     assert back == p and back.to_json_terms() == data
     assert Poly.from_json_terms(3, []) == Poly.zero(3)
-
-
-def test_gcd_of_products_with_contents_is_primitive_common_factor():
-    rng = random.Random(11)
-    a = vars3()
-    one = Poly.const(3, 1)
-
-    def form(c0, *cs):
-        return sum((c * x for c, x in zip(cs, a)), Poly.const(3, c0))
-
-    # three disjoint sets of primitive linear forms with positive leads,
-    # each drawn with a non-unit content
-    common = [form(2, 1, 0, 0), form(-2, 0, 1, 1), form(2, 0, 1, 0), form(1, 1, 0, 2)]
-    left = [form(1, 1, 1, 0), form(-3, 1, 0, 1), form(3, 0, 0, 1)]
-    right = [form(3, 0, 1, 1), form(2, 1, -1, 0), form(-2, 0, 2, 1)]
-    contents = [2, 3, Fraction(2, 7), Fraction(-10, 3), -5]
-
-    def product(pool, k):
-        prim = scaled = one
-        for _ in range(k):
-            f = rng.choice(pool)
-            prim = prim * f
-            scaled = scaled * f.scale(rng.choice(contents))
-        return prim, scaled
-
-    for _ in range(10):
-        f_prim, f = product(common, rng.randint(1, 2))
-        _, g = product(left, rng.randint(0, 2))
-        _, h = product(right, rng.randint(1, 2))
-        gcd_fg_fh = poly_gcd(f * g, f * h)
-        assert gcd_fg_fh == f_prim == make_primitive(f)
-        assert gcd_fg_fh.leading_coeff() > 0
-
-
-def test_gcd_with_irreducible_quadratic_common_factor():
-    # products of the denominator of R = (a1 a2 + a3) / (a1^2 + a2 + 1) and
-    # its shifts, as in R's recursion check, with coprime cofactors
-    a1, a2, a3 = vars3()
-    one = Poly.const(3, 1)
-    d = a1 * a1 + a2 + one
-    common = d * d.shift_var(0, -1)
-    g = d.shift_var(1, -1) * (a1 + a2 + a3)
-    h = (a1 * a2 + a3) * (a2 - a3 + 2 * one) * (a1 * a1 * a1 + a3)
-    assert poly_gcd((common * g).scale(Fraction(-3, 2)), common * h * 6) == common
-    assert poly_gcd(common * g * g, common * common * h) == common

@@ -6,9 +6,10 @@ from fractions import Fraction
 import pytest
 
 import dysonct.prover as prover_module
+from conftest import assert_canonical, split_factors, sum_term
 from dysonct.conjecture import ClosedForm, guess_dyson, sample_grid
 from dysonct.laurent import ct, pk_expansion
-from dysonct.poly import Poly
+from dysonct.poly import Poly, exact_div
 from dysonct.prover import (
     ProofError,
     Resolver,
@@ -28,6 +29,18 @@ from dysonct.turbo import turbo_dyson
 
 def _vars(n):
     return [Poly.variable(n, i) for i in range(n)]
+
+
+def _plus_a1(R):
+    """R + a_1, which shares no factor with R's denominator."""
+    return RatFunc.coprime(R.num + _vars(R.nvars)[0] * R.den, R.den)
+
+
+def _times_raise_a1(R):
+    """R (1 + a_1) / (2 + a_1) as the arguments of RatFunc.over."""
+    one = Poly.const(R.nvars, 1)
+    num, factors, c = sum_term(R, one + _vars(R.nvars)[0])
+    return num, factors + [one + one + _vars(R.nvars)[0]], c
 
 
 def form_2m1m1():
@@ -78,7 +91,9 @@ def test_c2_is_built_canonical():
     # with a monic denominator
     for h in range(-12, 13):
         R = c2_closed_form((h, -h)).R
-        assert RatFunc.make(R.num, R.den) == R, h
+        up = Poly.variable(2, 0 if h >= 0 else 1)
+        factors = [up + Poly.const(2, 1 + r) for r in range(abs(h))]
+        assert_canonical(R, R.num, R.den, factors)
 
 
 # ----------------------------------------------------------------------
@@ -170,11 +185,10 @@ def test_recursion_agrees_with_product_of_shifted_denominators(sweep_forms_n3):
     assert len(sweep_forms_n3) == 19
     for form in sweep_forms_n3:
         assert _recursion(form).ok and _recursion_holds_by_product(form)
-    raise_a1 = RatFunc.make(one + a[0], one + one + a[0])
     variants = {
-        "R + a_1": lambda R: R + RatFunc.from_poly(a[0]),
+        "R + a_1": _plus_a1,
         "R(a + e_1)": lambda R: R.shift_var(0, 1),
-        "R (1+a_1)/(2+a_1)": lambda R: R * raise_a1,
+        "R (1+a_1)/(2+a_1)": lambda R: RatFunc.over(*_times_raise_a1(R)),
     }
     rejected = {}
     for name, make in variants.items():
@@ -188,7 +202,7 @@ def test_recursion_agrees_with_product_of_shifted_denominators(sweep_forms_n3):
     # a repeated linear factor
     den = (one + a[0]) * (one + a[0])
     for num in (one, a[1], a[0] * a[1] + a[2]):
-        R = RatFunc.make(num, den)
+        R = RatFunc.coprime(num, den)
         out = _recursion(ClosedForm(3, (0, 0, 0), R))
         assert out.ok == _recursion_holds_by_product(ClosedForm(3, (0, 0, 0), R))
         assert not out.ok
@@ -201,7 +215,7 @@ def test_recursion_failure_reports_the_pointwise_difference():
     # the product of every shifted denominator
     resolver = Resolver()
     right = resolver.form(3, (3, -2, -1))
-    R = right.R + RatFunc.from_poly(_vars(3)[0])
+    R = _plus_a1(right.R)
     resolver.add_form(ClosedForm(3, (3, -2, -1), R))
     with pytest.raises(ProofError) as info:
         prove(3, (3, -2, -1), resolver)
@@ -255,10 +269,10 @@ def test_checks_reject_a_split_that_is_not_ok():
         check_initial(form, not_ok)
 
 
-def test_boundary_lhs_is_the_gcd_reduced_restriction():
+def test_boundary_lhs_is_the_reduced_restriction():
     # the boundary left side, reduced by trial division with the split's
-    # factors at a_k = 0, is R(a_k = 0) in lowest terms as poly_gcd gives it;
-    # every stored identity, of a passed check, has equal sides
+    # factors at a_k = 0, is R(a_k = 0) in canonical form; every stored
+    # identity, of a passed check, has equal sides
     resolver = Resolver()
     prove(4, (1, -1, 0, 0), resolver)
     certs = [c.to_json() for c in resolver.certificates.values()]
@@ -274,8 +288,9 @@ def test_boundary_lhs_is_the_gcd_reduced_restriction():
         for identity in (identities["recursion"], *identities["boundary"], identities["initial"]):
             assert identity["lhs"] == identity["rhs"], cert["form"]
         for k, identity in enumerate(identities["boundary"]):
-            expected = RatFunc.make(R.num.at_zero(k), R.den.at_zero(k))
-            assert identity["lhs"] == expected.to_json(), (cert["form"], k)
+            lhs = RatFunc.from_json(R.nvars - 1, identity["lhs"])
+            num, den = R.num.at_zero(k), R.den.at_zero(k)
+            assert_canonical(lhs, num, den, split_factors(den))
             checked += 1
     assert checked > 100
 
@@ -300,8 +315,8 @@ def test_initial_examples():
 @pytest.mark.parametrize(
     "make_R",
     [
-        lambda a: RatFunc.make(Poly.const(3, 1), a[0]),
-        lambda a: RatFunc.make(a[0] * 2, a[0] + a[1]),
+        lambda a: RatFunc.coprime(Poly.const(3, 1), a[0]),
+        lambda a: RatFunc.coprime(a[0] * 2, a[0] + a[1]),
     ],
     ids=["1_over_a1", "2a1_over_a1_plus_a2"],
 )
@@ -334,7 +349,7 @@ def test_denominator_safety_trivial_denominator():
 
 def test_denominator_safety_grid_failure():
     a1, a2 = Poly.variable(2, 0), Poly.variable(2, 1)
-    form = ClosedForm(2, (0, 0), RatFunc.make(Poly.const(2, 1), a1 - a2))
+    form = ClosedForm(2, (0, 0), RatFunc.coprime(Poly.const(2, 1), a1 - a2))
     result = check_denominator_safety(form)
     assert not result.ok
     assert result.factors is None
@@ -345,7 +360,7 @@ def test_denominator_safety_rejects_nonsplitting_positive_denominator():
     # split into linear factors, so nothing proves that: not certified
     a1, a2 = Poly.variable(2, 0), Poly.variable(2, 1)
     den = a1 * a1 + a2 + Poly.const(2, 1)
-    form = ClosedForm(2, (0, 0), RatFunc.make(Poly.const(2, 1), den))
+    form = ClosedForm(2, (0, 0), RatFunc.coprime(Poly.const(2, 1), den))
     result = check_denominator_safety(form)
     assert not result.ok and result.guarantee != "syntactic"
 
@@ -474,7 +489,7 @@ def test_prove_rejects_denominator_without_linear_split():
     a = _vars(3)
     den = a[0] * a[0] + a[1] + Poly.const(3, 1)
     resolver = Resolver()
-    resolver.add_form(ClosedForm(3, (0, 0, 0), RatFunc.make(Poly.const(3, 1), den)))
+    resolver.add_form(ClosedForm(3, (0, 0, 0), RatFunc.coprime(Poly.const(3, 1), den)))
     with pytest.raises(ProofError) as info:
         prove(3, (0, 0, 0), resolver)
     assert info.value.outcome.check == "denominator-safety"
@@ -601,14 +616,14 @@ def test_relabeled_certificates_equal_the_checked_ones(monkeypatch, n, complexit
 
 def _not_splitting(R):
     a = _vars(3)
-    return RatFunc.make(R.num, R.den * (a[0] * a[0] + a[1] + Poly.const(3, 1)))
+    return RatFunc.coprime(R.num, R.den * (a[0] * a[0] + a[1] + Poly.const(3, 1)))
 
 
 @pytest.mark.parametrize(
     "wrong, check",
     [
         (lambda R: RatFunc.one(3), "boundary"),
-        (lambda R: R + RatFunc.from_poly(_vars(3)[0]), "recursion"),
+        (_plus_a1, "recursion"),
         (_not_splitting, "denominator-safety"),
     ],
     ids=["one", "plus-a1", "non-splitting"],
@@ -629,12 +644,39 @@ def test_a_form_that_is_not_the_relabeling_runs_the_checks(wrong, check):
     assert str(info.value) == str(unrelated.value)
 
 
+def test_boundary_failure_difference_is_reduced_over_linear_factors():
+    # a doubled <1,-1> dependency fails the boundary of <1,0,-1> at its
+    # first pivot; the difference is lhs - rhs, over a monic denominator
+    # that shares no linear factor with its numerator
+    resolver = Resolver()
+    prove(2, (1, -1), resolver)
+    real = resolver.certificates[(2, (1, -1))]
+    doubled = ClosedForm(2, (1, -1), RatFunc.coprime(real.form.R.num * 2, real.form.R.den))
+    resolver.certificates[(2, (1, -1))] = dataclasses.replace(real, form=doubled)
+    with pytest.raises(ProofError) as info:
+        prove(3, (1, 0, -1), resolver)
+    outcome = info.value.outcome
+    assert outcome.check == "boundary" and outcome.k == 0
+    diff = outcome.difference
+    terms = pk_expansion(3, 0, (1, 0, -1))
+    for p in [(0, 0), (1, 2), (3, 1), (2, 5), (4, 4)]:
+        rhs = sum(
+            t.coeff.at_zero(0).evaluate(p) * resolver.certificates[(2, t.shifted_b)].form.R.evaluate(p)
+            for t in terms
+        )
+        assert diff.evaluate(p) == outcome.lhs.evaluate(p) - rhs, p
+    assert not diff.is_zero() and diff.den.leading_coeff() == 1
+    for f in split_factors(diff.den):
+        with pytest.raises(ArithmeticError):
+            exact_div(diff.num, f)
+
+
 def test_a_dependency_that_is_not_the_relabeling_runs_the_checks():
     resolver = Resolver()
     prove(3, (1, 0, -1), resolver)
     # <0,1,-1> relabels <1,0,-1>, and both read <1,-1> at a zero pivot
     real = resolver.certificates[(2, (1, -1))]
-    doubled = ClosedForm(2, (1, -1), real.form.R * 2)
+    doubled = ClosedForm(2, (1, -1), RatFunc.coprime(real.form.R.num * 2, real.form.R.den))
     resolver.certificates[(2, (1, -1))] = dataclasses.replace(real, form=doubled)
     with pytest.raises(ProofError) as info:
         prove(3, (0, 1, -1), resolver)

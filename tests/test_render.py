@@ -16,36 +16,36 @@ NONSPLIT = A1 * A1 + A2 + ONE
 
 FORMS = {
     "rational-coefficient": (
-        RatFunc.make(A1 + Poly.const(2, Fraction(1, 2)), ONE + A2),
+        RatFunc.coprime(A1 + Poly.const(2, Fraction(1, 2)), ONE + A2),
         "(1/2)*(1+2a_1) * (a_1+a_2)! / ((1+a_2) * a_1! a_2!)",
         r"\frac{\tfrac{1}{2} (1+2a_{1}) (a_{1}+a_{2})!}{(1+a_{2}) a_{1}!\, a_{2}!}",
     ),
     "rational-coefficient-expanded": (
-        RatFunc.make(A1 * A1 + Poly.const(2, Fraction(1, 2)) * A2 + ONE, ONE),
+        RatFunc.coprime(A1 * A1 + Poly.const(2, Fraction(1, 2)) * A2 + ONE, ONE),
         "a_1^2 + (1/2)*a_2 + 1 * (a_1+a_2)! / (a_1! a_2!)",
         r"\frac{(a_{1}^{2} + \tfrac{1}{2} a_{2} + 1) (a_{1}+a_{2})!}{a_{1}!\, a_{2}!}",
     ),
     "minus-one-coefficient": (
-        RatFunc.make(-A2, ONE + A1),
+        RatFunc.coprime(-A2, ONE + A1),
         "-1*a_2 * (a_1+a_2)! / ((1+a_1) * a_1! a_2!)",
         r"\frac{-a_{2} (a_{1}+a_{2})!}{(1+a_{1}) a_{1}!\, a_{2}!}",
     ),
     "minus-one-coefficient-nonsplitting-denominator": (
-        RatFunc.make(-A2 * (ONE + A1), NONSPLIT),
+        RatFunc.coprime(-A2 * (ONE + A1), NONSPLIT),
         "-1*a_2*(1+a_1) * (a_1+a_2)! / (a_1^2 + a_2 + 1 * a_1! a_2!)",
         r"\frac{-a_{2} (1+a_{1}) (a_{1}+a_{2})!}{(a_{1}^{2} + a_{2} + 1) a_{1}!\, a_{2}!}",
     ),
     "constant-numerator": (
-        RatFunc.make(Poly.const(2, -1), ONE + A1),
+        RatFunc.coprime(Poly.const(2, -1), ONE + A1),
         "-1 * (a_1+a_2)! / ((1+a_1) * a_1! a_2!)",
         r"\frac{-1 (a_{1}+a_{2})!}{(1+a_{1}) a_{1}!\, a_{2}!}",
     ),
     "nonsplitting-denominator": (
-        RatFunc.make(A1, NONSPLIT),
+        RatFunc.coprime(A1, NONSPLIT),
         "a_1 * (a_1+a_2)! / (a_1^2 + a_2 + 1 * a_1! a_2!)",
         r"\frac{a_{1} (a_{1}+a_{2})!}{(a_{1}^{2} + a_{2} + 1) a_{1}!\, a_{2}!}",
     ),
-    "zero": (RatFunc.make(Poly.zero(2), ONE), "0", "0"),
+    "zero": (RatFunc.coprime(Poly.zero(2), ONE), "0", "0"),
 }
 
 

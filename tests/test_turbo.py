@@ -1,7 +1,8 @@
 from fractions import Fraction
 from itertools import product
 
-from dysonct.conjecture import guess_dyson
+from conftest import sum_term
+from dysonct.conjecture import ClosedForm, guess_dyson
 from dysonct.laurent import ct
 from dysonct.poly import Poly
 from dysonct.prover import Resolver, c2_closed_form, prove
@@ -60,10 +61,10 @@ def test_permute_form_single_move_family():
     base = guess_dyson(3, (-1, 0, 1))
     swapped13 = permute_form(base, (2, 1, 0))
     assert swapped13.b == (1, 0, -1)
-    assert swapped13.R == RatFunc.make(-a[2], one + a[0] + a[1])
+    assert swapped13.R == RatFunc.coprime(-a[2], one + a[0] + a[1])
     swapped12 = permute_form(base, (1, 0, 2))
     assert swapped12.b == (0, -1, 1)
-    assert swapped12.R == RatFunc.make(-a[1], one + a[0] + a[2])
+    assert swapped12.R == RatFunc.coprime(-a[1], one + a[0] + a[2])
 
 
 def test_permute_form_identity():
@@ -90,12 +91,16 @@ def test_reduction_relation_n2_against_base_case():
     # c_2(a + e_2; b) = c_2(a; b) - c_2(a; b + (-1, 1)), as rational functions
     one = Poly.const(2, 1)
     a1, a2 = Poly.variable(2, 0), Poly.variable(2, 1)
-    ratio = RatFunc.make(one + a1 + a2, one + a2)
     for h in range(-2, 3):
         b = (h, -h)
-        lhs = c2_closed_form(b).R.shift_var(1, 1) * ratio
-        rhs = c2_closed_form(b).R - c2_closed_form((h - 1, 1 - h)).R
-        assert lhs == rhs, b
+        # multinomial(a + e_2) / multinomial(a) = (1 + a_1 + a_2) / (1 + a_2)
+        num, factors, c = sum_term(c2_closed_form(b).R.shift_var(1, 1), one + a1 + a2)
+        terms = [
+            (num, factors + [one + a2], c),
+            sum_term(c2_closed_form(b).R, -one),
+            sum_term(c2_closed_form((h - 1, 1 - h)).R, one),
+        ]
+        assert RatFunc.sum_over(terms).is_zero(), b
 
 
 def test_derive_by_reduction_matches_guess():
@@ -126,6 +131,23 @@ def test_derive_by_reduction_matches_guess():
 def test_derive_by_reduction_requires_all_ingredients():
     forms = {(2, -1, -1): guess_dyson(3, (2, -1, -1))}
     assert derive_by_reduction(3, (1, -2, 1), forms.get) is None
+
+
+def test_derive_by_reduction_needs_denominators_that_split():
+    # a looked-up form whose denominator a_1^2 + a_2 + 1 has no linear
+    # factors stops the derivation, as a missing one does
+    a = _vars(3)
+    forms = {b: guess_dyson(3, b) for b in [(2, -1, -1), (1, -1, 0), (2, -2, 0)]}
+    den = a[0] * a[0] + a[1] + Poly.const(3, 1)
+    forms[(1, -1, 0)] = ClosedForm(3, (1, -1, 0), RatFunc.coprime(Poly.const(3, 1), den))
+    asked = []
+
+    def lookup(b):
+        asked.append(b)
+        return forms.get(b)
+
+    assert derive_by_reduction(3, (1, -2, 1), lookup) is None
+    assert asked == [(2, -1, -1), (2, -1, -1), (1, -1, 0), (2, -2, 0)]
 
 
 def test_sweep_c1_contents():
