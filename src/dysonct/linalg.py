@@ -322,6 +322,4 @@ def solve_nullspace(rows: Sequence[Sequence[Fraction | int]]) -> List[Tuple[int,
     if any(len(r) != ncols for r in rows):
         raise ValueError("matrix rows must all have the same length")
     int_rows = [r for r in map(_clear_row, rows) if any(r)]
-    if not int_rows:
-        return [tuple(int(i == j) for j in range(ncols)) for i in range(ncols)]
     return _nullspace_modular(int_rows, ncols)

@@ -14,27 +14,27 @@ nonnegative integer point (so the rational identities imply the integer
 ones): the denominator must split into linear forms with nonnegative
 coefficients and positive constants, and a form whose denominator does not
 split that way is not certified.  ``prove`` runs this denominator-safety
-check first, and its split is the input of every check after it: it clears
-the recursion, it reduces R at a_k = 0 for each boundary (a factor there is
-still linear with a positive constant), and it keeps R's denominator
-nonzero at a = 0 for the initial value; each check raises ``ValueError``
-when handed a split that is not ok.  Each identity is checked as a
-polynomial comparison over Q, a complete symbolic proof, not sampling: the
-recursion is cleared by the lcm of the shifted linear factors of that
-split, the boundary identity by cross-multiplying its denominators.
+check first, and its split is the input of every check after it: it gives
+the linear factors of R's side of the recursion and the boundary identities
+(a factor at a_k = 0 is still linear with a positive constant), and it keeps
+R's denominator nonzero at a = 0 for the initial value; each check raises
+``ValueError`` when handed a split that is not ok.  Each sum identity is
+decided as one ``RatFunc.sum_over`` of its terms over the lcm of their
+linear factors, a complete symbolic proof over Q, not sampling: it holds
+when the sum is zero, and otherwise the sum is the failing difference.
 Boundary dependencies, the shifted b named by each pivot's P_k terms, are
 proved recursively before the checks, bottoming out in the built-in n = 2
 closed form; the boundary check at each pivot builds that pivot's P_k
-expansion and reads the proved dependencies' forms.  A ``ProofCertificate``
-holds the outcomes of its checks, and its validity and stored verdicts are
-read from them.  An arrangement of b whose class (its sorted b) already has
-a checked member is certified by relabeling that member's outcomes, when
-its forms are that member's relabeled (see ``prove``).
+expansion and reads the proved dependencies' forms and splits from their
+certificates.  A ``ProofCertificate`` holds the outcomes of its checks and
+the split they ran on, and its validity and stored verdicts are read from
+the outcomes.  An arrangement of b whose class (its sorted b) already has a
+checked member is certified by relabeling that member's outcomes and split,
+when its forms are that member's relabeled (see ``prove``).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import prod
@@ -91,17 +91,25 @@ def c2_closed_form(b: Sequence[int]) -> ClosedForm:
     to numerator zeros of R at the same integer points, so evaluating R
     reproduces the convention that the coefficient is 0 there.
     """
+    return _c2_split_form(b)[0]
+
+
+def _c2_split_form(b: Sequence[int]) -> Tuple[ClosedForm, DenominatorSafety]:
+    """c2_closed_form(b) and the split of its denominator into the linear
+    factors it is built from, which are positive on the grid."""
     b = tuple(b)
     if len(b) != 2:
         raise ValueError("c2_closed_form expects a pair")
     if b[0] + b[1] != 0:
-        return ClosedForm(n=2, b=b, R=RatFunc.zero(2))
+        return ClosedForm(n=2, b=b, R=RatFunc.zero(2)), DenominatorSafety(True, [], Fraction(1))
     h = b[0]
     up, down = ((1, 0), (0, 1)) if h >= 0 else ((0, 1), (1, 0))
     sign = Poly.const(2, -1 if h % 2 else 1)
+    den_forms = [LinearForm(1 + r, up) for r in range(abs(h))]
     num = prod((LinearForm(-r, down).to_poly() for r in range(abs(h))), start=sign)
-    den = prod((LinearForm(1 + r, up).to_poly() for r in range(abs(h))), start=Poly.const(2, 1))
-    return ClosedForm(n=2, b=b, R=RatFunc(num, den))
+    den = prod((f.to_poly() for f in den_forms), start=Poly.const(2, 1))
+    split = DenominatorSafety(True, den_forms, Fraction(1))
+    return ClosedForm(n=2, b=b, R=RatFunc(num, den)), split
 
 
 # ----------------------------------------------------------------------
@@ -148,36 +156,18 @@ def matching_permutation(src: Tuple[int, ...], dst: Tuple[int, ...]) -> Tuple[in
 # the four checks
 
 
-def _cross_products(dens: List[Poly], nvars: int) -> Tuple[Poly, List[Poly]]:
-    """The product of ``dens`` and, for each i, the product of all but dens[i]."""
-    prefix = [Poly.const(nvars, 1)]
-    for d in dens:
-        prefix.append(prefix[-1] * d)
-    others: List[Poly] = []
-    suffix = Poly.const(nvars, 1)
-    for i in range(len(dens) - 1, -1, -1):
-        others.append(prefix[i] * suffix)
-        if i:
-            suffix = suffix * dens[i]
-    others.reverse()
-    return prefix[-1], others
-
-
 def check_recursion(form: ClosedForm, safety: DenominatorSafety) -> CheckOutcome:
     """Verify R(a) = sum_i (a_i / (a_1+...+a_n)) R(a - e_i) symbolically.
 
     The multinomial shift rule multinomial(a - e_i)/multinomial(a) = a_i/sum(a)
     is exact, so this is precisely the constant-term recursion divided by the
-    multinomial.  Both sides are cleared by the lcm of the shifted linear
-    factors of the ok ``safety`` split of R's denominator: that denominator
-    is c * prod F with c = safety.constant and F = safety.factors, F_i is the
-    multiset F shifted by -e_i, L = lcm(F, F_1, ..., F_n) as multisets, and
-    the check is the polynomial identity
-
-        num * s * prod(L - F) == sum_i a_i * num(a - e_i) * prod(L - F_i)
-
-    with s = a_1+...+a_n; the constant c cancels.  A failing check reports
-    its difference over s * c * prod L.
+    multinomial.  The ok ``safety`` split writes R's denominator as
+    c * prod F, with c = safety.constant and F = safety.factors, so the
+    identity is a sum of quotients over linear factors: num over c * prod F,
+    and for each i, -a_i * num(a - e_i) over c * s * prod F(a - e_i), with
+    s = a_1+...+a_n.  ``RatFunc.sum_over`` brings the terms over the lcm of
+    their factors; the check passes when that sum is zero, and a failing
+    check reports the sum as its difference.
     """
     if not safety.ok:
         raise ValueError("check_recursion needs an ok denominator split")
@@ -185,33 +175,23 @@ def check_recursion(form: ClosedForm, safety: DenominatorSafety) -> CheckOutcome
     R = form.R
     if R.is_zero():
         return CheckOutcome(ok=True, check="recursion", lhs=R, note="zero form")
-    num = R.num
-    factors = Counter(f.to_poly() for f in safety.factors)
-    c = safety.constant
-    shifted = [Counter({f.shift_var(i, -1): m for f, m in factors.items()}) for i in range(n)]
-    lcm = Counter(factors)
-    for f_i in shifted:
-        lcm |= f_i
-    s = Poly.zero(n)
+    factors = [f.to_poly() for f in safety.factors]
+    a = [Poly.variable(n, i) for i in range(n)]
+    s = sum(a, Poly.zero(n))
+    terms = [(R.num, factors, safety.constant)]
     for i in range(n):
-        s = s + Poly.variable(n, i)
-    one = Poly.const(n, 1)
-    lhs_poly = num * (s * prod((lcm - factors).elements(), start=one))
-    rhs_poly = Poly.zero(n)
-    for i, f_i in enumerate(shifted):
-        term = Poly.variable(n, i) * prod((lcm - f_i).elements(), start=one)
-        rhs_poly = rhs_poly + num.shift_var(i, -1) * term
-    if lhs_poly == rhs_poly:
-        return CheckOutcome(ok=True, check="recursion", lhs=R)
-    diff = RatFunc.over(lhs_poly - rhs_poly, (lcm + Counter([s])).elements(), c)
-    return CheckOutcome(ok=False, check="recursion", lhs=R, difference=diff)
+        shifted = [f.shift_var(i, -1) for f in factors]
+        terms.append((-(a[i] * R.num.shift_var(i, -1)), shifted + [s], safety.constant))
+    diff = RatFunc.sum_over(terms)
+    ok = diff.is_zero()
+    return CheckOutcome(ok=ok, check="recursion", lhs=R, difference=None if ok else diff)
 
 
 def check_boundary(
     form: ClosedForm,
     safety: DenominatorSafety,
     k: int,
-    lower: Mapping[Tuple[int, ...], ClosedForm],
+    lower: Mapping[Tuple[int, ...], ProofCertificate],
 ) -> CheckOutcome:
     """Verify the boundary identity at a_k = 0 (k zero-based).
 
@@ -221,45 +201,35 @@ def check_boundary(
     a_k = 0 is still linear with a positive constant, so the left side is
     num(a_k = 0) over c * prod F(a_k = 0), reduced one linear factor at a
     time.  Right side: sum over the terms of P_k for (n, b), which this
-    check expands, of coeff(a-hat) * R_{shifted b}(a-hat), with each
-    level-(n-1) form read from ``lower`` by its shifted b.  An empty
-    expansion (b_k < 0) makes the right side 0.  The sides are compared by
-    cross-multiplying their denominators.  A failing check reports its
-    difference over the lcm of the linear factors of every term, reduced by
-    ``RatFunc.sum_over``; the forms in ``lower`` are proved, so each of
-    their denominators splits into linear factors.
+    check expands, of coeff(a-hat) * R_{shifted b}(a-hat).  ``lower`` maps
+    each shifted b to its proved level-(n-1) certificate, which holds the
+    form and the split of its denominator into linear factors.  An empty
+    expansion (b_k < 0) makes the right side 0.  The check passes when the
+    left side minus each term, brought over the lcm of their linear factors
+    by ``RatFunc.sum_over``, is zero; a failing check reports that sum as
+    its difference.
     """
     if not safety.ok:
         raise ValueError("check_boundary needs an ok denominator split")
-    n = form.n
+    num = form.R.num.at_zero(k)
     factors = [f.to_poly().at_zero(k) for f in safety.factors]
-    lhs = RatFunc.over(form.R.num.at_zero(k), factors, safety.constant)
-
-    terms = pk_expansion(n, k, form.b)
-    if not terms:
-        ok = lhs.is_zero()
-        return CheckOutcome(
-            ok=ok,
-            check="boundary",
-            k=k,
-            lhs=lhs,
-            difference=None if ok else lhs,
-            note="empty expansion (b_k < 0)",
-        )
-
-    lower_rs = [lower[term.shifted_b].R for term in terms]
-    den_rhs, others = _cross_products([r.den for r in lower_rs], n - 1)
-    num_rhs = Poly.zero(n - 1)
-    for term, r, other in zip(terms, lower_rs, others):
-        num_rhs = num_rhs + term.coeff.at_zero(k) * r.num * other
-    if lhs.num * den_rhs == num_rhs * lhs.den:
-        return CheckOutcome(ok=True, check="boundary", k=k, lhs=lhs)
-    sides = [(form.R.num.at_zero(k), factors, safety.constant)]
-    for term, r in zip(terms, lower_rs):
-        forms, c = linear_factors(r.den)
-        sides.append((-(term.coeff.at_zero(k) * r.num), [f.to_poly() for f in forms], c))
+    lhs = RatFunc.over(num, factors, safety.constant)
+    terms = pk_expansion(form.n, k, form.b)
+    sides = [(num, factors, safety.constant)]
+    for term in terms:
+        dep = lower[term.shifted_b]
+        dep_factors = [f.to_poly() for f in dep.split.factors]
+        sides.append((-(term.coeff.at_zero(k) * dep.form.R.num), dep_factors, dep.split.constant))
     diff = RatFunc.sum_over(sides)
-    return CheckOutcome(ok=False, check="boundary", k=k, lhs=lhs, difference=diff)
+    ok = diff.is_zero()
+    return CheckOutcome(
+        ok=ok,
+        check="boundary",
+        k=k,
+        lhs=lhs,
+        difference=None if ok else diff,
+        note="" if terms else "empty expansion (b_k < 0)",
+    )
 
 
 def check_initial(form: ClosedForm, safety: DenominatorSafety) -> CheckOutcome:
@@ -328,9 +298,16 @@ class ProofCertificate:
     form needs no further justification, so a base-case certificate has no
     outcomes.  ``is_valid`` and ``to_json`` read every verdict from the
     outcomes.
+
+    ``split`` is the ok split of the form's denominator into linear factors
+    that the checks ran on, and the one a boundary check reading this form
+    uses: the checked split for a checked certificate, the relabeled split
+    of the source for a relabeled one, and the factors ``c2_closed_form``
+    builds the form from for a base case.  It is not serialized.
     """
 
     form: ClosedForm
+    split: DenominatorSafety
     dependencies: Tuple["ProofCertificate", ...] = ()
     recursion: Optional[CheckOutcome] = None
     boundaries: Tuple[CheckOutcome, ...] = ()
@@ -469,8 +446,13 @@ def _relabeled_certificate(
             if lower[v] != src_lower[tuple(v[i] for i in sigma)].permute_vars(sigma):
                 return None
         boundaries.append(_relabeled(source.boundaries[pivot], sigma, k))
+    factors = [LinearForm(f.constant, tuple(f.coeffs[p] for p in perm)) for f in source.split.factors]
+    # permute_vars rescales the relabeled denominator to be monic; a linear
+    # factor's leading coefficient in graded-lex order is its first nonzero one
+    constant = Fraction(1, prod(next(c for c in f.coeffs if c) for f in factors))
     return ProofCertificate(
         form,
+        DenominatorSafety(True, factors, constant),
         dependencies,
         # the side of a passed recursion is R, and the source's R relabeled
         # is form.R, checked above
@@ -500,18 +482,19 @@ def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCe
     then those of the checked certificate, relabeled: the recursion and the
     initial value by the permutation, the boundary at pivot k by the
     checked pivot that k relabels, its surviving variables relabeled and
-    the result rescaled to canonical form; its dependencies are its own
-    certificates, and no P_k expansion is built.  This is sound because
-    permuting the a-variables is a ring automorphism of Q(a): it maps every
-    checked identity to an identity, the denominator's split into positive
-    linear factors to such a split, and the P_k expansion at a pivot to the
-    one at the relabeled pivot.  Canonical forms are unique, so the
-    relabeled outcomes equal the ones the checks would return.  Any
-    mismatch runs the checks.
+    the result rescaled to canonical form; its split is the checked one's,
+    relabeled; its dependencies are its own certificates, and no P_k
+    expansion is built.  This is sound because permuting the a-variables
+    is a ring automorphism of Q(a): it maps every checked identity to an
+    identity, the denominator's split into positive linear factors to such
+    a split, and the P_k expansion at a pivot to the one at the relabeled
+    pivot.  Canonical forms are unique, so the relabeled outcomes equal
+    the ones the checks would return.  Any mismatch runs the checks.
 
     The certificate holds the outcomes of the recursion, boundary and
-    initial checks; an n = 2 certificate holds none, and is issued only for
-    the form of c2_closed_form.
+    initial checks and the split they ran on; an n = 2 certificate holds no
+    outcomes, and is issued only for the form of c2_closed_form, with the
+    split that function builds its denominator from.
 
     Raises ProofError with a counterexample report when any check fails, and
     propagates GuessExhausted when a needed form cannot even be conjectured.
@@ -529,7 +512,8 @@ def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCe
     if n == 2:
         # the binomial theorem certifies c2_closed_form alone; a form taken
         # from elsewhere, such as a store, must be that one
-        if form.R != c2_closed_form(b).R:
+        base, split = _c2_split_form(b)
+        if form.R != base.R:
             raise ProofError(
                 form,
                 CheckOutcome(
@@ -539,7 +523,7 @@ def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCe
                     note="not the binomial-theorem closed form",
                 ),
             )
-        cert = ProofCertificate(form)
+        cert = ProofCertificate(form, split)
         resolver.certificates[key] = cert
         return cert
 
@@ -556,7 +540,7 @@ def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCe
             resolver.certificates[key] = cert
             return cert
 
-    lower = {dep.form.b: dep.form for dep in dependencies}
+    lower = {dep.form.b: dep for dep in dependencies}
 
     safety = check_denominator_safety(form)
     if not safety.ok:
@@ -581,7 +565,7 @@ def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCe
     if not initial.ok:
         raise ProofError(form, initial)
 
-    cert = ProofCertificate(form, dependencies, recursion, tuple(boundaries), initial)
+    cert = ProofCertificate(form, safety, dependencies, recursion, tuple(boundaries), initial)
     resolver.certificates[key] = cert
     resolver.checked.setdefault(relabeling_class, cert)
     return cert

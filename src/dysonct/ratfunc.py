@@ -11,8 +11,11 @@ canonical in one of two ways: ``coprime`` for a numerator and denominator
 known to share no factor (a fit from a one-vector kernel, a shift or a
 relabeling of a canonical form), and ``over`` for a numerator over linear
 factors, which are divided out one at a time; ``sum_over`` brings a sum of
-such quotients over the lcm of their factors first.  Every denominator the
-prover and the sweep combine splits into linear factors.
+such quotients over the lcm of their factors first, and a sum that cancels
+is the zero function at once.  The prover decides each of its sum
+identities by whether that sum is zero, and the sweep solves the
+index-raising identity with it; every denominator they combine splits into
+linear factors.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from math import prod
-from typing import Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Mapping, Sequence, Tuple
 
 from .poly import Poly, cancel_factors
 
@@ -61,16 +64,29 @@ class RatFunc:
         """The sum of num / (constant * prod factors) over the terms
         (num, factors, constant), each as ``over`` takes it, in canonical
         form: every numerator is brought over the lcm of the factor
-        multisets, and the sum is reduced by ``over``."""
-        terms = [(num, Counter(factors), Fraction(c)) for num, factors, c in terms]
+        multisets, and a nonzero sum is reduced by ``over``."""
+        # the multisets count the distinct factors by index, so each
+        # factor is hashed once
+        index: Dict[Poly, int] = {}
+        terms = [
+            (num, Counter(index.setdefault(f, len(index)) for f in factors), c)
+            for num, factors, c in terms
+        ]
+        distinct = list(index)
         lcm: Counter = Counter()
         for _, factors, _ in terms:
             lcm |= factors
-        one = Poly.const(terms[0][0].nvars, 1)
-        total = Poly.zero(one.nvars)
+        total = Poly.zero(terms[0][0].nvars)
         for num, factors, c in terms:
-            total = total + num.scale(1 / c) * prod((lcm - factors).elements(), start=one)
-        return cls.over(total, lcm.elements(), 1)
+            if c != 1:
+                num = num.scale(Fraction(1, c))
+            extra = [distinct[i] for i in (lcm - factors).elements()]
+            if extra:
+                num = num * prod(extra[1:], start=extra[0])
+            total = total + num
+        if total.is_zero():
+            return cls.zero(total.nvars)
+        return cls.over(total, (distinct[i] for i in lcm.elements()), 1)
 
     @classmethod
     def zero(cls, nvars: int) -> "RatFunc":

@@ -66,23 +66,22 @@ def derive_by_reduction(n: int, target_b: Sequence[int], lookup: Lookup) -> Opti
         c_n(a + e_n; b) = sum_{S subset of {1..n-1}} (-1)^{|S|}
                               c_n(a; b - sum_{i in S} e_i + |S| e_n),
 
-    with b = target + (1, ..., 1, -(n-1)).  ``lookup`` is asked for the base
-    first, then for each proper subset's vector with S in binary order, and
-    the derivation stops at the first miss (no speculative recursion).  A
-    form whose denominator does not split into linear factors ends it too.
-    The a-shift on the left side is absorbed by shifting the base form's
-    last variable, so the result is expressed at the common argument a; it
-    is the sum of the terms over the lcm of their linear factors, reduced
-    by ``RatFunc.sum_over``.
+    with b = target + (1, ..., 1, -(n-1)).  ``lookup`` is asked once for
+    each proper subset's vector with S in binary order, the base (S = {})
+    first, and the derivation stops at the first miss (no speculative
+    recursion).  A form whose denominator does not split into linear
+    factors ends it too.  The base form and its split serve both the left
+    side and the S = {} term; the a-shift on the left side is absorbed by
+    shifting the base form's last variable, so the result is expressed at
+    the common argument a.  It is the sum of the terms over the lcm of
+    their linear factors, reduced by ``RatFunc.sum_over``.
     """
     target_b = tuple(target_b)
     base = tuple(x + 1 for x in target_b[:-1]) + (target_b[-1] - (n - 1),)
     one = Poly.const(n, 1)
     a = [Poly.variable(n, i) for i in range(n)]
-    # the left side's base first, then each subset S's vector (S = {} is the
-    # base again)
     looked_up = []
-    for mask in [0, *range(2 ** (n - 1) - 1)]:
+    for mask in range(2 ** (n - 1) - 1):
         members = [i for i in range(n - 1) if mask >> i & 1]
         vec = list(base)
         for i in members:
@@ -95,19 +94,19 @@ def derive_by_reduction(n: int, target_b: Sequence[int], lookup: Lookup) -> Opti
     # every term is moved to the left side, each S's with the sign
     # -(-1)^{|S|}, and the target's term carries the sign (-1)^(n-1)
     terms = []
-    for j, (R, size) in enumerate(looked_up):
+    for R, size in looked_up:
         split = linear_factors(R.den)
         if split is None:
             return None
         forms, c = split
-        num, factors = R.num, [f.to_poly() for f in forms]
-        if j == 0:
-            # multinomial(a + e_n) / multinomial(a) = (1 + |a|) / (1 + a_n)
-            num = num.shift_var(n - 1, 1) * sum(a, one)
-            factors = [f.shift_var(n - 1, 1) for f in factors] + [one + a[-1]]
-        elif size % 2 == 0:
-            num = -num
-        terms.append((num, factors, c if n % 2 else -c))
+        factors = [f.to_poly() for f in forms]
+        c = c if n % 2 else -c
+        if size == 0:
+            # the left side, with multinomial(a + e_n) / multinomial(a)
+            # = (1 + |a|) / (1 + a_n)
+            left = [f.shift_var(n - 1, 1) for f in factors] + [one + a[-1]]
+            terms.append((R.num.shift_var(n - 1, 1) * sum(a, one), left, c))
+        terms.append((R.num if size % 2 else -R.num, factors, c))
     return ClosedForm(n=n, b=target_b, R=RatFunc.sum_over(terms))
 
 

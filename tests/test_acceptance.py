@@ -165,7 +165,7 @@ def test_criterion_9_boundary_conditions_are_load_bearing():
     safety = check_denominator_safety(wrong)
     assert check_recursion(wrong, safety).ok
     resolver = Resolver()
-    lower = {t.shifted_b: prove(2, t.shifted_b, resolver).form for t in pk_expansion(3, 1, wrong.b)}
+    lower = {t.shifted_b: prove(2, t.shifted_b, resolver) for t in pk_expansion(3, 1, wrong.b)}
     outcome = check_boundary(wrong, safety, 1, lower)
     assert not outcome.ok
     _report(9, True, "R = 1 passes the recursion but fails the k = 2 boundary")

@@ -56,7 +56,7 @@ def _boundary(form, k):
     """check_boundary at pivot k against the proved level-(n-1) dependencies."""
     resolver = Resolver()
     terms = pk_expansion(form.n, k, form.b)
-    lower = {t.shifted_b: prove(form.n - 1, t.shifted_b, resolver).form for t in terms}
+    lower = {t.shifted_b: prove(form.n - 1, t.shifted_b, resolver) for t in terms}
     return check_boundary(form, check_denominator_safety(form), k, lower)
 
 
@@ -485,6 +485,35 @@ def test_prove_splits_each_denominator_once_and_expands_each_pivot_once(monkeypa
     assert expanded == Counter({(f.n, f.b): f.n for f in checked})
 
 
+def _certificates_by_route(resolver):
+    """The resolver's certificates, as (base, checked, relabeled) lists."""
+    certs = list(resolver.certificates.values())
+    checked = list(resolver.checked.values())
+    base = [c for c in certs if c.base_case]
+    relabeled = [c for c in certs if not c.base_case and not any(c is k for k in checked)]
+    return base, checked, relabeled
+
+
+def test_every_certificate_carries_a_split_of_its_denominator():
+    # checked, relabeled and base certificates alike: c * prod F is R's
+    # denominator and every F is positive on the nonnegative grid
+    first = Resolver()
+    prove(4, (1, -1, 0, 0), first)
+    swept = Resolver()
+    turbo_dyson(4, 2, resolver=swept)
+    for resolver in (first, swept):
+        routes = _certificates_by_route(resolver)
+        assert all(routes)
+        for cert in (c for route in routes for c in route):
+            split = cert.split
+            assert split.ok and split.constant > 0
+            assert all(f.is_positive_on_grid() for f in split.factors)
+            den = Poly.const(cert.form.n, split.constant)
+            for f in split.factors:
+                den = den * f.to_poly()
+            assert den == cert.form.R.den, cert.form.b
+
+
 def test_prove_rejects_denominator_without_linear_split():
     a = _vars(3)
     den = a[0] * a[0] + a[1] + Poly.const(3, 1)
@@ -669,6 +698,35 @@ def test_boundary_failure_difference_is_reduced_over_linear_factors():
     for f in split_factors(diff.den):
         with pytest.raises(ArithmeticError):
             exact_div(diff.num, f)
+
+
+def test_failed_boundary_splits_only_the_form_itself(monkeypatch):
+    # criterion 9's wrong form R = 1 for <2,-1,-1> passes the recursion and
+    # fails the boundary at its first pivot; the difference is read from the
+    # splits the certificates carry, so only R's own denominator is split
+    splits = []
+    real_split = prover_module.linear_factors
+
+    def counting_split(p):
+        splits.append(p)
+        return real_split(p)
+
+    monkeypatch.setattr(prover_module, "linear_factors", counting_split)
+    resolver = Resolver()
+    resolver.add_form(ClosedForm(3, (2, -1, -1), RatFunc.one(3)))
+    with pytest.raises(ProofError) as info:
+        prove(3, (2, -1, -1), resolver)
+    outcome = info.value.outcome
+    assert outcome.check == "boundary" and outcome.k == 0
+    assert splits == [RatFunc.one(3).den]
+    terms = pk_expansion(3, 0, (2, -1, -1))
+    assert terms
+    for p in [(0, 0), (1, 2), (3, 1), (2, 5), (4, 4)]:
+        rhs = sum(
+            t.coeff.at_zero(0).evaluate(p) * resolver.certificates[(2, t.shifted_b)].form.R.evaluate(p)
+            for t in terms
+        )
+        assert outcome.difference.evaluate(p) == outcome.lhs.evaluate(p) - rhs, p
 
 
 def test_a_dependency_that_is_not_the_relabeling_runs_the_checks():
