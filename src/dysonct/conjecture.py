@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequ
 
 from .laurent import ct, multinomial
 from .linalg import FIRST_PRIME, kernel_mod_p, matmul_mod, solve_nullspace
-from .poly import LinearForm, Poly, cancel_factors
+from .poly import LinearForm, Poly, cancel_factors, glex_key
 from .ratfunc import RatFunc
 from .render import ASCII, fmt_c_symbol
 
@@ -217,7 +217,7 @@ def _monomials_up_to(nvars: int, degree: int) -> List[Tuple[int, ...]]:
         for m in itertools.product(range(degree + 1), repeat=nvars)
         if sum(m) <= degree
     ]
-    monos.sort(key=lambda m: (sum(m), m))
+    monos.sort(key=glex_key)
     return monos
 
 
@@ -377,7 +377,7 @@ class _Screen:
         """False if no vector of the split's kernel mod p counts, or if the
         kernel is one vector that misses a held-out value mod p."""
         p = FIRST_PRIME
-        kernel = kernel_mod_p(self.rows_mod_p(n_den, n_num), p)
+        kernel, _ = kernel_mod_p(self.rows_mod_p(n_den, n_num), p)
         den = matmul_mod(self.monos[:, :n_den], kernel[:n_den], p)
         if not den.all(axis=0).any():
             return False

@@ -4,15 +4,18 @@ One strategy for every system size: row reduction modulo 31-bit primes,
 Chinese-remainder combination extended by one prime per step, rational
 reconstruction, and a final exact big-integer verification M v = 0 of every
 basis vector.  One Gauss-Jordan kernel, ``_rref_mod``, does every mod-p
-reduction, the fitter's screen and the exact lift alike: numpy int64 only,
-one in-place update of the trailing block per pivot, no floating point.
+reduction: numpy int64 only, one in-place update of the trailing block per
+pivot, no floating point.
 
 A nullity of zero modulo any prime already proves the exact nullspace is
 trivial, so failed fit degrees are rejected quickly; reconstructed vectors
 are never trusted without the exact verification step.
 
 ``kernel_mod_p`` reads the nullspace basis of a matrix modulo one prime off
-its RREF.  The fitter screens each system with it modulo ``FIRST_PRIME``,
+its RREF, and it is the only code that does, for the fitter's screen and the
+exact lift alike: ``solve_nullspace`` combines the kernels it returns, entry
+by entry, over primes that give the same pivots, and reconstructs every
+entry.  The fitter screens each system with it modulo ``FIRST_PRIME``,
 p = 2**31 - 1, before it asks ``solve_nullspace`` for the exact basis.  When
 the rows are primitive integers and their reduction has the exact rank and
 the exact pivots, and p divides no denominator of the exact reduced basis,
@@ -163,63 +166,6 @@ def _verified_vector(
     return tuple(v // g for v in ints)
 
 
-class _PivotGroup:
-    """Mod-p reductions that share one pivot list, lifted by incremental CRT.
-
-    ``residues[j][i]`` is the entry of pivot row i in free column free[j] of
-    the reduced matrix, combined over every prime added so far, modulo
-    ``modulus``.
-    """
-
-    def __init__(self, pivots: List[int], ncols: int):
-        self.pivots = pivots
-        pivot_set = set(pivots)
-        self.free = [c for c in range(ncols) if c not in pivot_set]
-        self.residues: List[List[int]] = []
-        self.modulus = 1
-
-    def add(self, rref: np.ndarray, p: int) -> None:
-        block = rref[: len(self.pivots), self.free].T.tolist()
-        if self.modulus == 1:
-            self.residues = block
-        else:
-            mod = self.modulus
-            inv = pow(mod % p, -1, p)
-            self.residues = [
-                [x + mod * ((r - x) * inv % p) for x, r in zip(xs, rs)]
-                for xs, rs in zip(self.residues, block)
-            ]
-        self.modulus *= p
-
-    def reconstruct(self, int_rows: List[List[int]], ncols: int) -> List[Tuple[int, ...]] | None:
-        """The exact basis if every entry reconstructs and every vector
-        verifies against the integer rows, else None."""
-        mod = self.modulus
-        basis: List[Tuple[int, ...]] = []
-        for fc, column in zip(self.free, self.residues):
-            vec = [(0, 1)] * ncols
-            vec[fc] = (1, 1)
-            # pivot row i of the reduced matrix reads v[pc] + x v[fc] = 0
-            for pc, x in zip(self.pivots, column):
-                val = _rational_reconstruct(-x % mod, mod)
-                if val is None:
-                    return None
-                vec[pc] = val
-            verified = _verified_vector(int_rows, vec)
-            if verified is None:
-                return None
-            basis.append(verified)
-        return basis
-
-
-def _reduce(int_rows: List[List[int]], ncols: int, p: int) -> Tuple[np.ndarray, List[int]]:
-    import numpy as np
-
-    # the rows hold big integers, which fit in int64 only once reduced
-    matrix = np.array([[x % p for x in row] for row in int_rows], dtype=np.int64)
-    return _rref_mod(matrix.reshape(len(int_rows), ncols), p)
-
-
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     """a @ b mod p for int64 arrays with entries in [0, p), p < 2**31.
 
@@ -233,14 +179,17 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return ((high % p) * 0x10000 + low) % p
 
 
-def kernel_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
+def kernel_mod_p(matrix: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
     """The nullspace basis of the int64 array ``matrix`` modulo the prime p
-    as the columns of an int64 array, one per free column of its RREF mod p
-    in increasing order, with 1 in that free column and 0 in the others.
-    ``matrix`` need not be reduced mod p.  For a matrix of primitive
-    integer rows this is solve_nullspace's basis reduced mod p, vector for
-    vector and up to scale, whenever the reduction has the exact pivots and p
-    divides no denominator of the exact RREF."""
+    and the pivot columns of its RREF mod p, in increasing order.
+
+    The basis is the columns of an int64 array with entries in [0, p), one
+    per free column of the RREF in increasing order, with 1 in that free
+    column and 0 in the others.  ``matrix`` need not be reduced mod p.
+    solve_nullspace lifts these kernels to the exact basis, so for a matrix
+    of primitive integer rows this is that basis reduced mod p, vector for
+    vector and up to scale, whenever the reduction has the exact pivots and
+    p divides no denominator of the exact RREF."""
     import numpy as np
 
     rref, pivots = _rref_mod(matrix, p)
@@ -250,7 +199,7 @@ def kernel_mod_p(matrix: np.ndarray, p: int) -> np.ndarray:
     kernel = np.zeros((ncols, len(free)), dtype=np.int64)
     kernel[free, range(len(free))] = 1
     kernel[pivots] = -rref[: len(pivots), free] % p
-    return kernel
+    return kernel, pivots
 
 
 # primes _nullspace_modular tries before it bounds the count; the fitter's
@@ -280,26 +229,53 @@ def _candidate_primes(int_rows: List[List[int]], ncols: int) -> Iterator[int]:
     yield from map(_prime, range(_UNBOUNDED_PRIMES, _prime_budget(int_rows, ncols)))
 
 
+def _lifted_basis(
+    int_rows: List[List[int]], residues: List[List[int]], mod: int
+) -> List[Tuple[int, ...]] | None:
+    """The exact basis if every entry of every kernel vector in ``residues``,
+    combined modulo ``mod``, reconstructs and every vector verifies against
+    the integer rows, else None."""
+    basis: List[Tuple[int, ...]] = []
+    for column in residues:
+        vec = [_rational_reconstruct(x, mod) for x in column]
+        verified = None if None in vec else _verified_vector(int_rows, vec)
+        if verified is None:
+            return None
+        basis.append(verified)
+    return basis
+
+
 def _nullspace_modular(int_rows: List[List[int]], ncols: int) -> List[Tuple[int, ...]]:
-    group: _PivotGroup | None = None
+    import numpy as np
+
+    # the current pivot group is its pivots, its primes' product modulus and
+    # residues, its kernel vectors with each entry combined modulo modulus;
+    # an empty kernel lifts to []
+    pivots: List[int] | None = None
     tried = 0
     for tried, p in enumerate(_candidate_primes(int_rows, ncols), 1):
-        rref, pivots = _reduce(int_rows, ncols, p)
-        if len(pivots) == ncols:
-            return []  # full column rank mod p implies full rank over Q
+        # the rows hold big integers, which fit in int64 only once reduced
+        matrix = np.array([[x % p for x in row] for row in int_rows], dtype=np.int64)
+        kernel, kernel_pivots = kernel_mod_p(matrix.reshape(len(int_rows), ncols), p)
         # Over Q the rank is at least the rank mod p and, at equal rank, each
         # pivot is at most its mod-p counterpart; a prime that loses on either
         # count is unlucky, one that wins shows the previous group was.
         if (
-            group is None
-            or len(pivots) > len(group.pivots)
-            or (len(pivots) == len(group.pivots) and pivots < group.pivots)
+            pivots is None
+            or len(kernel_pivots) > len(pivots)
+            or (len(kernel_pivots) == len(pivots) and kernel_pivots < pivots)
         ):
-            group = _PivotGroup(pivots, ncols)
-        elif pivots != group.pivots:
+            pivots, residues, modulus = kernel_pivots, kernel.T.tolist(), p
+        elif kernel_pivots != pivots:
             continue
-        group.add(rref, p)
-        basis = group.reconstruct(int_rows, ncols)
+        else:
+            inv = pow(modulus % p, -1, p)
+            residues = [
+                [x + modulus * ((r - x) * inv % p) for x, r in zip(xs, rs)]
+                for xs, rs in zip(residues, kernel.T.tolist())
+            ]
+            modulus *= p
+        basis = _lifted_basis(int_rows, residues, modulus)
         if basis is not None:
             return basis
     raise ArithmeticError(

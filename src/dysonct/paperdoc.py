@@ -117,8 +117,7 @@ def _document(cert: ProofCertificate, nota: _Notation) -> List[str]:
     )
     lines = [nota.section.format(f"Closed form for {math(c_sym)}"), ""]
     if cert.base_case:
-        body = "0" if form.R.is_zero() else fmt_closed_form(form, style)
-        statement = math(f"{c_sym} = {d_sym} = {body}") + nota.punct(".")
+        statement = math(f"{c_sym} = {d_sym} = {fmt_closed_form(form, style)}") + nota.punct(".")
         return lines + [f"{label('Statement')} {statement}", "", _BASE_CASE_NOTE]
     if form.R.is_zero():
         b_eq = f"{bold('b')} = {fmt_b_vector(b, style)}"
@@ -179,8 +178,7 @@ def _appendix_entry(dep: ProofCertificate, nota: _Notation) -> List[str]:
     """One appendix item, its dependency note, and its non-base dependencies
     as a list nested two spaces deeper."""
     form, style = dep.form, nota.style
-    body = "0" if form.R.is_zero() else fmt_closed_form(form, style)
-    d_eq = f"{fmt_d_symbol(form.n, form.b, style)} = {body}"
+    d_eq = f"{fmt_d_symbol(form.n, form.b, style)} = {fmt_closed_form(form, style)}"
     lines = [nota.item.format(nota.math.format(d_eq))]
     subs = () if dep.base_case else dep.dependencies
     if subs:

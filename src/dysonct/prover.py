@@ -410,9 +410,9 @@ class Resolver:
         self.forms[(form.n, form.b)] = form
 
 
-def _relabeled(outcome: CheckOutcome, perm: Sequence[int], k: Optional[int] = None) -> CheckOutcome:
-    """A passed check's outcome with its variables permuted by perm (as
-    RatFunc.permute_vars reads it) and its pivot set to k."""
+def _relabeled(outcome: CheckOutcome, perm: Sequence[int], k: int) -> CheckOutcome:
+    """A passed boundary check's outcome with its variables permuted by perm
+    (as RatFunc.permute_vars reads it) and its pivot set to k."""
     return replace(outcome, k=k, lhs=outcome.lhs.permute_vars(perm))
 
 
@@ -458,7 +458,9 @@ def _relabeled_certificate(
         # is form.R, checked above
         recursion=replace(source.recursion, lhs=form.R),
         boundaries=tuple(boundaries),
-        initial=_relabeled(source.initial, inverse),
+        # the side of the initial-value check is a constant, which every
+        # relabeling fixes
+        initial=source.initial,
     )
 
 
@@ -479,17 +481,18 @@ def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCe
     is that certificate's form relabeled (the convention of
     ``permute_form``) and each of its boundary dependency forms is the
     relabeling of the matching dependency form there.  Its outcomes are
-    then those of the checked certificate, relabeled: the recursion and the
-    initial value by the permutation, the boundary at pivot k by the
-    checked pivot that k relabels, its surviving variables relabeled and
-    the result rescaled to canonical form; its split is the checked one's,
-    relabeled; its dependencies are its own certificates, and no P_k
-    expansion is built.  This is sound because permuting the a-variables
-    is a ring automorphism of Q(a): it maps every checked identity to an
-    identity, the denominator's split into positive linear factors to such
-    a split, and the P_k expansion at a pivot to the one at the relabeled
-    pivot.  Canonical forms are unique, so the relabeled outcomes equal
-    the ones the checks would return.  Any mismatch runs the checks.
+    then those of the checked certificate, relabeled: the recursion by the
+    permutation, the boundary at pivot k by the checked pivot that k
+    relabels, its surviving variables relabeled and the result rescaled to
+    canonical form; the initial value, a constant, is the checked one's
+    unchanged; its split is the checked one's, relabeled; its dependencies
+    are its own certificates, and no P_k expansion is built.  This is sound
+    because permuting the a-variables is a ring automorphism of Q(a): it
+    maps every checked identity to an identity, the denominator's split
+    into positive linear factors to such a split, and the P_k expansion at
+    a pivot to the one at the relabeled pivot.  Canonical forms are unique,
+    so the relabeled outcomes equal the ones the checks would return.  Any
+    mismatch runs the checks.
 
     The certificate holds the outcomes of the recursion, boundary and
     initial checks and the split they ran on; an n = 2 certificate holds no

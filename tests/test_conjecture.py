@@ -547,7 +547,7 @@ def test_screen_kernels_are_exact_bases_mod_p_on_every_split():
                 for vals, f in zip(mono_vals[:nfit], samples.values)
             ]
             exact = solve_nullspace(rows)
-            kernel = kernel_mod_p(screen.rows_mod_p(n_den, n_num), p)
+            kernel, _ = kernel_mod_p(screen.rows_mod_p(n_den, n_num), p)
             assert kernel.shape == (n_den + n_num, len(exact)), (t, d_num)
             for column, vec in zip(kernel.T.tolist(), exact):
                 # an RREF basis vector's last nonzero entry sits in its free column

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import dysonct.linalg as linalg
 from dysonct.linalg import (
     FIRST_PRIME,
     _clear_row,
@@ -131,6 +132,24 @@ def test_random_bases_match_fraction_reference():
     assert 0 in nullities and len(nullities) >= 5
 
 
+def test_multi_vector_kernel_lifts_over_several_primes(monkeypatch):
+    # the RREF entries are ratios of 3 x 3 minors near 10**18, beyond what
+    # one prime reconstructs, so every vector of the 3-vector kernel is
+    # combined over several primes that give the same pivots
+    rng = random.Random(8)
+    rows = [[rng.randint(10**6 - 1000, 10**6 + 1000) for _ in range(6)] for _ in range(3)]
+    reductions = []
+
+    def counted(matrix, p):
+        reductions.append(p)
+        return kernel_mod_p(matrix, p)
+
+    monkeypatch.setattr(linalg, "kernel_mod_p", counted)
+    basis = solve_nullspace(rows)
+    assert len(basis) == 3 and basis == _reference_nullspace(rows)
+    assert len(reductions) >= 2
+
+
 def test_mod_p_kernel_is_the_exact_basis_reduced_mod_p():
     # the premise of guess_rat's screen: where the first prime keeps the exact
     # rank, the kernel it reads off the primitive rows reduced mod p is
@@ -143,7 +162,7 @@ def test_mod_p_kernel_is_the_exact_basis_reduced_mod_p():
         rows = _random_matrix(rng)
         exact = solve_nullspace(rows)
         matrix = np.array([[x % p for x in _clear_row(row)] for row in rows], dtype=np.int64)
-        kernel = kernel_mod_p(matrix, p)
+        kernel, _ = kernel_mod_p(matrix, p)
         if kernel.shape[1] != len(exact):
             continue
         assert kernel.shape == (len(rows[0]), len(exact))
@@ -188,7 +207,8 @@ def _assert_mod_p_kernels_match_reference(rows, p):
     kernel = [[int(c == fc) for fc in free] for c in range(ncols)]
     for row, pc in zip(expected, expected_pivots):
         kernel[pc] = [-row[fc] % p for fc in free]
-    assert kernel_mod_p(matrix, p).tolist() == kernel, (rows, p)
+    got, got_pivots = kernel_mod_p(matrix, p)
+    assert (got.tolist(), got_pivots) == (kernel, expected_pivots), (rows, p)
     for column in zip(*kernel):
         assert all(sum(map(mul, row, column)) % p == 0 for row in rows)
     assert np.array_equal(matrix, before)
