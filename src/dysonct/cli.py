@@ -204,12 +204,16 @@ def _cmd_turbo(args) -> int:
         raise _UsageError("turbo requires n >= 2")
     path = store_path(args.store)
     store = ResultStore.load(path)
+    loaded = len(store)
     resolver = Resolver(max_t=args.max_t)
     started = time.perf_counter()
-    result = turbo_dyson(args.n, args.complexity, store=store, resolver=resolver)
+    try:
+        result = turbo_dyson(args.n, args.complexity, store=store, resolver=resolver)
+    finally:
+        # a sweep that stops early still keeps the entries it certified
+        if len(store) > loaded:
+            store.save(path)
     elapsed = time.perf_counter() - started
-    if result.added:
-        store.save(path)
     width = max((len(fmt_b_vector(l.b, ASCII)) for l in result.lines), default=8)
     for line in result.lines:
         label = fmt_b_vector(line.b, ASCII).ljust(width)

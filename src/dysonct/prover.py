@@ -30,7 +30,7 @@ certificates.  A ``ProofCertificate`` holds the outcomes of its checks and
 the split they ran on, and its validity and stored verdicts are read from
 the outcomes.  An arrangement of b whose class (its sorted b) already has a
 checked member is certified by relabeling that member's outcomes and split,
-when its forms are that member's relabeled (see ``prove``).
+when its form is that member's relabeled (see ``prove`` for the lemma).
 """
 
 from __future__ import annotations
@@ -410,42 +410,30 @@ class Resolver:
         self.forms[(form.n, form.b)] = form
 
 
-def _relabeled(outcome: CheckOutcome, perm: Sequence[int], k: int) -> CheckOutcome:
-    """A passed boundary check's outcome with its variables permuted by perm
-    (as RatFunc.permute_vars reads it) and its pivot set to k."""
-    return replace(outcome, k=k, lhs=outcome.lhs.permute_vars(perm))
-
-
 def _relabeled_certificate(
     source: ProofCertificate,
     form: ClosedForm,
-    shifted: List[List[Tuple[int, ...]]],
     dependencies: Tuple[ProofCertificate, ...],
 ) -> Optional[ProofCertificate]:
     """The certificate of ``form`` as the relabeling of ``source``, a
-    checked certificate of the same class, or None unless ``form`` and each
-    boundary dependency form are the relabelings of the source's.
+    checked certificate of the same class, or None unless ``form`` is the
+    relabeling of the source's form.
 
-    ``shifted[k]`` lists the dependency vectors of form's pivot k in term
-    order, and ``dependencies`` holds form's own dependency certificates.
-    With perm taking the source's b to form.b (b_i = b_src[perm[i]]), form's
-    pivot k is the source's pivot perm[k], and sigma relabels the source's
+    ``dependencies`` holds form's own dependency certificates.  With perm
+    taking the source's b to form.b (b_i = b_src[perm[i]]), form's pivot k
+    is the source's pivot perm[k], and sigma relabels the source's
     surviving variables at that pivot to form's.
     """
     perm = matching_permutation(source.form.b, form.b)
     if permute_form(source.form, perm).R != form.R:
         return None
     inverse = _inverse(perm)
-    src_lower = {dep.form.b: dep.form.R for dep in source.dependencies}
-    lower = {dep.form.b: dep.form.R for dep in dependencies}
     boundaries = []
-    for k, vectors in enumerate(shifted):
+    for k in range(form.n):
         pivot = perm[k]
         sigma = [inverse[j] - (inverse[j] > k) for j in range(form.n) if j != pivot]
-        for v in vectors:
-            if lower[v] != src_lower[tuple(v[i] for i in sigma)].permute_vars(sigma):
-                return None
-        boundaries.append(_relabeled(source.boundaries[pivot], sigma, k))
+        outcome = source.boundaries[pivot]
+        boundaries.append(replace(outcome, k=k, lhs=outcome.lhs.permute_vars(sigma)))
     factors = [LinearForm(f.constant, tuple(f.coeffs[p] for p in perm)) for f in source.split.factors]
     # permute_vars rescales the relabeled denominator to be monic; a linear
     # factor's leading coefficient in graded-lex order is its first nonzero one
@@ -476,23 +464,21 @@ def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCe
     denominator into linear factors is the input of the recursion, boundary
     and initial-value checks that follow.
 
-    A relabeling of an arrangement the resolver already certified by the
-    checks (``Resolver.checked``) is certified without them, when its form
-    is that certificate's form relabeled (the convention of
-    ``permute_form``) and each of its boundary dependency forms is the
-    relabeling of the matching dependency form there.  Its outcomes are
-    then those of the checked certificate, relabeled: the recursion by the
-    permutation, the boundary at pivot k by the checked pivot that k
-    relabels, its surviving variables relabeled and the result rescaled to
-    canonical form; the initial value, a constant, is the checked one's
-    unchanged; its split is the checked one's, relabeled; its dependencies
-    are its own certificates, and no P_k expansion is built.  This is sound
-    because permuting the a-variables is a ring automorphism of Q(a): it
-    maps every checked identity to an identity, the denominator's split
-    into positive linear factors to such a split, and the P_k expansion at
-    a pivot to the one at the relabeled pivot.  Canonical forms are unique,
-    so the relabeled outcomes equal the ones the checks would return.  Any
-    mismatch runs the checks.
+    An arrangement whose class has a certificate the resolver checked
+    (``Resolver.checked``) is certified without the checks when its form
+    is that certificate's form relabeled (``permute_form``): its outcomes
+    and split are the checked one's, relabeled (the boundary at pivot k
+    from the checked pivot that k relabels, rescaled to canonical form;
+    the initial value, a constant, unchanged), its dependencies are its
+    own, and no P_k expansion is built.  This is sound by one lemma:
+    relabeling a and b together leaves the constant term unchanged, so
+    permuting the a-variables maps a proof to a proof.  The permutation is
+    a ring automorphism of Q(a); it maps each checked identity, split and
+    P_k expansion to the relabeled one, and each certified dependency form
+    to the certified form of the relabeled dependency (two forms equal on
+    the nonnegative grid are equal).  Canonical forms are unique, so the
+    relabeled outcomes are the ones the checks would return.  Any other
+    form runs the checks.
 
     The certificate holds the outcomes of the recursion, boundary and
     initial checks and the split they ran on; an n = 2 certificate holds no
@@ -531,14 +517,13 @@ def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCe
         return cert
 
     # prove lower levels first (post-order over the dependency tree)
-    shifted = [[v for _, v in pk_compositions(n, k, b)] for k in range(n)]
-    dep_vectors = dict.fromkeys(v for vectors in shifted for v in vectors)
+    dep_vectors = dict.fromkeys(v for k in range(n) for _, v in pk_compositions(n, k, b))
     dependencies = tuple(prove(n - 1, v, resolver) for v in dep_vectors)
 
     relabeling_class = (n, tuple(sorted(b)))
     source = resolver.checked.get(relabeling_class)
     if source is not None:
-        cert = _relabeled_certificate(source, form, shifted, dependencies)
+        cert = _relabeled_certificate(source, form, dependencies)
         if cert is not None:
             resolver.certificates[key] = cert
             return cert

@@ -9,9 +9,9 @@ lexicographically largest such member; otherwise the index-raising identity
 form is conjectured.  Every entry, however obtained, is certified by
 ``prove`` and enters the store through ``ResultStore.record``.  Within one
 sweep the first member of each permutation class to be proved runs the
-checks; a later arrangement whose form and boundary dependency forms are the
-relabelings of that member's is certified by relabeling its certificate (see
-``prove``), and any other runs the checks too.
+checks; a later arrangement whose form is the relabeling of that member's is
+certified by relabeling its certificate (see ``prove``), and any other runs
+the checks too.
 """
 
 from __future__ import annotations

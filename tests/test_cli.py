@@ -326,6 +326,27 @@ def test_turbo_records_failed_entry_and_keeps_the_rest(
     assert capsys.readouterr().err == f"mathematical failure: {message}\n"
 
 
+@pytest.mark.parametrize("exc", [RuntimeError, KeyboardInterrupt])
+def test_an_interrupted_turbo_keeps_the_entries_it_certified(tmp_path, monkeypatch, exc):
+    real_prove = turbo.prove
+    calls = []
+
+    def prove_stopping_at_the_fourth(n, b, resolver):
+        calls.append(b)
+        if len(calls) == 4:
+            raise exc("simulated stop")
+        return real_prove(n, b, resolver)
+
+    monkeypatch.setattr(turbo, "prove", prove_stopping_at_the_fourth)
+    argv = ["turbo", "-n", "3", "-C", "1", "--store", "s.json"]
+    if exc is KeyboardInterrupt:
+        with pytest.raises(KeyboardInterrupt):
+            main(argv)
+    else:
+        assert main(argv) == EXIT_INTERNAL
+    assert len(ResultStore.load(str(tmp_path / "s.json"))) == 3
+
+
 def test_every_entry_point_has_the_same_default_degree_budget():
     parser = cli._build_parser()
     commands = [

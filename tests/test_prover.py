@@ -600,7 +600,7 @@ def _cycle_lengths(perm):
     return lengths
 
 
-@pytest.mark.parametrize("n, complexity", [(3, 5), (4, 2)])
+@pytest.mark.parametrize("n, complexity", [(3, 5), (4, 2), (5, 1)])
 def test_relabeled_certificates_equal_the_checked_ones(monkeypatch, n, complexity):
     resolver = Resolver()
     store = ResultStore()
@@ -609,12 +609,13 @@ def test_relabeled_certificates_equal_the_checked_ones(monkeypatch, n, complexit
     relabeled = [
         e for e in store if e.n == n and id(resolver.certificates[(n, e.b)]) not in checked
     ]
-    assert len(relabeled) == {3: 73, 4: 49}[n]
+    assert len(relabeled) == {3: 73, 4: 49, 5: 19}[n]
     cycles = set()
     for e in relabeled:
         source = resolver.checked[(n, tuple(sorted(e.b)))].form.b
         cycles |= _cycle_lengths(matching_permutation(source, e.b))
-    # a 3-cycle at n = 3, a 4-cycle at n = 4, and pivots with b_k < 0
+    # an n-cycle at each n, and pivots with b_k < 0; at n = 5 the boundary
+    # checks read relabeled n = 4 certificates as dependencies
     assert n in cycles
     assert any(
         o.get("note") == "empty expansion (b_k < 0)"
@@ -727,15 +728,3 @@ def test_failed_boundary_splits_only_the_form_itself(monkeypatch):
             for t in terms
         )
         assert outcome.difference.evaluate(p) == outcome.lhs.evaluate(p) - rhs, p
-
-
-def test_a_dependency_that_is_not_the_relabeling_runs_the_checks():
-    resolver = Resolver()
-    prove(3, (1, 0, -1), resolver)
-    # <0,1,-1> relabels <1,0,-1>, and both read <1,-1> at a zero pivot
-    real = resolver.certificates[(2, (1, -1))]
-    doubled = ClosedForm(2, (1, -1), RatFunc.coprime(real.form.R.num * 2, real.form.R.den))
-    resolver.certificates[(2, (1, -1))] = dataclasses.replace(real, form=doubled)
-    with pytest.raises(ProofError) as info:
-        prove(3, (0, 1, -1), resolver)
-    assert info.value.outcome.check == "boundary"
