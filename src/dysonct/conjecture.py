@@ -28,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, prod
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -82,6 +83,14 @@ class ClosedForm:
         return self.R.evaluate(a) * multinomial(tuple(a))
 
     def to_json(self) -> dict:
+        """The form as a JSON object, built once per form and shared by every
+        caller: the certificate of the form, the store entry holding it and
+        each certificate embedding it all reuse this dict and its "R", so it
+        must not be mutated."""
+        return self._json
+
+    @cached_property
+    def _json(self) -> dict:
         return {"n": self.n, "b": list(self.b), "R": self.R.to_json()}
 
     @classmethod

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -331,6 +332,14 @@ class ProofCertificate:
         )
 
     def to_json(self) -> dict:
+        """The certificate as a JSON object, built once per certificate and
+        shared like ``ClosedForm.to_json``: its store entry and every
+        certificate embedding it as a dependency reuse this dict, so it must
+        not be mutated.  R's dict serves the form and the recursion's sides."""
+        return self._json
+
+    @cached_property
+    def _json(self) -> dict:
         if self.base_case:
             recursion_ok, boundary_ok, initial_ok = True, [True, True], True
             identities: dict = {"base_case": "binomial-theorem closed form for n = 2"}
@@ -339,9 +348,9 @@ class ProofCertificate:
             boundary_ok = [o.ok for o in self.boundaries]
             initial_ok = self.initial.ok
             identities = {
-                "recursion": _identity_json(self.recursion),
-                "boundary": [_identity_json(o) for o in self.boundaries],
-                "initial": _identity_json(self.initial),
+                "recursion": _identity_json(self.recursion, self.form),
+                "boundary": [_identity_json(o, self.form) for o in self.boundaries],
+                "initial": _identity_json(self.initial, self.form),
             }
         return {
             "form": self.form.to_json(),
@@ -361,11 +370,13 @@ class ProofCertificate:
         }
 
 
-def _identity_json(outcome: CheckOutcome) -> dict:
+def _identity_json(outcome: CheckOutcome, form: ClosedForm) -> dict:
     data: dict = {"ok": outcome.ok}
     if outcome.lhs is not None:
-        # a passed check's sides are equal; the stored format keeps both
-        data["lhs"] = data["rhs"] = outcome.lhs.to_json()
+        # a passed check's sides are equal; the stored format keeps both.
+        # The recursion's side is the form's R, whose dict the form holds
+        side = form.to_json()["R"] if outcome.lhs is form.R else outcome.lhs.to_json()
+        data["lhs"] = data["rhs"] = side
     if outcome.note:
         data["note"] = outcome.note
     return data
@@ -375,13 +386,16 @@ class Resolver:
     """Cache of closed forms and certificates shared across a proof run.
 
     Forms are looked up in the cache first, then fall back to the built-in
-    n = 2 family or to a fresh conjecture; ``guess_calls`` counts how many
-    forms actually required sampling and fitting.
+    n = 2 family, to the relabeling (``permute_form``) of the form of a
+    checked member of the arrangement's class, or to a fresh conjecture;
+    ``guess_calls`` counts how many forms actually required sampling and
+    fitting.
 
     ``checked`` maps each relabeling class (n and sorted b) to the first
     n >= 3 certificate of the class that ``prove`` certified by running the
     checks; ``prove`` certifies the other arrangements of the class by
-    relabeling that certificate's outcomes.
+    relabeling that certificate's outcomes, so a form relabeled from it is
+    certified without a fit or a check.
     """
 
     def __init__(self, max_t: int = DEFAULT_MAX_T):
@@ -400,6 +414,8 @@ class Resolver:
             form = c2_closed_form(b)
         elif sum(b) != 0:
             form = ClosedForm(n=n, b=b, R=RatFunc.zero(n))
+        elif (source := self.checked.get((n, tuple(sorted(b))))) is not None:
+            form = permute_form(source.form, matching_permutation(source.form.b, b))
         else:
             form = guess_dyson(n, b, self.max_t)
             self.guess_calls += 1
@@ -465,12 +481,14 @@ def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCe
     and initial-value checks that follow.
 
     An arrangement whose class has a certificate the resolver checked
-    (``Resolver.checked``) is certified without the checks when its form
-    is that certificate's form relabeled (``permute_form``): its outcomes
-    and split are the checked one's, relabeled (the boundary at pivot k
-    from the checked pivot that k relabels, rescaled to canonical form;
-    the initial value, a constant, unchanged), its dependencies are its
-    own, and no P_k expansion is built.  This is sound by one lemma:
+    (``Resolver.checked``) gets that certificate's form relabeled
+    (``permute_form``) from the resolver, unless the resolver already holds
+    a form for it, so it is not fitted.  It is certified without the checks
+    when its form is that relabeled one: its outcomes and split are the
+    checked one's, relabeled (the boundary at pivot k from the checked
+    pivot that k relabels, rescaled to canonical form; the initial value, a
+    constant, unchanged), its dependencies are its own, and no P_k
+    expansion is built.  This is sound by one lemma:
     relabeling a and b together leaves the constant term unchanged, so
     permuting the a-variables maps a proof to a proof.  The permutation is
     a ring automorphism of Q(a); it maps each checked identity, split and

@@ -10,7 +10,11 @@ entries, sorted keys), so re-saving a loaded store reproduces the file byte
 for byte.  The file holds the bytes of
 ``json.dumps(data, indent=2, sort_keys=True)`` plus a trailing newline:
 2-space indent, keys sorted, every non-ASCII character as a JSON escape.
-``_json_text`` writes them without json's pure-Python indent encoder.
+``_json_text`` writes them without json's pure-Python indent encoder, and
+a save costs what its distinct content costs: each certificate's dict is
+built once and shared by its entry and every tree embedding it, one save
+renders each shared dict once, and the entries stream into the file one by
+one.
 Writes go through a lock file so concurrent commands cannot interleave, and
 replace the file atomically, so a failed or interrupted save leaves the old
 file as it was; a save that returns has synced both the file and its
@@ -25,7 +29,7 @@ import os
 import time
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _encode_str
-from typing import Dict, Iterator, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from .conjecture import ClosedForm
 
@@ -52,7 +56,7 @@ class StoreEntry:
         return {
             "n": self.n,
             "b": list(self.b),
-            "R": self.form.R.to_json(),
+            "R": self.form.to_json()["R"],
             "provenance": self.provenance,
             "certificate": self.certificate,
         }
@@ -136,10 +140,10 @@ class ResultStore:
         }
 
     def save(self, path: str) -> None:
-        payload = _json_text(self.to_json()) + "\n"
+        data = self.to_json()
         with _locked(path):
             try:
-                _replace_file(path, payload)
+                _replace_file(path, _json_pieces(data))
             except OSError as exc:
                 raise StoreIOError(f"cannot write store {path}: {exc}") from exc
 
@@ -170,7 +174,7 @@ class ResultStore:
         return store
 
 
-def _json_text(value, newline: str = "\n") -> str:
+def _json_text(value, newline: str = "\n", memo: Optional[dict] = None) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
 
     Each list or dict is one join over its items' texts, which are indented
@@ -179,6 +183,17 @@ def _json_text(value, newline: str = "\n") -> str:
     raises ``TypeError`` for a value json cannot encode.  Containers are
     plain lists and dicts with string keys, as ``json.loads`` returns them
     and every ``to_json`` builds them.
+
+    ``memo`` maps the ``id`` of each shared dict already rendered to its
+    newline and text, so a dict that recurs is rendered once.  Shared dicts
+    are the ones a store tree repeats: certificates (a "form" key), which
+    every parent embedding them holds, and rational functions (a
+    "num_terms" key), which R's four copies and each identity's two sides
+    share; other dicts are not memoized.  A repeat at another depth swaps the
+    newline: every raw newline in a text is indentation, since
+    ``encode_basestring_ascii`` escapes the ones inside strings.  Ids are
+    unique only while their objects live, so a memo must not outlive the
+    one value it renders, which holds every dict alive.
     """
     kind = type(value)
     if kind is int:
@@ -189,28 +204,71 @@ def _json_text(value, newline: str = "\n") -> str:
         if not value:
             return "[]"
         inner = newline + "  "
-        items = [_json_text(item, inner) for item in value]
+        items = [_json_text(item, inner, memo) for item in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if kind is dict:
         if not value:
             return "{}"
+        shared = memo is not None and ("form" in value or "num_terms" in value)
+        if shared:
+            seen = memo.get(id(value))
+            if seen is not None:
+                old, text = seen
+                return text if old == newline else text.replace(old, newline)
         inner = newline + "  "
-        items = [_encode_str(k) + ": " + _json_text(v, inner) for k, v in sorted(value.items())]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        items = [
+            _encode_str(k) + ": " + _json_text(v, inner, memo) for k, v in sorted(value.items())
+        ]
+        text = "{" + inner + ("," + inner).join(items) + newline + "}"
+        if shared:
+            memo[id(value)] = (newline, text)
+        return text
     if kind is bool:
         return "true" if value else "false"
     return json.dumps(value)
 
 
-def _replace_file(path: str, payload: str) -> None:
-    """Write ``payload`` to a temporary file beside ``path``, make it durable,
+def _json_pieces(value) -> Iterator[str]:
+    """``_json_text(value)`` plus a trailing newline, in pieces: the items of
+    ``value`` and of its containers are rendered one at a time, so the
+    store's entries are written one by one rather than joined first.  One
+    memo serves the whole value."""
+    yield from _pieces(value, "\n", 2, {})
+    yield "\n"
+
+
+def _pieces(value, newline: str, depth: int, memo: dict) -> Iterator[str]:
+    """``_json_text(value, newline, memo)`` in pieces, the containers of the
+    first ``depth`` levels one item at a time."""
+    kind = type(value)
+    if depth == 0 or kind not in (list, dict) or not value:
+        yield _json_text(value, newline, memo)
+        return
+    inner = newline + "  "
+    if kind is list:
+        items = (("", item) for item in value)
+        opening, closing = "[", "]"
+    else:
+        items = ((_encode_str(k) + ": ", v) for k, v in sorted(value.items()))
+        opening, closing = "{", "}"
+    separator = opening + inner
+    for key, item in items:
+        yield separator + key
+        yield from _pieces(item, inner, depth - 1, memo)
+        separator = "," + inner
+    yield newline + closing
+
+
+def _replace_file(path: str, pieces: Iterable[str]) -> None:
+    """Write ``pieces`` to a temporary file beside ``path``, make it durable,
     then rename it onto ``path`` and sync the directory, so that the rename
     survives a crash too.  Callers hold the store lock, so the temporary name
-    is theirs alone; on a failure before the rename it is removed again."""
+    is theirs alone; on a failure before the rename, including one raised
+    while ``pieces`` are produced, it is removed again."""
     tmp = path + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            fh.writelines(pieces)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

@@ -1,5 +1,7 @@
 import dataclasses
+import hashlib
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -642,6 +644,20 @@ def test_relabeled_certificates_equal_the_checked_ones(monkeypatch, n, complexit
         assert sorted(recursions) == sorted(
             b for (_, b), c in fresh.certificates.items() if not c.base_case
         )
+
+
+def test_a_checked_class_member_gives_its_relabelings_their_forms():
+    # 7 of the 14 forms the n = 5 proof needs are n = 4 arrangements whose
+    # class already has a checked member: they are relabeled, not fitted,
+    # and the certificate is the one fitting them gave
+    resolver = Resolver()
+    cert = prove(5, (1, 1, -1, -1, 0), resolver)
+    assert resolver.guess_calls == 7
+    text = json.dumps(cert.to_json(), indent=2, sort_keys=True)
+    assert (
+        hashlib.sha256(text.encode()).hexdigest()
+        == "bd6e57d8607917418afa18c3c9d9f0dfde3fbb31894a95be47819709f9a56b65"
+    )
 
 
 def _not_splitting(R):

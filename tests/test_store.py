@@ -10,6 +10,7 @@ from dysonct.prover import Resolver, prove
 from dysonct.store import (
     ResultStore,
     StoreIOError,
+    _json_pieces,
     _json_text,
     _locked,
     store_path,
@@ -154,6 +155,60 @@ def test_failed_directory_sync_is_a_store_error(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
 
 
+def test_a_save_that_fails_mid_stream_keeps_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "s.json"
+    store = _small_store()
+    store.save(str(path))
+    raw = path.read_bytes()
+    last = store.sorted_entries()[-1]
+    last.certificate = dict(last.certificate, unencodable={1, 2})
+    written = []
+    real_pieces = store_module._json_pieces
+
+    def recording_pieces(value):
+        for piece in real_pieces(value):
+            written.append(piece)
+            yield piece
+
+    monkeypatch.setattr(store_module, "_json_pieces", recording_pieces)
+    with pytest.raises(TypeError):
+        store.save(str(path))
+    # the entries before the last one were written before the failure
+    assert "".join(written).count('"certificate"') == len(store) - 1
+    assert path.read_bytes() == raw
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json"]
+
+
+def test_record_shares_each_certificate_dict():
+    resolver = Resolver()
+    cert = prove(3, (2, -1, -1), resolver)
+    store = ResultStore()
+    for c in (cert, *cert.dependencies):
+        store.record(c, {"kind": "base" if c.base_case else "guessed"})
+    data = cert.to_json()
+    entry = store.get(3, (2, -1, -1)).to_json()
+    assert entry["certificate"] is data
+    recursion = data["identities"]["recursion"]
+    assert entry["R"] is data["form"]["R"] is recursion["lhs"] is recursion["rhs"]
+    for dep, embedded in zip(cert.dependencies, data["dependencies"]):
+        assert embedded is dep.to_json() is store.get(2, dep.form.b).certificate
+
+
+def test_each_save_renders_the_store_as_it_is_then(tmp_path):
+    path = tmp_path / "s.json"
+    resolver = Resolver()
+    store = ResultStore()
+    store.record(prove(3, (1, -1, 0), resolver), {"kind": "guessed"})
+    store.save(str(path))
+    assert path.read_text(encoding="utf-8") == _stdlib_text(store.to_json()) + "\n"
+    # the new certificate embeds the first one, one level deeper
+    cert = prove(4, (1, -1, 0, 0), resolver)
+    assert resolver.certificates[3, (1, -1, 0)] in cert.dependencies
+    store.record(cert, {"kind": "guessed"})
+    store.save(str(path))
+    assert path.read_text(encoding="utf-8") == _stdlib_text(store.to_json()) + "\n"
+
+
 def _write_store_with_entry(path, mutate):
     store = _small_store()
     store.save(str(path))
@@ -239,6 +294,35 @@ def test_writer_matches_json_dumps_on_random_values(seed):
     rng = random.Random(seed)
     value = [_random_value(rng, 4) for _ in range(30)]
     assert _json_text(value) == _stdlib_text(value)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_pieces_join_to_json_dumps_and_a_newline(seed):
+    rng = random.Random(seed)
+    for value in ([_random_value(rng, 4) for _ in range(5)], _random_value(rng, 4)):
+        assert "".join(_json_pieces(value)) == _stdlib_text(value) + "\n"
+
+
+def _shared_dicts(rng):
+    """A rational function's dict and a certificate's dict holding it, the
+    two kinds the writer renders once, with strings holding raw newlines and
+    the text of an indent."""
+    R = {"num_terms": [[1, 2, [0, 1]]], "den_terms": [], "\n  ": "\n  " + _random_text(rng)}
+    cert = {"form": {"R": R}, "note": "a\n  b" + _random_text(rng), "deps": [R, _random_value(rng, 2)]}
+    return R, cert
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_writer_renders_a_recurring_dict_as_json_dumps_does(seed):
+    rng = random.Random(seed)
+    R, cert = _shared_dicts(rng)
+    # each dict at the same depth, deeper, shallower and inside the other
+    value = [cert, R, cert, {"x": [cert, [R]]}, [[[cert]]], {"form": cert, "R": R}]
+    rng.shuffle(value)
+    memo = {}
+    assert _json_text(value, memo=memo) == _stdlib_text(value)
+    assert {id(R), id(cert)} <= set(memo)
+    assert "".join(_json_pieces(value)) == _stdlib_text(value) + "\n"
 
 
 @pytest.mark.parametrize(
