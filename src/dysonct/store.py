@@ -10,11 +10,10 @@ entries, sorted keys), so re-saving a loaded store reproduces the file byte
 for byte.  The file holds the bytes of
 ``json.dumps(data, indent=2, sort_keys=True)`` plus a trailing newline:
 2-space indent, keys sorted, every non-ASCII character as a JSON escape.
-``_json_text`` writes them without json's pure-Python indent encoder, and
-a save costs what its distinct content costs: each certificate's dict is
-built once and shared by its entry and every tree embedding it, one save
-renders each shared dict once, and the entries stream into the file one by
-one.
+``_json_text`` writes them without json's pure-Python indent encoder.  A
+save costs what its distinct content costs: a certificate's dict is built
+once and shared by its entry and every tree embedding it, a save renders
+each shared dict once, and the entries stream into the file one by one.
 Writes go through a lock file so concurrent commands cannot interleave, and
 replace the file atomically, so a failed or interrupted save leaves the old
 file as it was; a save that returns has synced both the file and its
@@ -174,8 +173,9 @@ class ResultStore:
         return store
 
 
-def _json_text(value, newline: str = "\n", memo: Optional[dict] = None) -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte.
+def _json_text(value, newline: str, memo: dict) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, when
+    ``newline`` is a bare newline and ``memo`` is empty.
 
     Each list or dict is one join over its items' texts, which are indented
     by ``newline`` plus two spaces; ints, strings and bools take the C-level
@@ -184,16 +184,13 @@ def _json_text(value, newline: str = "\n", memo: Optional[dict] = None) -> str:
     plain lists and dicts with string keys, as ``json.loads`` returns them
     and every ``to_json`` builds them.
 
-    ``memo`` maps the ``id`` of each shared dict already rendered to its
-    newline and text, so a dict that recurs is rendered once.  Shared dicts
-    are the ones a store tree repeats: certificates (a "form" key), which
-    every parent embedding them holds, and rational functions (a
-    "num_terms" key), which R's four copies and each identity's two sides
-    share; other dicts are not memoized.  A repeat at another depth swaps the
-    newline: every raw newline in a text is indentation, since
-    ``encode_basestring_ascii`` escapes the ones inside strings.  Ids are
-    unique only while their objects live, so a memo must not outlive the
-    one value it renders, which holds every dict alive.
+    ``memo`` maps the ``id`` of each shared dict rendered so far to its
+    newline and text: the dicts a store tree repeats, certificates (a "form"
+    key) and rational functions (a "num_terms" key).  A repeat at another
+    depth swaps the newline, as every raw newline in a text is indentation
+    (``encode_basestring_ascii`` escapes the ones in strings).  Ids are
+    unique only while their objects live, so a memo serves one value, which
+    holds every dict alive.
     """
     kind = type(value)
     if kind is int:
@@ -209,7 +206,7 @@ def _json_text(value, newline: str = "\n", memo: Optional[dict] = None) -> str:
     if kind is dict:
         if not value:
             return "{}"
-        shared = memo is not None and ("form" in value or "num_terms" in value)
+        shared = "form" in value or "num_terms" in value
         if shared:
             seen = memo.get(id(value))
             if seen is not None:
@@ -229,10 +226,9 @@ def _json_text(value, newline: str = "\n", memo: Optional[dict] = None) -> str:
 
 
 def _json_pieces(value) -> Iterator[str]:
-    """``_json_text(value)`` plus a trailing newline, in pieces: the items of
-    ``value`` and of its containers are rendered one at a time, so the
-    store's entries are written one by one rather than joined first.  One
-    memo serves the whole value."""
+    """``_json_text(value, "\\n", {})`` plus a newline, in pieces: the items
+    of ``value`` and of its containers one at a time, so the store's entries
+    are written one by one, not joined first."""
     yield from _pieces(value, "\n", 2, {})
     yield "\n"
 

@@ -285,22 +285,28 @@ def test_writer_matches_json_dumps_on_stores(tmp_path):
     path = tmp_path / "s.json"
     store.save(str(path))
     for data in (store.to_json(), ResultStore.load(str(path)).to_json(), ResultStore().to_json()):
-        assert _json_text(data) == _stdlib_text(data)
+        assert _json_text(data, "\n", {}) == _stdlib_text(data)
     assert path.read_text(encoding="utf-8") == _stdlib_text(store.to_json()) + "\n"
+    # the writer renders once every certificate and every rational function
+    # the store's certificate trees hold, wherever each recurs
+    memo = {}
+    _json_text(store.to_json(), "\n", memo)
+    certificates = [entry.certificate for entry in store]
+    while certificates:
+        cert = certificates.pop()
+        identities = cert["identities"]
+        checked = [identities.get("recursion"), *identities.get("boundary", ())]
+        shared = [cert, cert["form"]["R"], *(identity["lhs"] for identity in checked if identity)]
+        assert {id(d) for d in shared} <= set(memo)
+        certificates += cert["dependencies"]
 
 
 @pytest.mark.parametrize("seed", range(10))
 def test_writer_matches_json_dumps_on_random_values(seed):
     rng = random.Random(seed)
     value = [_random_value(rng, 4) for _ in range(30)]
-    assert _json_text(value) == _stdlib_text(value)
-
-
-@pytest.mark.parametrize("seed", range(10))
-def test_pieces_join_to_json_dumps_and_a_newline(seed):
-    rng = random.Random(seed)
-    for value in ([_random_value(rng, 4) for _ in range(5)], _random_value(rng, 4)):
-        assert "".join(_json_pieces(value)) == _stdlib_text(value) + "\n"
+    assert _json_text(value, "\n", {}) == _stdlib_text(value)
+    assert "".join(_json_pieces(value)) == _stdlib_text(value) + "\n"
 
 
 def _shared_dicts(rng):
@@ -320,7 +326,7 @@ def test_writer_renders_a_recurring_dict_as_json_dumps_does(seed):
     value = [cert, R, cert, {"x": [cert, [R]]}, [[[cert]]], {"form": cert, "R": R}]
     rng.shuffle(value)
     memo = {}
-    assert _json_text(value, memo=memo) == _stdlib_text(value)
+    assert _json_text(value, "\n", memo) == _stdlib_text(value)
     assert {id(R), id(cert)} <= set(memo)
     assert "".join(_json_pieces(value)) == _stdlib_text(value) + "\n"
 
@@ -330,12 +336,12 @@ def test_writer_renders_a_recurring_dict_as_json_dumps_does(seed):
     [2**100, -(2**100), True, False, None, -0.0, 1e300, 5e-324, math.nan, math.inf, -math.inf],
 )
 def test_writer_matches_json_dumps_on_scalars(value):
-    assert _json_text(value) == _stdlib_text(value)
-    assert _json_text([value, {"v": value}]) == _stdlib_text([value, {"v": value}])
+    assert _json_text(value, "\n", {}) == _stdlib_text(value)
+    assert _json_text([value, {"v": value}], "\n", {}) == _stdlib_text([value, {"v": value}])
 
 
 def test_writer_rejects_what_json_dumps_rejects():
     with pytest.raises(TypeError):
         _stdlib_text({"v": {1, 2}})
     with pytest.raises(TypeError):
-        _json_text({"v": {1, 2}})
+        _json_text({"v": {1, 2}}, "\n", {})
