@@ -17,10 +17,13 @@ only when its kernel is a single vector, which is then already in lowest
 terms (see guess_rat), the fit is validated on held-out points, and the
 caller is expected to run the proof engine on whatever comes out.  Splits
 are first screened modulo one prime, and only those that can still fit are
-solved over Q; the screen only skips.  The screen evaluates the monomials
-mod p from the sample points, and the exact big-integer monomial table is
-built only when a split passes it.  The screen's methods import numpy when
-they run, so importing this module does not load it; the first fit does.
+solved over Q; the screen only skips.  A split that passes hands its
+kernel mod p to the exact solve as the lift's first prime, so no split's
+rows are reduced modulo that prime twice.  The screen evaluates the
+monomials mod p from the sample points, and the exact big-integer monomial
+table is built only when a split passes it.  The screen's methods import
+numpy when they run, so importing this module does not load it; the first
+fit does.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from operator import mul
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .laurent import ct, multinomial
-from .linalg import FIRST_PRIME, kernel_mod_p, matmul_mod, solve_nullspace
+from .linalg import FIRST_PRIME, ModKernel, kernel_mod_p, matmul_mod, solve_nullspace
 from .poly import LinearForm, Poly, cancel_factors, glex_key
 from .ratfunc import RatFunc
 from .render import ASCII, fmt_c_symbol
@@ -281,15 +284,18 @@ def guess_rat(samples: SampleSet, t: int) -> Optional[RatFunc]:
     rows are built, by the same rule on the mod-p kernel: it is skipped when
     no vector counts mod p, or when the kernel is one vector at which
     value * den(h) - num(h) is nonzero mod p at some held-out point h; every
-    other split is solved and checked exactly as above.  The exact monomial
-    table the rows are read from is built when a split first passes the
-    screen, only as wide as that split reads (max(n_num, n_den) columns),
-    and rebuilt only for a later passing split that reads more.  The screen
-    only ever skips, so whatever is returned has passed every exact check
-    and a skip cannot produce a wrong closed form; at worst it misses a fit.
-    That takes p dividing one particular nonzero integer (an entry, a
-    denominator value or a held-out residual of an exact basis vector), or
-    a reduction mod p of the wrong rank or pivots.
+    other split is solved and checked exactly as above, and its exact solve
+    takes the screen's kernel as its first prime's, since the rows are
+    primitive and the screen reduced them mod p as solve_nullspace would.
+    The exact monomial table the rows are read from is built when a split
+    first passes the screen, only as wide as that split reads
+    (max(n_num, n_den) columns), and rebuilt only for a later passing split
+    that reads more.  The screen only ever skips, so whatever is returned
+    has passed every exact check and a skip cannot produce a wrong closed
+    form; at worst it misses a fit.  That takes p dividing one particular
+    nonzero integer (an entry, a denominator value or a held-out residual of
+    an exact basis vector), or a reduction mod p of the wrong rank or
+    pivots.
     """
     if t < 0:
         raise ValueError("t must be nonnegative")
@@ -317,7 +323,8 @@ def guess_rat(samples: SampleSet, t: int) -> Optional[RatFunc]:
     width = 0
     for d_num in range(t, -1, -1):
         n_num, n_den = comb(d_num + nvars, nvars), comb(t - d_num + nvars, nvars)
-        if not screen.may_fit(n_den, n_num):
+        screened = screen.passing_kernel(n_den, n_num)
+        if screened is None:
             continue
         if width < max(n_num, n_den):
             width = max(n_num, n_den)
@@ -327,7 +334,7 @@ def guess_rat(samples: SampleSet, t: int) -> Optional[RatFunc]:
         for vals, f in zip(mono_vals, fit_vals):
             fn, fd = f.numerator, f.denominator
             rows.append([fn * v for v in vals[:n_den]] + [-fd * v for v in vals[:n_num]])
-        kernel = solve_nullspace(rows)
+        kernel = solve_nullspace(rows, first_kernel=screened)
         if not any(all(sum(map(mul, vals, vec[:n_den])) for vals in mono_vals) for vec in kernel):
             continue
         if len(kernel) > 1:
@@ -345,7 +352,8 @@ def guess_rat(samples: SampleSet, t: int) -> Optional[RatFunc]:
 
 
 class _Screen:
-    """guess_rat's checks on a split, modulo linalg.FIRST_PRIME.
+    """guess_rat's checks on a split, modulo linalg.FIRST_PRIME, and the
+    kernel mod p that a passing split's exact lift starts from.
 
     The monomial table is built mod p straight from the sample points, one
     numpy column per monomial, each an earlier column times one coordinate
@@ -382,20 +390,22 @@ class _Screen:
         num = -self.value_den[fit, None] * self.monos[fit, :n_num]
         return np.hstack((den, num)) % FIRST_PRIME
 
-    def may_fit(self, n_den: int, n_num: int) -> bool:
-        """False if no vector of the split's kernel mod p counts, or if the
-        kernel is one vector that misses a held-out value mod p."""
+    def passing_kernel(self, n_den: int, n_num: int) -> Optional[ModKernel]:
+        """The split's kernel mod p and its pivots, as kernel_mod_p gives
+        them for rows_mod_p, or None if no vector of the kernel counts mod p
+        or the kernel is one vector that misses a held-out value mod p."""
         p = FIRST_PRIME
-        kernel, _ = kernel_mod_p(self.rows_mod_p(n_den, n_num), p)
+        kernel, pivots = kernel_mod_p(self.rows_mod_p(n_den, n_num), p)
         den = matmul_mod(self.monos[:, :n_den], kernel[:n_den], p)
         if not den.all(axis=0).any():
-            return False
-        if kernel.shape[1] > 1:
-            return True
-        held = slice(self.nfit, None)
-        num = matmul_mod(self.monos[held, :n_num], kernel[n_den:, 0], p)
-        residual = self.value_num[held] * den[held, 0] - self.value_den[held] * num
-        return not (residual % p).any()
+            return None
+        if kernel.shape[1] == 1:
+            held = slice(self.nfit, None)
+            num = matmul_mod(self.monos[held, :n_num], kernel[n_den:, 0], p)
+            residual = self.value_num[held] * den[held, 0] - self.value_den[held] * num
+            if (residual % p).any():
+                return None
+        return kernel, pivots
 
 
 @dataclass

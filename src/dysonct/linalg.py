@@ -1,11 +1,13 @@
 """Exact nullspace computation for the rational-function fitter.
 
-One strategy for every system size: row reduction modulo 31-bit primes,
-Chinese-remainder combination extended by one prime per step, rational
-reconstruction, and a final exact big-integer verification M v = 0 of every
-basis vector.  One Gauss-Jordan kernel, ``_rref_mod``, does every mod-p
-reduction: numpy int64 only, one in-place update of the trailing block per
-pivot, no floating point.
+One strategy for every system size: row reduction modulo primes just below
+2**29, Chinese-remainder combination extended by one prime per step,
+rational reconstruction, and a final exact big-integer verification M v = 0
+of every basis vector.  One Gauss-Jordan kernel, ``_rref_mod``, does every
+mod-p reduction: numpy int64 only, one in-place update of the trailing block
+per pivot, no floating point.  The block is reduced mod p only once 32
+updates are pending, as many as int64 holds at that prime size, so the
+reduction costs a fraction of what it costs after every update.
 
 A nullity of zero modulo any prime already proves the exact nullspace is
 trivial, so failed fit degrees are rejected quickly; reconstructed vectors
@@ -16,7 +18,9 @@ its RREF, and it is the only code that does, for the fitter's screen and the
 exact lift alike: ``solve_nullspace`` combines the kernels it returns, entry
 by entry, over primes that give the same pivots, and reconstructs every
 entry.  The fitter screens each system with it modulo ``FIRST_PRIME``,
-p = 2**31 - 1, before it asks ``solve_nullspace`` for the exact basis.  When
+p = 2**29 - 3, before it asks ``solve_nullspace`` for the exact basis, and
+hands the kernel of a split that passes to ``solve_nullspace`` as the lift's
+first prime, so the lift does not reduce the same rows again.  When
 the rows are primitive integers and their reduction has the exact rank and
 the exact pivots, and p divides no denominator of the exact reduced basis,
 the mod-p basis is the exact basis reduced mod p, vector for vector, so a
@@ -37,7 +41,7 @@ from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 if TYPE_CHECKING:
     import numpy as np
 
-# 31-bit primes in descending order from 2**31 - 1, extended by _prime on demand
+# the primes below 2**29 in descending order, extended by _prime on demand
 _primes: List[int] = []
 
 
@@ -66,8 +70,11 @@ def _is_prime(n: int) -> bool:
 
 
 def _prime(i: int) -> int:
-    """The i-th prime below 2**31, counting down from 2**31 - 1."""
-    n = _primes[-1] - 2 if _primes else 2**31 - 1
+    """The i-th prime below 2**29, counting down from 2**29 - 3.
+
+    Primes of that size let _rref_mod take 32 updates between reductions
+    (see _room), where a 31-bit prime allows 2."""
+    n = _primes[-1] - 2 if _primes else 2**29 - 1
     while len(_primes) <= i:
         if _is_prime(n):
             _primes.append(n)
@@ -91,6 +98,13 @@ def _clear_row(row: Sequence[Fraction | int]) -> List[int]:
     return [v // g for v in row] if g > 1 else list(row)
 
 
+def _room(p: int) -> int:
+    """How many rank-1 updates _rref_mod lets its trailing block take
+    between reductions mod p: the most, room, with room (p - 1)**2 + p below
+    2**63.  That is 32 for a prime below 2**29 and 2 for one below 2**31."""
+    return (2**63 - 1 - p) // (p - 1) ** 2
+
+
 def _rref_mod(matrix: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
     """The reduced row echelon form of ``matrix`` modulo the prime p < 2**31
     and its pivot columns in increasing order.
@@ -98,38 +112,54 @@ def _rref_mod(matrix: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
     ``matrix`` is any int64 array and is left unchanged; the RREF is a new
     array, with entries in [0, p).
 
-    The input is reduced once, into a copy.  Each pivot scales its row to 1,
-    clears its column from every other row in one in-place update of the
-    trailing block (every row, the columns from the pivot's on), and reduces
-    that block with x - x // p * p, which gives the residues of x % p faster
-    than numpy's int64 ``%`` does.  Before that reduction each entry is
-    x - y z with x, y and z in [0, p), so it lies in (-p**2, p), and int64
-    arithmetic is exact.  The copy is held transposed, so that the trailing
-    block is one contiguous run of memory.
+    The input is reduced once, into a copy.  Each pivot scales its row to 1
+    and clears its column from every other row in one in-place rank-1 update
+    of the trailing block (every row, the columns from the pivot's on),
+    which subtracts a product y z with y and z in [0, p) from each entry.
+    The block is reduced with x - x // p * p, which gives the residues of
+    x % p faster than numpy's int64 ``%`` does, only once ``room`` updates
+    are pending: an entry reduced into [0, p) then lies in
+    [-room (p - 1)**2, p), which int64 holds exactly (see _room).  The
+    pivot's column and row are reduced before they are read, and every
+    column the loop leaves is in [0, p).  The copy is held transposed, so
+    that the trailing block is one contiguous run of memory.
     """
     import numpy as np
 
     m = matrix.T.copy()  # m[c] is column c of the matrix
     m -= m // p * p
     ncols, nrows = m.shape
+    room = _room(p)
+    pending = 0  # updates m[c:] has taken since it was last reduced
     pivots: List[int] = []
     r = 0
     for c in range(ncols):
         if r == nrows:
+            # every row has its pivot, so the rest of the block only needs
+            # its pending updates reduced
+            if pending:
+                rest = m[c:]
+                rest -= rest // p * p
             break
-        if not m[c, r]:
-            nz = np.flatnonzero(m[c, r:])
+        column = m[c]
+        if pending:
+            column -= column // p * p
+        if not column[r]:
+            nz = np.flatnonzero(column[r:])
             if nz.size == 0:
                 continue
             # rows r and below are zero left of column c, so only columns c
             # and beyond need swapping
             pivot = r + int(nz[0])
             m[c:, [r, pivot]] = m[c:, [pivot, r]]
-        row = m[c:, r] * pow(int(m[c, r]), -1, p) % p
+        row = m[c:, r] % p * pow(int(m[c, r]), -1, p) % p
         # clears column c from every other row; row r itself is overwritten
         block = m[c:]
-        block -= row[:, None] * m[c]
-        block -= block // p * p
+        block -= row[:, None] * column
+        pending += 1
+        if pending == room:
+            block -= block // p * p
+            pending = 0
         block[:, r] = row
         pivots.append(c)
         r += 1
@@ -179,7 +209,12 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     return ((high % p) * 0x10000 + low) % p
 
 
-def kernel_mod_p(matrix: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
+# a nullspace basis modulo one prime and the pivots it was read off, as
+# kernel_mod_p returns them
+ModKernel = Tuple["np.ndarray", List[int]]
+
+
+def kernel_mod_p(matrix: np.ndarray, p: int) -> ModKernel:
     """The nullspace basis of the int64 array ``matrix`` modulo the prime p
     and the pivot columns of its RREF mod p, in increasing order.
 
@@ -203,7 +238,7 @@ def kernel_mod_p(matrix: np.ndarray, p: int) -> Tuple[np.ndarray, List[int]]:
 
 
 # primes _nullspace_modular tries before it bounds the count; the fitter's
-# systems, up to n = 4 at t = 7, have needed one or two
+# systems, up to n = 4 at t = 9, have needed one or two below 2**29
 _UNBOUNDED_PRIMES = 4
 
 
@@ -214,12 +249,12 @@ def _prime_budget(int_rows: List[List[int]], ncols: int) -> int:
     min(rows, ncols) largest row norms (Hadamard), with D < 2**bits.  The
     exact RREF's entries are ratios of such minors, so rational
     reconstruction succeeds once the lucky primes' product exceeds 2 D**2.
-    A prime below 2**31 is unlucky, giving other pivots, only if it divides
-    one nonzero minor, so fewer than bits / 30 are; each prime exceeds 2**30.
+    A prime is unlucky, giving other pivots, only if it divides one nonzero
+    minor, so fewer than bits / 28 are; each prime exceeds 2**28.
     """
     norm_bits = sorted((sum(x * x for x in row).bit_length() + 1) // 2 for row in int_rows)
     bits = sum(norm_bits[-min(len(int_rows), ncols) :])
-    return bits // 30 + (2 * bits + 1) // 30 + 2
+    return bits // 28 + (2 * bits + 1) // 28 + 2
 
 
 def _candidate_primes(int_rows: List[List[int]], ncols: int) -> Iterator[int]:
@@ -245,7 +280,9 @@ def _lifted_basis(
     return basis
 
 
-def _nullspace_modular(int_rows: List[List[int]], ncols: int) -> List[Tuple[int, ...]]:
+def _nullspace_modular(
+    int_rows: List[List[int]], ncols: int, first_kernel: ModKernel | None
+) -> List[Tuple[int, ...]]:
     import numpy as np
 
     # the current pivot group is its pivots, its primes' product modulus and
@@ -254,9 +291,12 @@ def _nullspace_modular(int_rows: List[List[int]], ncols: int) -> List[Tuple[int,
     pivots: List[int] | None = None
     tried = 0
     for tried, p in enumerate(_candidate_primes(int_rows, ncols), 1):
-        # the rows hold big integers, which fit in int64 only once reduced
-        matrix = np.array([[x % p for x in row] for row in int_rows], dtype=np.int64)
-        kernel, kernel_pivots = kernel_mod_p(matrix.reshape(len(int_rows), ncols), p)
+        if tried == 1 and first_kernel is not None:
+            kernel, kernel_pivots = first_kernel
+        else:
+            # the rows hold big integers, which fit in int64 only once reduced
+            matrix = np.array([[x % p for x in row] for row in int_rows], dtype=np.int64)
+            kernel, kernel_pivots = kernel_mod_p(matrix.reshape(len(int_rows), ncols), p)
         # Over Q the rank is at least the rank mod p and, at equal rank, each
         # pivot is at most its mod-p counterpart; a prime that loses on either
         # count is unlucky, one that wins shows the previous group was.
@@ -284,12 +324,20 @@ def _nullspace_modular(int_rows: List[List[int]], ncols: int) -> List[Tuple[int,
     )
 
 
-def solve_nullspace(rows: Sequence[Sequence[Fraction | int]]) -> List[Tuple[int, ...]]:
+def solve_nullspace(
+    rows: Sequence[Sequence[Fraction | int]], first_kernel: ModKernel | None = None
+) -> List[Tuple[int, ...]]:
     """Exact basis of {v : M v = 0}, canonically scaled; empty list if trivial.
 
     Basis vectors are tuples of Python ints, scaled to be primitive (their
     gcd is 1) with the first nonzero entry positive, so results are
     reproducible across runs.
+
+    ``first_kernel`` is for a caller that has already reduced the rows
+    modulo FIRST_PRIME: it must be what ``kernel_mod_p`` returns for the
+    rows' primitive integer multiples (``_clear_row``) reduced mod
+    FIRST_PRIME, and the lift takes it as its first prime's kernel instead
+    of reducing the rows again.
     """
     rows = list(rows)
     if not rows:
@@ -298,4 +346,4 @@ def solve_nullspace(rows: Sequence[Sequence[Fraction | int]]) -> List[Tuple[int,
     if any(len(r) != ncols for r in rows):
         raise ValueError("matrix rows must all have the same length")
     int_rows = [r for r in map(_clear_row, rows) if any(r)]
-    return _nullspace_modular(int_rows, ncols)
+    return _nullspace_modular(int_rows, ncols, first_kernel)

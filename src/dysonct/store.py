@@ -12,8 +12,9 @@ for byte.  The file holds the bytes of
 2-space indent, keys sorted, every non-ASCII character as a JSON escape.
 ``_json_text`` writes them without json's pure-Python indent encoder.  A
 save costs what its distinct content costs: a certificate's dict is built
-once and shared by its entry and every tree embedding it, a save renders
-each shared dict once, and the entries stream into the file one by one.
+once and shared by its entry and every tree embedding it, a load shares
+equal certificate dicts the same way, a save renders each shared dict once,
+and the entries stream into the file one by one.
 Writes go through a lock file so concurrent commands cannot interleave, and
 replace the file atomically, so a failed or interrupted save leaves the old
 file as it was; a save that returns has synced both the file and its
@@ -162,15 +163,39 @@ class ResultStore:
         entries = data.get("entries", [])
         if not isinstance(entries, list):
             raise StoreIOError(f"store {path} has no entry list")
+        # certificate dicts by their form's (n, b), so that every embedding of
+        # one certificate loads as one dict, as record builds it, and a save
+        # renders it once
+        shared: Dict[tuple, dict] = {}
         for index, raw in enumerate(entries):
             try:
-                store.add(StoreEntry.from_json(raw))
+                entry = StoreEntry.from_json(raw)
+                entry.certificate = _share_certificate(entry.certificate, shared)
+                store.add(entry)
             except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
                 label = f"entry {index}"
                 if isinstance(raw, dict):
                     label += f" (n={raw.get('n')!r}, b={raw.get('b')!r})"
                 raise StoreIOError(f"store {path} has a malformed {label}: {exc!r}") from exc
         return store
+
+
+def _share_certificate(cert: dict, shared: Dict[tuple, dict]) -> dict:
+    """``cert`` with its dependencies shared first, in place, or the
+    certificate dict of the same form's (n, b) in ``shared`` when that one
+    is equal to it; a certificate whose (n, b) is new there is added.  A
+    dict that does not read as a certificate is left as it is."""
+    deps = cert.get("dependencies")
+    if type(deps) is list:
+        deps[:] = [_share_certificate(d, shared) if type(d) is dict else d for d in deps]
+    form = cert.get("form")
+    if type(form) is not dict or type(form.get("b")) is not list:
+        return cert
+    try:
+        seen = shared.setdefault((form.get("n"), tuple(form["b"])), cert)
+    except TypeError:  # an unhashable n or b component
+        return cert
+    return seen if seen == cert else cert
 
 
 def _json_text(value, newline: str, memo: dict) -> str:

@@ -7,6 +7,7 @@ from typing import Optional, Tuple
 import pytest
 
 import dysonct.conjecture as conjecture
+import dysonct.linalg as linalg
 from conftest import assert_canonical, split_factors
 from dysonct.conjecture import (
     HOLDOUT,
@@ -153,6 +154,26 @@ def test_guess_rat_exact_rational():
     assert guess_rat(samples, 2) == RatFunc.coprime(a1, a1 + a2)
 
 
+def test_a_passing_split_is_reduced_mod_the_first_prime_once(monkeypatch):
+    # samples of a_1/(a_1+a_2) at t = 2: the screen reduces the splits (2,0)
+    # and (1,1) mod FIRST_PRIME, and (1,1), which passes and fits, lifts from
+    # the screen's kernel with that one prime, so its rows are not reduced
+    # again
+    reductions = []
+    raw = linalg._rref_mod
+
+    def counted(matrix, p):
+        reductions.append(p)
+        return raw(matrix, p)
+
+    monkeypatch.setattr(linalg, "_rref_mod", counted)
+    pts = sample_grid(2, (0, 0), 30)
+    samples = SampleSet(pts, [Fraction(p[0], p[0] + p[1]) for p in pts])
+    a1, a2 = Poly.variable(2, 0), Poly.variable(2, 1)
+    assert guess_rat(samples, 2) == RatFunc.coprime(a1, a1 + a2)
+    assert reductions == [FIRST_PRIME] * 2
+
+
 def test_guess_rat_fits_only_a_one_vector_kernel(monkeypatch):
     # samples of a_1/(a_1+a_2); with the 5 held-out values moved off by 1,
     # the (3,1) split's one-vector kernel misses them, and the (2,2) split's
@@ -160,8 +181,8 @@ def test_guess_rat_fits_only_a_one_vector_kernel(monkeypatch):
     # same function: that is ambiguous, not a fit
     kernels = []
 
-    def recording(rows):
-        basis = solve_nullspace(rows)
+    def recording(rows, first_kernel=None):
+        basis = solve_nullspace(rows, first_kernel)
         kernels.append(len(basis))
         return basis
 
@@ -554,7 +575,8 @@ def test_screen_kernels_are_exact_bases_mod_p_on_every_split():
                 fc = max(c for c, v in enumerate(vec) if v)
                 scale = pow(vec[fc], -1, p)
                 assert column == [v * scale % p for v in vec], (t, d_num)
-            assert screen.may_fit(n_den, n_num) == ((t, d_num) == (6, 3)), (t, d_num)
+            passes = screen.passing_kernel(n_den, n_num) is not None
+            assert passes == ((t, d_num) == (6, 3)), (t, d_num)
             nullities.append(len(exact))
     assert len(nullities) == 28 and max(nullities) == 16
 
@@ -562,8 +584,8 @@ def test_screen_kernels_are_exact_bases_mod_p_on_every_split():
 def test_only_the_winning_split_is_lifted(monkeypatch):
     lifted = []
 
-    def counting(rows):
-        basis = solve_nullspace(rows)
+    def counting(rows, first_kernel=None):
+        basis = solve_nullspace(rows, first_kernel)
         lifted.append(len(basis))
         return basis
 

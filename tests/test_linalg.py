@@ -221,15 +221,18 @@ def _assert_mod_p_kernels_match_reference(rows, p):
         ([[0, 3], [2, 0]], 7),  # the first pivot needs a row swap
         ([[0, 0, 5], [0, 0, 1], [0, 0, 2]], 7),  # zero columns
         ([[1, 2, 3], [1, 2, 3], [2, 4, 6], [0, 1, 1]], 7),  # repeated and dependent rows
-        ([[FIRST_PRIME, 1], [1, 1]], FIRST_PRIME),  # p itself is zero, so row 1 pivots
-        ([[-1, 2 * FIRST_PRIME + 3], [-FIRST_PRIME - 2, 4]], FIRST_PRIME),
-        ([[-(2**63), 2**63 - 1], [1, -(2**62)]], FIRST_PRIME),  # the int64 extremes
+        ([[2**31 - 1, 1], [1, 1]], 2**31 - 1),  # p itself is zero, so row 1 pivots
+        ([[-1, 2 * (2**31 - 1) + 3], [-(2**31 - 1) - 2, 4]], 2**31 - 1),
+        ([[-(2**63), 2**63 - 1], [1, -(2**62)]], 2**31 - 1),  # the int64 extremes
         ([[1, 0, 4, 0, 2], [0, 3, 1, 5, 6]], 7),  # full row rank at column 1 of 5
         ([[5]], 7),
         ([[0]], 7),
         ([[14]], 7),
         ([[0, 2, 9, 4]], 7),
         ([[0], [0], [3], [1]], 7),
+        ([[FIRST_PRIME, 1], [1, 1]], FIRST_PRIME),
+        ([[-1, 2 * FIRST_PRIME + 3], [-FIRST_PRIME - 2, 4]], FIRST_PRIME),
+        ([[-(2**63), 2**63 - 1], [1, -(2**62)]], FIRST_PRIME),
     ],
 )
 def test_mod_p_rref_matches_python_reference(rows, p):
@@ -268,6 +271,53 @@ def test_mod_p_rref_matches_python_reference_on_random_matrices():
     assert len(ranks) == 10  # full and deficient rank in every shape
 
 
+@pytest.mark.parametrize("p, room", [(FIRST_PRIME, 32), (2**31 - 1, 2)])
+def test_delayed_reduction_keeps_int64_exact(p, room):
+    # each pending update subtracts at most (p - 1)**2 from an entry reduced
+    # into [0, p), and room of them stay within int64
+    assert linalg._room(p) == room
+    assert room * (p - 1) ** 2 + p <= 2**63 - 1
+
+
+def _bordered(k, rng, p):
+    """[[I, X], [Y, Z]] with I the k x k identity, X and Y all p - 1 and Z
+    small and 3 x 6.  Pivot c < k leaves the rows of X and the columns of Y
+    that later pivots read unchanged, so each of the first k updates
+    subtracts exactly (p - 1)**2 from every entry of Z: more than room of
+    them overflow int64.  Z's last 3 columns are free, so the RREF shows it."""
+    top = [[int(i == j) for j in range(k)] + [p - 1] * 6 for i in range(k)]
+    bottom = [[p - 1] * k + [rng.randrange(4) for _ in range(6)] for _ in range(3)]
+    return top + bottom
+
+
+def _near_p_rows(rng, nrows, ncols, p):
+    return [[p - 1 - rng.randrange(4) for _ in range(ncols)] for _ in range(nrows)]
+
+
+@pytest.mark.parametrize("p", [FIRST_PRIME, 2**31 - 1])
+def test_delayed_reduction_matches_python_reference(p):
+    # more pivots than room allows, so the trailing block is reduced mid-run,
+    # on entries near p - 1
+    room = linalg._room(p)
+    n = 2 * room + 6
+    rng = random.Random(p)
+    tall = _near_p_rows(rng, n + 5, n, p)
+    # a zero column and a repeated column, each met with updates pending,
+    # and a repeated row, so the rank falls short
+    deficient = _near_p_rows(rng, n + 3, n, p)
+    for row in deficient:
+        row[room + 1] = 0
+        row[room + 3] = row[2]
+    deficient.append(list(deficient[5]))
+    # every row pivots before the last column, with updates still pending
+    wide = _near_p_rows(rng, room + 3, n, p)
+    bordered = _bordered(room + 4, rng, p)
+    cases = {"bordered": bordered, "tall": tall, "deficient": deficient, "wide": wide}
+    ranks = {name: _assert_mod_p_kernels_match_reference(rows, p) for name, rows in cases.items()}
+    assert ranks == {"bordered": room + 7, "tall": n, "deficient": n - 2, "wide": room + 3}
+    assert min(ranks.values()) > room
+
+
 def test_matmul_mod_matches_python_ints():
     rng = random.Random(4)
     p = FIRST_PRIME
@@ -279,9 +329,9 @@ def test_matmul_mod_matches_python_ints():
 
 
 def test_prime_sized_entry_is_not_mistaken_for_zero():
-    # the first prime, 2**31 - 1, kills the leading entry and moves the pivot
-    # to column 1; the basis must come from the primes that keep column 0
-    assert solve_nullspace([[2**31 - 1, 1]]) == [(1, -(2**31 - 1))]
+    # the first prime kills the leading entry and moves the pivot to column
+    # 1; the basis must come from the primes that keep column 0
+    assert solve_nullspace([[FIRST_PRIME, 1]]) == [(1, -FIRST_PRIME)]
 
 
 def test_modular_path_recovers_known_kernel():

@@ -194,6 +194,57 @@ def test_record_shares_each_certificate_dict():
         assert embedded is dep.to_json() is store.get(2, dep.form.b).certificate
 
 
+def _store_with_shared_dependencies():
+    resolver = Resolver()
+    store = ResultStore()
+    for b in ((2, -1, -1), (1, -1, 0), (0, 1, -1)):
+        cert = prove(3, b, resolver)
+        for c in (cert, *cert.dependencies):
+            store.record(c, {"kind": "base" if c.base_case else "guessed"})
+    return store
+
+
+def _embedded(store):
+    """Each dependency dict embedded in a stored certificate, by its b."""
+    embedded = {}
+    for entry in store:
+        for dep in entry.certificate["dependencies"]:
+            embedded.setdefault(tuple(dep["form"]["b"]), []).append(dep)
+    return embedded
+
+
+def test_load_shares_each_certificate_dict(tmp_path):
+    path = tmp_path / "s.json"
+    _store_with_shared_dependencies().save(str(path))
+    raw = path.read_bytes()
+    loaded = ResultStore.load(str(path))
+    embedded = _embedded(loaded)
+    # an n = 2 certificate embedded in two trees loads as its entry's dict
+    assert max(map(len, embedded.values())) >= 2
+    for b, deps in embedded.items():
+        assert all(dep is loaded.get(2, b).certificate for dep in deps), b
+    loaded.save(str(path))
+    assert path.read_bytes() == raw
+
+
+def test_load_keeps_unequal_certificates_of_one_form_apart(tmp_path):
+    path = tmp_path / "s.json"
+    _store_with_shared_dependencies().save(str(path))
+    data = json.loads(path.read_text())
+    # the n = 3 entries come last; mark one embedding of a shared certificate
+    entries = [e for e in data["entries"] if e["n"] == 3]
+    dep = entries[-1]["certificate"]["dependencies"][0]
+    dep["identities"]["note"] = "differs"
+    path.write_text(_stdlib_text(data) + "\n")
+    raw = path.read_bytes()
+    loaded = ResultStore.load(str(path))
+    b = tuple(dep["form"]["b"])
+    marked = [d for d in _embedded(loaded)[b] if "note" in d["identities"]]
+    assert len(marked) == 1 and marked[0] is not loaded.get(2, b).certificate
+    loaded.save(str(path))
+    assert path.read_bytes() == raw
+
+
 def test_each_save_renders_the_store_as_it_is_then(tmp_path):
     path = tmp_path / "s.json"
     resolver = Resolver()
