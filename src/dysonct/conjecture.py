@@ -36,9 +36,9 @@ from math import comb, prod
 from operator import mul
 from typing import TYPE_CHECKING, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
-from .laurent import ct, multinomial
+from .laurent import compositions, ct, multinomial
 from .linalg import FIRST_PRIME, ModKernel, kernel_mod_p, matmul_mod, solve_nullspace
-from .poly import LinearForm, Poly, cancel_factors, glex_key
+from .poly import LinearForm, Poly, cancel_factors
 from .ratfunc import RatFunc
 from .render import ASCII, fmt_c_symbol
 
@@ -224,13 +224,9 @@ def _grid_iter(n: int, b: Tuple[int, ...]) -> Iterator[Tuple[int, ...]]:
 
 
 def _monomials_up_to(nvars: int, degree: int) -> List[Tuple[int, ...]]:
-    monos = [
-        m
-        for m in itertools.product(range(degree + 1), repeat=nvars)
-        if sum(m) <= degree
-    ]
-    monos.sort(key=glex_key)
-    return monos
+    """The monomials of total degree at most ``degree`` in graded-lex order
+    (poly.glex_key), ascending: by degree, then lex."""
+    return [m for d in range(degree + 1) for m in compositions(d, nvars)]
 
 
 def _mono_steps(monos: List[Tuple[int, ...]]) -> List[Tuple[int, int]]:
@@ -285,8 +281,8 @@ def guess_rat(samples: SampleSet, t: int) -> Optional[RatFunc]:
     no vector counts mod p, or when the kernel is one vector at which
     value * den(h) - num(h) is nonzero mod p at some held-out point h; every
     other split is solved and checked exactly as above, and its exact solve
-    takes the screen's kernel as its first prime's, since the rows are
-    primitive and the screen reduced them mod p as solve_nullspace would.
+    takes the screen's kernel as its first prime's, since that is the kernel
+    of these rows mod p.
     The exact monomial table the rows are read from is built when a split
     first passes the screen, only as wide as that split reads
     (max(n_num, n_den) columns), and rebuilt only for a later passing split
@@ -379,10 +375,8 @@ class _Screen:
         self.nfit = nfit
 
     def rows_mod_p(self, n_den: int, n_num: int) -> np.ndarray:
-        """guess_rat's rows for the split, reduced mod p.  Each row holds the
-        coprime entries fn and -fd in its constant-monomial columns, so it is
-        already primitive and this is the reduction solve_nullspace starts
-        from."""
+        """guess_rat's rows for the split, reduced mod p, whose kernel mod p
+        solve_nullspace takes as its first prime's."""
         import numpy as np
 
         fit = slice(None, self.nfit)

@@ -268,7 +268,7 @@ def ct(n: int, a, b) -> int:
 # symbolic Taylor coefficients P_k for the boundary conditions
 
 
-def _compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
+def compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
     """Weak compositions of ``total`` into ``parts`` parts, lex ascending."""
     if parts == 0:
         if total == 0:
@@ -278,7 +278,7 @@ def _compositions(total: int, parts: int) -> Iterator[Tuple[int, ...]]:
         yield (total,)
         return
     for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
+        for rest in compositions(total - first, parts - 1):
             yield (first,) + rest
 
 
@@ -313,7 +313,7 @@ def pk_compositions(n: int, k: int, b) -> List[Tuple[Tuple[int, ...], Tuple[int,
     others = [i for i in range(n) if i != k]
     return [
         (m, tuple(b[i] + mi for i, mi in zip(others, m)))
-        for m in _compositions(b[k], n - 1)
+        for m in compositions(b[k], n - 1)
     ]
 
 

@@ -1,13 +1,15 @@
 """Exact nullspace computation for the rational-function fitter.
 
-One strategy for every system size: row reduction modulo primes just below
-2**29, Chinese-remainder combination extended by one prime per step,
-rational reconstruction, and a final exact big-integer verification M v = 0
-of every basis vector.  One Gauss-Jordan kernel, ``_rref_mod``, does every
-mod-p reduction: numpy int64 only, one in-place update of the trailing block
-per pivot, no floating point.  The block is reduced mod p only once 32
-updates are pending, as many as int64 holds at that prime size, so the
-reduction costs a fraction of what it costs after every update.
+The matrix is integer rows, taken as given: no row is scaled or cleared of
+a common factor.  One strategy for every system size: row reduction modulo
+primes just below 2**29, Chinese-remainder combination extended by one
+prime per step, rational reconstruction, and a final exact big-integer
+verification M v = 0 of every basis vector.  One Gauss-Jordan kernel,
+``_rref_mod``, does every mod-p reduction: numpy int64 only, one in-place
+update of the trailing block per pivot, no floating point.  The block is
+reduced mod p only once 32 updates are pending, as many as int64 holds at
+that prime size, so the reduction costs a fraction of what it costs after
+every update.
 
 A nullity of zero modulo any prime already proves the exact nullspace is
 trivial, so failed fit degrees are rejected quickly; reconstructed vectors
@@ -20,12 +22,12 @@ by entry, over primes that give the same pivots, and reconstructs every
 entry.  The fitter screens each system with it modulo ``FIRST_PRIME``,
 p = 2**29 - 3, before it asks ``solve_nullspace`` for the exact basis, and
 hands the kernel of a split that passes to ``solve_nullspace`` as the lift's
-first prime, so the lift does not reduce the same rows again.  When
-the rows are primitive integers and their reduction has the exact rank and
-the exact pivots, and p divides no denominator of the exact reduced basis,
-the mod-p basis is the exact basis reduced mod p, vector for vector, so a
-property that holds exactly (a nonzero entry, a nonzero value) still holds
-mod p unless p divides one particular nonzero integer.
+first prime, so the lift does not reduce the same rows again.  When the
+rows' reduction has the exact rank and the exact pivots, and p divides no
+denominator of the exact reduced basis, the mod-p basis is the exact basis
+reduced mod p, vector for vector, so a property that holds exactly (a
+nonzero entry, a nonzero value) still holds mod p unless p divides one
+particular nonzero integer.
 
 numpy is imported inside the functions that build or reduce an array, so
 importing this module does not load it; the first mod-p reduction does.
@@ -33,9 +35,8 @@ importing this module does not load it; the first mod-p reduction does.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd, isqrt, lcm
-from operator import mul
+from operator import index, mul
 from typing import TYPE_CHECKING, Iterator, List, Sequence, Tuple
 
 if TYPE_CHECKING:
@@ -84,18 +85,6 @@ def _prime(i: int) -> int:
 
 # the prime solve_nullspace reduces with first, and the fitter screens with
 FIRST_PRIME = _prime(0)
-
-
-def _clear_row(row: Sequence[Fraction | int]) -> List[int]:
-    """The primitive integer row positively proportional to row."""
-    try:
-        g = gcd(*row)
-    except TypeError:  # not all entries are ints
-        fracs = [Fraction(x) for x in row]
-        common = lcm(*(f.denominator for f in fracs))
-        row = [f.numerator * (common // f.denominator) for f in fracs]
-        g = gcd(*row)
-    return [v // g for v in row] if g > 1 else list(row)
 
 
 def _room(p: int) -> int:
@@ -222,9 +211,9 @@ def kernel_mod_p(matrix: np.ndarray, p: int) -> ModKernel:
     per free column of the RREF in increasing order, with 1 in that free
     column and 0 in the others.  ``matrix`` need not be reduced mod p.
     solve_nullspace lifts these kernels to the exact basis, so for a matrix
-    of primitive integer rows this is that basis reduced mod p, vector for
-    vector and up to scale, whenever the reduction has the exact pivots and
-    p divides no denominator of the exact RREF."""
+    of integer rows this is that basis reduced mod p, vector for vector and
+    up to scale, whenever the reduction has the exact pivots and p divides
+    no denominator of the exact RREF."""
     import numpy as np
 
     rref, pivots = _rref_mod(matrix, p)
@@ -325,7 +314,7 @@ def _nullspace_modular(
 
 
 def solve_nullspace(
-    rows: Sequence[Sequence[Fraction | int]], first_kernel: ModKernel | None = None
+    rows: Sequence[Sequence[int]], first_kernel: ModKernel | None = None
 ) -> List[Tuple[int, ...]]:
     """Exact basis of {v : M v = 0}, canonically scaled; empty list if trivial.
 
@@ -333,11 +322,15 @@ def solve_nullspace(
     gcd is 1) with the first nonzero entry positive, so results are
     reproducible across runs.
 
+    The rows are integers, taken as given: each entry is read through
+    ``operator.index``, so a Fraction or a float raises TypeError rather
+    than being truncated by a cast.  Zero rows are dropped.
+
     ``first_kernel`` is for a caller that has already reduced the rows
-    modulo FIRST_PRIME: it must be what ``kernel_mod_p`` returns for the
-    rows' primitive integer multiples (``_clear_row``) reduced mod
-    FIRST_PRIME, and the lift takes it as its first prime's kernel instead
-    of reducing the rows again.
+    modulo FIRST_PRIME: it must be the kernel of these rows mod
+    FIRST_PRIME and its pivots, as ``kernel_mod_p`` returns them, and the
+    lift takes it as its first prime's kernel instead of reducing the rows
+    again.
     """
     rows = list(rows)
     if not rows:
@@ -345,5 +338,5 @@ def solve_nullspace(
     ncols = len(rows[0])
     if any(len(r) != ncols for r in rows):
         raise ValueError("matrix rows must all have the same length")
-    int_rows = [r for r in map(_clear_row, rows) if any(r)]
+    int_rows = [r for r in (list(map(index, row)) for row in rows) if any(r)]
     return _nullspace_modular(int_rows, ncols, first_kernel)

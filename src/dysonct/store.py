@@ -10,11 +10,13 @@ entries, sorted keys), so re-saving a loaded store reproduces the file byte
 for byte.  The file holds the bytes of
 ``json.dumps(data, indent=2, sort_keys=True)`` plus a trailing newline:
 2-space indent, keys sorted, every non-ASCII character as a JSON escape.
-``_json_text`` writes them without json's pure-Python indent encoder.  A
-save costs what its distinct content costs: a certificate's dict is built
-once and shared by its entry and every tree embedding it, a load shares
-equal certificate dicts the same way, a save renders each shared dict once,
-and the entries stream into the file one by one.
+One renderer, ``_json_text``, writes them without json's pure-Python
+indent encoder, and a save streams the entries through it into the file one
+by one.  A save costs what its distinct content costs: a certificate's dict
+is built once and shared by its entry and every tree embedding it, as is
+its form's R by the checks' equal sides; a load shares equal certificate
+and rational-function dicts the same way, and a save renders each shared
+dict once.
 Writes go through a lock file so concurrent commands cannot interleave, and
 replace the file atomically, so a failed or interrupted save leaves the old
 file as it was; a save that returns has synced both the file and its
@@ -170,6 +172,9 @@ class ResultStore:
         for index, raw in enumerate(entries):
             try:
                 entry = StoreEntry.from_json(raw)
+                # the entry's R is its certificate's, as record stores them
+                if entry.certificate.get("form") == entry.form.to_json():
+                    entry.certificate["form"] = entry.form.to_json()
                 entry.certificate = _share_certificate(entry.certificate, shared)
                 store.add(entry)
             except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
@@ -181,16 +186,28 @@ class ResultStore:
 
 
 def _share_certificate(cert: dict, shared: Dict[tuple, dict]) -> dict:
-    """``cert`` with its dependencies shared first, in place, or the
-    certificate dict of the same form's (n, b) in ``shared`` when that one
-    is equal to it; a certificate whose (n, b) is new there is added.  A
-    dict that does not read as a certificate is left as it is."""
+    """``cert`` with its dependencies and its checks' sides shared first, in
+    place, or the certificate dict of the same form's (n, b) in ``shared``
+    when that one is equal to it; a certificate whose (n, b) is new there is
+    added.  A dict that does not read as a certificate is left as it is."""
     deps = cert.get("dependencies")
     if type(deps) is list:
         deps[:] = [_share_certificate(d, shared) if type(d) is dict else d for d in deps]
     form = cert.get("form")
     if type(form) is not dict or type(form.get("b")) is not list:
         return cert
+    # each check's sides share the form's R, and each other, where equal,
+    # as ProofCertificate.to_json builds them
+    identities = cert.get("identities")
+    if type(identities) is dict:
+        boundary = identities.get("boundary")
+        checks = [identities.get("recursion"), identities.get("initial")]
+        for check in checks + (boundary if type(boundary) is list else []):
+            if type(check) is dict and "lhs" in check:
+                if check["lhs"] == form.get("R"):
+                    check["lhs"] = form["R"]
+                if check.get("rhs") == check["lhs"]:
+                    check["rhs"] = check["lhs"]
     try:
         seen = shared.setdefault((form.get("n"), tuple(form["b"])), cert)
     except TypeError:  # an unhashable n or b component
@@ -250,34 +267,20 @@ def _json_text(value, newline: str, memo: dict) -> str:
     return json.dumps(value)
 
 
-def _json_pieces(value) -> Iterator[str]:
-    """``_json_text(value, "\\n", {})`` plus a newline, in pieces: the items
-    of ``value`` and of its containers one at a time, so the store's entries
-    are written one by one, not joined first."""
-    yield from _pieces(value, "\n", 2, {})
-    yield "\n"
-
-
-def _pieces(value, newline: str, depth: int, memo: dict) -> Iterator[str]:
-    """``_json_text(value, newline, memo)`` in pieces, the containers of the
-    first ``depth`` levels one item at a time."""
-    kind = type(value)
-    if depth == 0 or kind not in (list, dict) or not value:
-        yield _json_text(value, newline, memo)
-        return
-    inner = newline + "  "
-    if kind is list:
-        items = (("", item) for item in value)
-        opening, closing = "[", "]"
-    else:
-        items = ((_encode_str(k) + ": ", v) for k, v in sorted(value.items()))
-        opening, closing = "{", "}"
-    separator = opening + inner
-    for key, item in items:
-        yield separator + key
-        yield from _pieces(item, inner, depth - 1, memo)
-        separator = "," + inner
-    yield newline + closing
+def _json_pieces(data: dict) -> Iterator[str]:
+    """``_json_text(data, "\\n", {})`` plus a newline for the store object
+    ``data`` that ``ResultStore.to_json`` builds, in pieces: the object's
+    fixed opening, each entry, rendered at the entry list's depth through
+    one memo, and the closing, so the entries are written one by one, not
+    joined first."""
+    memo: dict = {}
+    entries = data["entries"]
+    inner = "\n    "
+    yield '{\n  "entries": ['
+    for i, entry in enumerate(entries):
+        yield ("," if i else "") + inner + _json_text(entry, inner, memo)
+    version = _json_text(data["version"], "\n  ", memo)
+    yield ("\n  ]" if entries else "]") + ',\n  "version": ' + version + "\n}\n"
 
 
 def _replace_file(path: str, pieces: Iterable[str]) -> None:

@@ -28,8 +28,8 @@ from dysonct.conjecture import (
     sample_grid,
 )
 from dysonct.laurent import ct, multinomial
-from dysonct.linalg import FIRST_PRIME, _clear_row, kernel_mod_p, solve_nullspace
-from dysonct.poly import LinearForm, Poly, exact_div
+from dysonct.linalg import FIRST_PRIME, kernel_mod_p, solve_nullspace
+from dysonct.poly import LinearForm, Poly, exact_div, glex_key
 from dysonct.ratfunc import RatFunc
 from dysonct.turbo import zero_sum_vectors
 
@@ -400,6 +400,14 @@ def _guess_rat_reference(samples: SampleSet, t: int) -> Optional[RatFunc]:
     return None
 
 
+def test_monomials_are_every_monomial_of_bounded_degree_in_glex_order():
+    for nvars in range(5):
+        for degree in range(7):
+            box = itertools.product(range(degree + 1), repeat=nvars)
+            expected = sorted((m for m in box if sum(m) <= degree), key=glex_key)
+            assert _monomials_up_to(nvars, degree) == expected, (nvars, degree)
+
+
 def test_monomial_table_matches_direct_evaluation():
     points = sample_grid(3, (0, 0, 0), 20)
     monos = _monomials_up_to(3, 5)
@@ -514,8 +522,8 @@ def test_screened_fit_matches_reference_on_random_rational_functions():
 
 
 def _assert_screen_rows_are_exact_rows_mod_p(samples, t):
-    # the premise of the screen: guess_rat's rows are primitive, so the
-    # screen's residues are the rows solve_nullspace would reduce mod p
+    # the premise of the screen: its residues are guess_rat's exact rows
+    # mod p, whose kernel solve_nullspace takes as its first prime's
     nvars = len(samples.points[0])
     nfit = len(samples.points) - HOLDOUT
     mono_vals = _mono_values(samples.points, _monomials_up_to(nvars, t))
@@ -527,7 +535,7 @@ def _assert_screen_rows_are_exact_rows_mod_p(samples, t):
             [f.numerator * v for v in vals[:n_den]] + [-f.denominator * v for v in vals[:n_num]]
             for vals, f in zip(mono_vals[:nfit], samples.values)
         ]
-        expected = [[x % FIRST_PRIME for x in _clear_row(row)] for row in rows]
+        expected = [[x % FIRST_PRIME for x in row] for row in rows]
         assert screen.rows_mod_p(n_den, n_num).tolist() == expected, (t, d_num)
 
 

@@ -204,6 +204,14 @@ def _store_with_shared_dependencies():
     return store
 
 
+def _certificates(store):
+    """Every certificate dict of the store's trees, once per embedding."""
+    certificates = [entry.certificate for entry in store]
+    for cert in certificates:
+        certificates += cert["dependencies"]
+    return certificates
+
+
 def _embedded(store):
     """Each dependency dict embedded in a stored certificate, by its b."""
     embedded = {}
@@ -223,6 +231,38 @@ def test_load_shares_each_certificate_dict(tmp_path):
     assert max(map(len, embedded.values())) >= 2
     for b, deps in embedded.items():
         assert all(dep is loaded.get(2, b).certificate for dep in deps), b
+    loaded.save(str(path))
+    assert path.read_bytes() == raw
+
+
+def test_load_shares_each_rational_function_dict_as_a_fresh_store_does(tmp_path):
+    path = tmp_path / "s.json"
+    fresh = turbo_dyson(3, 3).store
+    fresh.save(str(path))
+    raw = path.read_bytes()
+    loaded = ResultStore.load(str(path))
+    for entry in loaded:
+        assert entry.to_json()["R"] is entry.certificate["form"]["R"]
+    boundaries = 0
+    for cert in _certificates(loaded):
+        identities = cert["identities"]
+        if "recursion" in identities:
+            recursion = identities["recursion"]
+            assert recursion["lhs"] is recursion["rhs"] is cert["form"]["R"]
+        for boundary in identities.get("boundary", ()):
+            if "lhs" in boundary:
+                assert boundary["lhs"] is boundary["rhs"]
+                boundaries += 1
+    assert boundaries
+    # a save after the load renders no more dicts than one from fresh
+    # certificates, each certificate's R and boundary sides among them
+    memo, fresh_memo = {}, {}
+    _json_text(loaded.to_json(), "\n", memo)
+    _json_text(fresh.to_json(), "\n", fresh_memo)
+    assert len(memo) <= len(fresh_memo)
+    for cert in _certificates(loaded):
+        sides = [b["lhs"] for b in cert["identities"].get("boundary", ()) if "lhs" in b]
+        assert {id(d) for d in (cert["form"]["R"], *sides)} <= set(memo)
     loaded.save(str(path))
     assert path.read_bytes() == raw
 
@@ -335,21 +375,23 @@ def test_writer_matches_json_dumps_on_stores(tmp_path):
     store = turbo_dyson(3, 2).store
     path = tmp_path / "s.json"
     store.save(str(path))
-    for data in (store.to_json(), ResultStore.load(str(path)).to_json(), ResultStore().to_json()):
+    one = ResultStore()
+    one.record(prove(3, (2, -1, -1), Resolver()), {"kind": "guessed"})
+    loaded = ResultStore.load(str(path))
+    for data in (store.to_json(), loaded.to_json(), one.to_json(), ResultStore().to_json()):
         assert _json_text(data, "\n", {}) == _stdlib_text(data)
+        # a save streams the entries through the same renderer
+        assert "".join(_json_pieces(data)) == _stdlib_text(data) + "\n"
     assert path.read_text(encoding="utf-8") == _stdlib_text(store.to_json()) + "\n"
     # the writer renders once every certificate and every rational function
     # the store's certificate trees hold, wherever each recurs
     memo = {}
     _json_text(store.to_json(), "\n", memo)
-    certificates = [entry.certificate for entry in store]
-    while certificates:
-        cert = certificates.pop()
+    for cert in _certificates(store):
         identities = cert["identities"]
         checked = [identities.get("recursion"), *identities.get("boundary", ())]
         shared = [cert, cert["form"]["R"], *(identity["lhs"] for identity in checked if identity)]
         assert {id(d) for d in shared} <= set(memo)
-        certificates += cert["dependencies"]
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -357,7 +399,6 @@ def test_writer_matches_json_dumps_on_random_values(seed):
     rng = random.Random(seed)
     value = [_random_value(rng, 4) for _ in range(30)]
     assert _json_text(value, "\n", {}) == _stdlib_text(value)
-    assert "".join(_json_pieces(value)) == _stdlib_text(value) + "\n"
 
 
 def _shared_dicts(rng):
@@ -379,7 +420,6 @@ def test_writer_renders_a_recurring_dict_as_json_dumps_does(seed):
     memo = {}
     assert _json_text(value, "\n", memo) == _stdlib_text(value)
     assert {id(R), id(cert)} <= set(memo)
-    assert "".join(_json_pieces(value)) == _stdlib_text(value) + "\n"
 
 
 @pytest.mark.parametrize(
