@@ -114,15 +114,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        if args.command == "ct":
-            return _cmd_ct(args)
-        if args.command == "guess":
-            return _cmd_guess(args)
-        if args.command in ("prove", "write-paper"):
-            return _cmd_prove(args)
-        if args.command == "turbo":
-            return _cmd_turbo(args)
-        raise AssertionError(args.command)
+        return _COMMANDS[args.command](args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -228,6 +220,15 @@ def _cmd_turbo(args) -> int:
     if result.failures:
         return EXIT_MATH
     return EXIT_OK
+
+
+_COMMANDS = {
+    "ct": _cmd_ct,
+    "guess": _cmd_guess,
+    "prove": _cmd_prove,
+    "write-paper": _cmd_prove,
+    "turbo": _cmd_turbo,
+}
 
 
 def entry() -> None:

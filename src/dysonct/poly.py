@@ -131,11 +131,6 @@ class Poly:
     def constant_value(self) -> Fraction:
         return Fraction(self.coeffs.get((0,) * self.nvars, 0), self.den)
 
-    def total_degree(self) -> int:
-        if not self.coeffs:
-            return 0
-        return max(sum(m) for m in self.coeffs)
-
     def leading_monomial(self) -> Monomial | None:
         if not self.coeffs:
             return None
@@ -151,9 +146,6 @@ class Poly:
 
     def _sorted_coeffs(self) -> list[tuple[Monomial, int]]:
         return sorted(self.coeffs.items(), key=lambda kv: glex_key(kv[0]), reverse=True)
-
-    def coefficient(self, mono: Monomial) -> Fraction:
-        return Fraction(self.coeffs.get(tuple(mono), 0), self.den)
 
     # ------------------------------------------------------------------
     # arithmetic
@@ -300,8 +292,31 @@ class Poly:
 
     @classmethod
     def from_json_terms(cls, nvars: int, data: Iterable) -> "Poly":
-        terms = {tuple(m): Fraction(num, den) for num, den, m in data}
-        return cls(nvars, terms)
+        """The polynomial ``to_json_terms`` writes as ``data``: terms
+        [numerator, denominator, monomial] of ints (no bools), with a positive
+        denominator, nvars nonnegative exponents and no monomial twice.  Any
+        other term raises ValueError."""
+        terms: Dict[Monomial, Tuple[int, int]] = {}
+        for term in data:
+            if type(term) is not list or len(term) != 3:
+                raise ValueError(f"bad term {term!r}")
+            num, den, mono = term
+            if not (
+                type(num) is int
+                and type(den) is int
+                and den > 0
+                and type(mono) is list
+                and len(mono) == nvars
+                and all(type(e) is int and e >= 0 for e in mono)
+            ):
+                raise ValueError(f"bad term {term!r} for nvars={nvars}")
+            mono = tuple(mono)
+            if mono in terms:
+                raise ValueError(f"monomial {list(mono)} repeats")
+            terms[mono] = num, den
+        den = lcm(*(d for _, d in terms.values()))
+        coeffs = {m: c * (den // d) for m, (c, d) in terms.items() if c}
+        return cls._reduced(nvars, coeffs, den)
 
     def __repr__(self) -> str:
         if not self.coeffs:

@@ -14,11 +14,12 @@ nonnegative integer point (so the rational identities imply the integer
 ones): the denominator must split into linear forms with nonnegative
 coefficients and positive constants, and a form whose denominator does not
 split that way is not certified.  ``prove`` runs this denominator-safety
-check first, and its split is the input of every check after it: it gives
-the linear factors of R's side of the recursion and the boundary identities
-(a factor at a_k = 0 is still linear with a positive constant), and it keeps
-R's denominator nonzero at a = 0 for the initial value; each check raises
-``ValueError`` when handed a split that is not ok.  Each sum identity is
+check first; it raises ``ProofError`` for a form it cannot certify, so a
+split exists only for a safe denominator, and that split is the input of
+every check after it: it gives the linear factors of R's side of the
+recursion and the boundary identities (a factor at a_k = 0 is still linear
+with a positive constant), and it keeps R's denominator nonzero at a = 0
+for the initial value.  Each sum identity is
 decided as one ``RatFunc.sum_over`` of its terms over the lcm of their
 linear factors, a complete symbolic proof over Q, not sampling: it holds
 when the sum is zero, and otherwise the sum is the failing difference.
@@ -102,14 +103,14 @@ def _c2_split_form(b: Sequence[int]) -> Tuple[ClosedForm, DenominatorSafety]:
     if len(b) != 2:
         raise ValueError("c2_closed_form expects a pair")
     if b[0] + b[1] != 0:
-        return ClosedForm(n=2, b=b, R=RatFunc.zero(2)), DenominatorSafety(True, [], Fraction(1))
+        return ClosedForm(n=2, b=b, R=RatFunc.zero(2)), DenominatorSafety([], Fraction(1))
     h = b[0]
     up, down = ((1, 0), (0, 1)) if h >= 0 else ((0, 1), (1, 0))
     sign = Poly.const(2, -1 if h % 2 else 1)
     den_forms = [LinearForm(1 + r, up) for r in range(abs(h))]
     num = prod((LinearForm(-r, down).to_poly() for r in range(abs(h))), start=sign)
     den = prod((f.to_poly() for f in den_forms), start=Poly.const(2, 1))
-    split = DenominatorSafety(True, den_forms, Fraction(1))
+    split = DenominatorSafety(den_forms, Fraction(1))
     return ClosedForm(n=2, b=b, R=RatFunc(num, den)), split
 
 
@@ -162,7 +163,7 @@ def check_recursion(form: ClosedForm, safety: DenominatorSafety) -> CheckOutcome
 
     The multinomial shift rule multinomial(a - e_i)/multinomial(a) = a_i/sum(a)
     is exact, so this is precisely the constant-term recursion divided by the
-    multinomial.  The ok ``safety`` split writes R's denominator as
+    multinomial.  The ``safety`` split writes R's denominator as
     c * prod F, with c = safety.constant and F = safety.factors, so the
     identity is a sum of quotients over linear factors: num over c * prod F,
     and for each i, -a_i * num(a - e_i) over c * s * prod F(a - e_i), with
@@ -170,8 +171,6 @@ def check_recursion(form: ClosedForm, safety: DenominatorSafety) -> CheckOutcome
     their factors; the check passes when that sum is zero, and a failing
     check reports the sum as its difference.
     """
-    if not safety.ok:
-        raise ValueError("check_recursion needs an ok denominator split")
     n = form.n
     R = form.R
     if R.is_zero():
@@ -198,7 +197,7 @@ def check_boundary(
 
     Left side: R with a_k set to 0, read in the surviving n-1 variables (the
     multinomial collapses to the (n-1)-variable one on both sides).  R's
-    denominator is c * prod F by the ok ``safety`` split, and each F at
+    denominator is c * prod F by the ``safety`` split, and each F at
     a_k = 0 is still linear with a positive constant, so the left side is
     num(a_k = 0) over c * prod F(a_k = 0), reduced one linear factor at a
     time.  Right side: sum over the terms of P_k for (n, b), which this
@@ -210,8 +209,6 @@ def check_boundary(
     by ``RatFunc.sum_over``, is zero; a failing check reports that sum as
     its difference.
     """
-    if not safety.ok:
-        raise ValueError("check_boundary needs an ok denominator split")
     num = form.R.num.at_zero(k)
     factors = [f.to_poly().at_zero(k) for f in safety.factors]
     lhs = RatFunc.over(num, factors, safety.constant)
@@ -236,11 +233,9 @@ def check_boundary(
 def check_initial(form: ClosedForm, safety: DenominatorSafety) -> CheckOutcome:
     """Verify d_n(0; b) = 1 when b = 0 and 0 otherwise.
 
-    R is evaluated at a = 0, where the ok ``safety`` split makes its
+    R is evaluated at a = 0, where the ``safety`` split makes its
     denominator the positive c * prod F(0).
     """
-    if not safety.ok:
-        raise ValueError("check_initial needs an ok denominator split")
     n = form.n
     expected = Fraction(1) if all(x == 0 for x in form.b) else Fraction(0)
     value = form.R.num.constant_value() / form.R.den.constant_value()
@@ -259,13 +254,15 @@ def check_initial(form: ClosedForm, safety: DenominatorSafety) -> CheckOutcome:
 
 @dataclass
 class DenominatorSafety:
-    ok: bool
-    factors: Optional[List[LinearForm]] = None
-    constant: Optional[Fraction] = None
+    """A safe denominator, the only kind that has a split, as ``constant *
+    prod factors``: c > 0 and linear factors positive on the nonnegative grid."""
+
+    factors: List[LinearForm]
+    constant: Fraction
 
     @property
     def guarantee(self) -> str:
-        return "syntactic" if self.ok else "none"
+        return "syntactic"
 
 
 def check_denominator_safety(form: ClosedForm) -> DenominatorSafety:
@@ -274,15 +271,17 @@ def check_denominator_safety(form: ClosedForm) -> DenominatorSafety:
     The only accepted argument is syntactic: the denominator splits into
     linear forms with nonnegative coefficients and strictly positive
     constants, times a positive constant, so it is positive on the whole
-    nonnegative orthant.  Any other denominator gives ``ok=False``, even one
-    that happens to have no nonnegative integer zero.
+    nonnegative orthant; that split is returned.  Any other denominator
+    raises the ``denominator-safety`` ``ProofError``, even one that happens
+    to have no nonnegative integer zero.
     """
     split = linear_factors(form.R.den)
     if split is not None:
         factors, const = split
         if const > 0 and all(f.is_positive_on_grid() for f in factors):
-            return DenominatorSafety(ok=True, factors=factors, constant=const)
-    return DenominatorSafety(ok=False)
+            return DenominatorSafety(factors, const)
+    note = "denominator does not split into positive linear factors"
+    raise ProofError(form, CheckOutcome(ok=False, check="denominator-safety", note=note))
 
 
 # ----------------------------------------------------------------------
@@ -300,7 +299,7 @@ class ProofCertificate:
     outcomes.  ``is_valid`` and ``to_json`` read every verdict from the
     outcomes.
 
-    ``split`` is the ok split of the form's denominator into linear factors
+    ``split`` is the split of the form's safe denominator into linear factors
     that the checks ran on, and the one a boundary check reading this form
     uses: the checked split for a checked certificate, the relabeled split
     of the source for a relabeled one, and the factors ``c2_closed_form``
@@ -456,7 +455,7 @@ def _relabeled_certificate(
     constant = Fraction(1, prod(next(c for c in f.coeffs if c) for f in factors))
     return ProofCertificate(
         form,
-        DenominatorSafety(True, factors, constant),
+        DenominatorSafety(factors, constant),
         dependencies,
         # the side of a passed recursion is R, and the source's R relabeled
         # is form.R, checked above
@@ -476,7 +475,8 @@ def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCe
     are proved first (k ascending, terms in order, first occurrence wins),
     once, before either route below certifies the form; the boundary check
     at each pivot builds its own P_k expansion and reads the proved forms.
-    Of the checks, denominator safety runs first, and its split of R's
+    Of the checks, denominator safety runs first: it raises for a
+    denominator it cannot certify, and otherwise its split of R's
     denominator into linear factors is the input of the recursion, boundary
     and initial-value checks that follow.
 
@@ -549,15 +549,6 @@ def prove(n: int, b: Sequence[int], resolver: Resolver | None = None) -> ProofCe
     lower = {dep.form.b: dep for dep in dependencies}
 
     safety = check_denominator_safety(form)
-    if not safety.ok:
-        raise ProofError(
-            form,
-            CheckOutcome(
-                ok=False,
-                check="denominator-safety",
-                note="denominator does not split into positive linear factors",
-            ),
-        )
     recursion = check_recursion(form, safety)
     if not recursion.ok:
         raise ProofError(form, recursion)

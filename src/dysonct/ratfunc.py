@@ -8,14 +8,15 @@ what turns the proof engine's identity checks into complete symbolic proofs.
 
 There is no general reduction and no arithmetic operator.  A form is built
 canonical in one of two ways: ``coprime`` for a numerator and denominator
-known to share no factor (a fit from a one-vector kernel, a shift or a
-relabeling of a canonical form), and ``over`` for a numerator over linear
-factors, which are divided out one at a time; ``sum_over`` brings a sum of
-such quotients over the lcm of their factors first, and a sum that cancels
-is the zero function at once.  The prover decides each of its sum
-identities by whether that sum is zero, and the sweep solves the
-index-raising identity with it; every denominator they combine splits into
-linear factors.
+known to share no factor (a fit from a one-vector kernel or a relabeling of
+a canonical form, ``permute_vars``), and ``over`` for a numerator over
+linear factors, which are divided out one at a time; ``sum_over`` brings a
+sum of such quotients over the lcm of their factors first, and a sum that
+cancels is the zero function at once.  ``zero`` and ``const`` build the
+constants, and ``from_json`` reads a stored form, canonical as saved.  The
+prover decides each of its sum identities by whether that sum is zero, and
+the sweep solves the index-raising identity with it; every denominator they
+combine splits into linear factors.
 """
 
 from __future__ import annotations
@@ -93,29 +94,13 @@ class RatFunc:
         return cls(Poly.zero(nvars), Poly.const(nvars, 1))
 
     @classmethod
-    def one(cls, nvars: int) -> "RatFunc":
-        return cls(Poly.const(nvars, 1), Poly.const(nvars, 1))
-
-    @classmethod
     def const(cls, nvars: int, c: Fraction | int) -> "RatFunc":
         return cls(Poly.const(nvars, c), Poly.const(nvars, 1))
 
-    @classmethod
-    def from_poly(cls, p: Poly) -> "RatFunc":
-        return cls(p, Poly.const(p.nvars, 1))
-
     # ------------------------------------------------------------------
-
-    @property
-    def nvars(self) -> int:
-        return self.num.nvars
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def total_degree(self) -> int:
-        """Sum of numerator and denominator total degrees (the fit's 't')."""
-        return self.num.total_degree() + self.den.total_degree()
 
     def __eq__(self, other) -> bool:
         return (
@@ -135,11 +120,6 @@ class RatFunc:
         if d == 0:
             raise ZeroDivisionError(f"denominator vanishes at {tuple(values)}")
         return self.num.evaluate(values) / d
-
-    def shift_var(self, var: int, delta: int) -> "RatFunc":
-        # A shift is an automorphism, so reducedness is preserved; only the
-        # denominator's leading coefficient needs renormalizing.
-        return RatFunc.coprime(self.num.shift_var(var, delta), self.den.shift_var(var, delta))
 
     def permute_vars(self, perm: Sequence[int]) -> "RatFunc":
         return RatFunc.coprime(self.num.permute_vars(perm), self.den.permute_vars(perm))

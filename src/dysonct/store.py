@@ -172,6 +172,8 @@ class ResultStore:
         for index, raw in enumerate(entries):
             try:
                 entry = StoreEntry.from_json(raw)
+                if (entry.n, entry.b) in store.entries:
+                    raise ValueError(f"a second entry for n={entry.n}, b={list(entry.b)}")
                 # the entry's R is its certificate's, as record stores them
                 if entry.certificate.get("form") == entry.form.to_json():
                     entry.certificate["form"] = entry.form.to_json()

@@ -161,7 +161,7 @@ def test_criterion_8_turbo_sweep():
 
 
 def test_criterion_9_boundary_conditions_are_load_bearing():
-    wrong = ClosedForm(3, (2, -1, -1), RatFunc.one(3))
+    wrong = ClosedForm(3, (2, -1, -1), RatFunc.const(3, 1))
     safety = check_denominator_safety(wrong)
     assert check_recursion(wrong, safety).ok
     resolver = Resolver()

@@ -294,7 +294,7 @@ def test_unexpected_exception_exit_code(monkeypatch, capsys):
         (GuessError("no rational form fits the samples"), "no rational form fits the samples"),
         (
             ProofError(
-                ClosedForm(3, (0, -1, 1), RatFunc.one(3)),
+                ClosedForm(3, (0, -1, 1), RatFunc.const(3, 1)),
                 CheckOutcome(ok=False, check="boundary", k=1),
             ),
             "proof of d_3(a; <0,-1,1>) failed: boundary at k=2 does not hold",

@@ -35,14 +35,14 @@ def _vars(n):
 
 def _plus_a1(R):
     """R + a_1, which shares no factor with R's denominator."""
-    return RatFunc.coprime(R.num + _vars(R.nvars)[0] * R.den, R.den)
+    return RatFunc.coprime(R.num + _vars(R.num.nvars)[0] * R.den, R.den)
 
 
 def _times_raise_a1(R):
     """R (1 + a_1) / (2 + a_1) as the arguments of RatFunc.over."""
-    one = Poly.const(R.nvars, 1)
-    num, factors, c = sum_term(R, one + _vars(R.nvars)[0])
-    return num, factors + [one + one + _vars(R.nvars)[0]], c
+    one = Poly.const(R.num.nvars, 1)
+    num, factors, c = sum_term(R, one + _vars(R.num.nvars)[0])
+    return num, factors + [one + one + _vars(R.num.nvars)[0]], c
 
 
 def form_2m1m1():
@@ -71,7 +71,7 @@ def test_c2_zero_sum_mismatch():
 
 
 def test_c2_trivial():
-    assert c2_closed_form((0, 0)).R == RatFunc.one(2)
+    assert c2_closed_form((0, 0)).R == RatFunc.const(2, 1)
 
 
 def test_c2_values():
@@ -103,7 +103,7 @@ def test_c2_is_built_canonical():
 
 
 def test_recursion_constant_form():
-    assert _recursion(ClosedForm(3, (0, 0, 0), RatFunc.one(3))).ok
+    assert _recursion(ClosedForm(3, (0, 0, 0), RatFunc.const(3, 1))).ok
 
 
 def test_recursion_form_2m1m1():
@@ -112,7 +112,7 @@ def test_recursion_form_2m1m1():
 
 def test_recursion_rejects_non_solution():
     a = _vars(3)
-    out = _recursion(ClosedForm(3, (0, 0, 0), RatFunc.from_poly(a[0])))
+    out = _recursion(ClosedForm(3, (0, 0, 0), RatFunc(a[0], Poly.const(3, 1))))
     assert not out.ok
     assert out.difference is not None and not out.difference.is_zero()
 
@@ -123,8 +123,8 @@ def test_recursion_zero_form():
 
 def test_recursion_symbolic_agrees_with_pointwise():
     # the symbolic verdict must match exact evaluation at integer points
-    forms = [form_2m1m1(), ClosedForm(3, (0, 0, 0), RatFunc.one(3)),
-             ClosedForm(3, (0, 0, 0), RatFunc.from_poly(_vars(3)[0]))]
+    forms = [form_2m1m1(), ClosedForm(3, (0, 0, 0), RatFunc.const(3, 1)),
+             ClosedForm(3, (0, 0, 0), RatFunc(_vars(3)[0], Poly.const(3, 1)))]
     points = [p for p in sample_grid(3, (0, 0, 0), 20)]
     for form in forms:
         symbolic = _recursion(form).ok
@@ -189,7 +189,7 @@ def test_recursion_agrees_with_product_of_shifted_denominators(sweep_forms_n3):
         assert _recursion(form).ok and _recursion_holds_by_product(form)
     variants = {
         "R + a_1": _plus_a1,
-        "R(a + e_1)": lambda R: R.shift_var(0, 1),
+        "R(a + e_1)": lambda R: RatFunc.coprime(R.num.shift_var(0, 1), R.den.shift_var(0, 1)),
         "R (1+a_1)/(2+a_1)": lambda R: RatFunc.over(*_times_raise_a1(R)),
     }
     rejected = {}
@@ -245,7 +245,7 @@ def test_boundary_2m1m1_negative_pivots():
 
 def test_boundary_detects_wrong_form():
     # R = 1 satisfies the recursion but not the k=2 boundary for b=(2,-1,-1)
-    wrong = ClosedForm(3, (2, -1, -1), RatFunc.one(3))
+    wrong = ClosedForm(3, (2, -1, -1), RatFunc.const(3, 1))
     assert _recursion(wrong).ok
     out = _boundary(wrong, 1)
     assert not out.ok
@@ -256,19 +256,8 @@ def test_boundary_negative_pivot_requires_vanishing():
     form = form_2m1m1()
     assert form.R.num.at_zero(1).is_zero()
     assert _boundary(form, 1).ok
-    bad = ClosedForm(3, (2, -1, -1), RatFunc.one(3))
+    bad = ClosedForm(3, (2, -1, -1), RatFunc.const(3, 1))
     assert not _boundary(bad, 1).ok
-
-
-def test_checks_reject_a_split_that_is_not_ok():
-    form = form_2m1m1()
-    not_ok = prover_module.DenominatorSafety(ok=False)
-    with pytest.raises(ValueError):
-        check_recursion(form, not_ok)
-    with pytest.raises(ValueError):
-        check_boundary(form, not_ok, 0, {})
-    with pytest.raises(ValueError):
-        check_initial(form, not_ok)
 
 
 def test_boundary_lhs_is_the_reduced_restriction():
@@ -290,7 +279,7 @@ def test_boundary_lhs_is_the_reduced_restriction():
         for identity in (identities["recursion"], *identities["boundary"], identities["initial"]):
             assert identity["lhs"] == identity["rhs"], cert["form"]
         for k, identity in enumerate(identities["boundary"]):
-            lhs = RatFunc.from_json(R.nvars - 1, identity["lhs"])
+            lhs = RatFunc.from_json(R.num.nvars - 1, identity["lhs"])
             num, den = R.num.at_zero(k), R.den.at_zero(k)
             assert_canonical(lhs, num, den, split_factors(den))
             checked += 1
@@ -306,12 +295,12 @@ def _initial(form):
 
 
 def test_initial_examples():
-    assert _initial(ClosedForm(3, (0, 0, 0), RatFunc.one(3))).ok
+    assert _initial(ClosedForm(3, (0, 0, 0), RatFunc.const(3, 1))).ok
     assert _initial(form_2m1m1()).ok  # value 0 at a = 0
     form5 = guess_dyson(3, (-1, 0, 1))
     assert _initial(form5).ok
     wrong = _initial(ClosedForm(3, (0, 0, 0), RatFunc.const(3, 2)))
-    assert not wrong.ok and wrong.difference == RatFunc.one(3)
+    assert not wrong.ok and wrong.difference == RatFunc.const(3, 1)
 
 
 @pytest.mark.parametrize(
@@ -328,7 +317,9 @@ def test_denominator_vanishing_on_the_grid_stops_the_proof(make_R):
     # denominators vanish at a nonnegative integer point, so neither splits
     # into positive linear forms, and prove stops before any other check
     form = ClosedForm(3, (0, 0, 0), make_R(_vars(3)))
-    assert not check_denominator_safety(form).ok
+    with pytest.raises(ProofError) as info:
+        check_denominator_safety(form)
+    assert info.value.outcome.check == "denominator-safety"
     resolver = Resolver()
     resolver.add_form(form)
     with pytest.raises(ProofError) as info:
@@ -338,23 +329,23 @@ def test_denominator_vanishing_on_the_grid_stops_the_proof(make_R):
 
 def test_denominator_safety_syntactic():
     result = check_denominator_safety(form_2m1m1())
-    assert result.ok and result.guarantee == "syntactic"
+    assert result.guarantee == "syntactic"
     coeff_sets = {f.coeffs for f in result.factors}
     assert coeff_sets == {(1, 0, 0), (1, 1, 0), (1, 0, 1)}
     assert all(f.constant == 1 for f in result.factors)
 
 
 def test_denominator_safety_trivial_denominator():
-    result = check_denominator_safety(ClosedForm(3, (0, 0, 0), RatFunc.one(3)))
-    assert result.ok
+    result = check_denominator_safety(ClosedForm(3, (0, 0, 0), RatFunc.const(3, 1)))
+    assert result.factors == [] and result.constant == 1
 
 
 def test_denominator_safety_grid_failure():
     a1, a2 = Poly.variable(2, 0), Poly.variable(2, 1)
     form = ClosedForm(2, (0, 0), RatFunc.coprime(Poly.const(2, 1), a1 - a2))
-    result = check_denominator_safety(form)
-    assert not result.ok
-    assert result.factors is None
+    with pytest.raises(ProofError) as info:
+        check_denominator_safety(form)
+    assert info.value.outcome.check == "denominator-safety"
 
 
 def test_denominator_safety_rejects_nonsplitting_positive_denominator():
@@ -363,8 +354,9 @@ def test_denominator_safety_rejects_nonsplitting_positive_denominator():
     a1, a2 = Poly.variable(2, 0), Poly.variable(2, 1)
     den = a1 * a1 + a2 + Poly.const(2, 1)
     form = ClosedForm(2, (0, 0), RatFunc.coprime(Poly.const(2, 1), den))
-    result = check_denominator_safety(form)
-    assert not result.ok and result.guarantee != "syntactic"
+    with pytest.raises(ProofError) as info:
+        check_denominator_safety(form)
+    assert info.value.outcome.check == "denominator-safety"
 
 
 def test_linear_factors_reassembles_product():
@@ -508,7 +500,7 @@ def test_every_certificate_carries_a_split_of_its_denominator():
         assert all(routes)
         for cert in (c for route in routes for c in route):
             split = cert.split
-            assert split.ok and split.constant > 0
+            assert split.constant > 0
             assert all(f.is_positive_on_grid() for f in split.factors)
             den = Poly.const(cert.form.n, split.constant)
             for f in split.factors:
@@ -528,7 +520,7 @@ def test_prove_rejects_denominator_without_linear_split():
 
 def test_prove_failure_gives_counterexample_report():
     resolver = Resolver()
-    resolver.add_form(ClosedForm(3, (2, -1, -1), RatFunc.one(3)))
+    resolver.add_form(ClosedForm(3, (2, -1, -1), RatFunc.const(3, 1)))
     with pytest.raises(ProofError) as info:
         prove(3, (2, -1, -1), resolver)
     assert info.value.outcome.check == "boundary"
@@ -565,12 +557,7 @@ def test_mutated_checker_blocks_certificate(monkeypatch, target):
 
 
 def test_mutated_denominator_check_blocks_certificate(monkeypatch):
-    def failing(form):
-        from dysonct.prover import DenominatorSafety
-
-        return DenominatorSafety(ok=False)
-
-    monkeypatch.setattr(prover_module, "check_denominator_safety", failing)
+    monkeypatch.setattr(prover_module, "linear_factors", lambda den: None)
     with pytest.raises(ProofError):
         prover_module.prove(3, (2, -1, -1), Resolver())
 
@@ -668,7 +655,7 @@ def _not_splitting(R):
 @pytest.mark.parametrize(
     "wrong, check",
     [
-        (lambda R: RatFunc.one(3), "boundary"),
+        (lambda R: RatFunc.const(3, 1), "boundary"),
         (_plus_a1, "recursion"),
         (_not_splitting, "denominator-safety"),
     ],
@@ -730,12 +717,12 @@ def test_failed_boundary_splits_only_the_form_itself(monkeypatch):
 
     monkeypatch.setattr(prover_module, "linear_factors", counting_split)
     resolver = Resolver()
-    resolver.add_form(ClosedForm(3, (2, -1, -1), RatFunc.one(3)))
+    resolver.add_form(ClosedForm(3, (2, -1, -1), RatFunc.const(3, 1)))
     with pytest.raises(ProofError) as info:
         prove(3, (2, -1, -1), resolver)
     outcome = info.value.outcome
     assert outcome.check == "boundary" and outcome.k == 0
-    assert splits == [RatFunc.one(3).den]
+    assert splits == [RatFunc.const(3, 1).den]
     terms = pk_expansion(3, 0, (2, -1, -1))
     assert terms
     for p in [(0, 0), (1, 2), (3, 1), (2, 5), (4, 4)]:

@@ -10,7 +10,7 @@ from dysonct.ratfunc import RatFunc
 def test_telescoping_sum():
     # a_1/(a_1+a_2) + a_2/(a_1+a_2): the common factor cancels completely
     a1, a2 = Poly.variable(2, 0), Poly.variable(2, 1)
-    assert RatFunc.sum_over([(a1, [a1 + a2], 1), (a2, [a1 + a2], 1)]) == RatFunc.one(2)
+    assert RatFunc.sum_over([(a1, [a1 + a2], 1), (a2, [a1 + a2], 1)]) == RatFunc.const(2, 1)
 
 
 def test_cancellation():
@@ -18,7 +18,7 @@ def test_cancellation():
     one = Poly.const(3, 1)
     a = [Poly.variable(3, i) for i in range(3)]
     r = RatFunc.over(-a[0] * (one + a[1] + a[2]), [one + a[1] + a[2]], 1)
-    assert r == RatFunc.from_poly(-a[0])
+    assert r == RatFunc(-a[0], one)
 
 
 def test_zero_division_is_domain_error():
@@ -36,7 +36,7 @@ def test_canonical_form_soundness_random():
     for _ in range(25):
         p = pool[rng.randrange(len(pool))] * rng.randint(1, 3) + Poly.const(2, rng.randint(-2, 2))
         q = pool[rng.randrange(len(pool))] + Poly.const(2, rng.randint(1, 3))
-        assert RatFunc.over(p * q, [q], 1) == RatFunc.from_poly(p)
+        assert RatFunc.over(p * q, [q], 1) == RatFunc(p, Poly.const(2, 1))
 
 
 def test_over_divides_out_repeated_and_associated_factors():
@@ -66,12 +66,10 @@ def test_denominator_is_monic_under_glex():
     assert r.num == a2.scale(Fraction(1, 3))
 
 
-def test_shift_and_permute_stay_canonical():
+def test_permute_stays_canonical():
     a = [Poly.variable(3, i) for i in range(3)]
     one = Poly.const(3, 1)
     r = RatFunc.over(a[0] * a[1], [one + a[2], one + a[0]], 1)
-    shifted = r.shift_var(0, -1)
-    assert shifted == RatFunc.over(r.num.shift_var(0, -1), [one + a[2], a[0]], 1)
     permuted = r.permute_vars((2, 0, 1))
     assert permuted.den.leading_coeff() == 1
     assert permuted.permute_vars((1, 2, 0)) == r

@@ -300,26 +300,31 @@ def test_each_save_renders_the_store_as_it_is_then(tmp_path):
     assert path.read_text(encoding="utf-8") == _stdlib_text(store.to_json()) + "\n"
 
 
-def _write_store_with_entry(path, mutate):
+def _write_store_with_entries(path, mutate):
     store = _small_store()
     store.save(str(path))
     data = json.loads(path.read_text())
-    mutate(data["entries"][1])
+    mutate(data["entries"])
     path.write_text(json.dumps(data))
 
 
 @pytest.mark.parametrize(
     "mutate",
     [
-        lambda entry: entry.pop("provenance"),
-        lambda entry: entry["R"].__setitem__("num_terms", [[1, 1]]),
-        lambda entry: entry.__setitem__("b", entry["b"][:-1]),
-        lambda entry: entry.__setitem__("b", [float(x) for x in entry["b"]]),
-        lambda entry: entry["R"].__setitem__("den_terms", []),
-        lambda entry: entry.__setitem__("certificate", 5),
-        lambda entry: entry.__setitem__("provenance", "oops"),
-        lambda entry: entry["provenance"].__setitem__("kind", "made-up"),
-        lambda entry: entry["provenance"].pop("kind"),
+        lambda entries: entries[1].pop("provenance"),
+        lambda entries: entries[1]["R"].__setitem__("num_terms", [[1, 1]]),
+        lambda entries: entries[1].__setitem__("b", entries[1]["b"][:-1]),
+        lambda entries: entries[1].__setitem__("b", [float(x) for x in entries[1]["b"]]),
+        lambda entries: entries[1]["R"].__setitem__("den_terms", []),
+        lambda entries: entries[1].__setitem__("certificate", 5),
+        lambda entries: entries[1].__setitem__("provenance", "oops"),
+        lambda entries: entries[1]["provenance"].__setitem__("kind", "made-up"),
+        lambda entries: entries[1]["provenance"].pop("kind"),
+        lambda entries: entries[1]["R"]["num_terms"][0][2].__setitem__(0, 1.0),
+        lambda entries: entries[1]["R"]["num_terms"].append(entries[1]["R"]["num_terms"][0]),
+        lambda entries: entries[1]["R"]["den_terms"][0].__setitem__(2, [False, True]),
+        lambda entries: entries[1]["R"]["num_terms"][0].__setitem__(1, -1),
+        lambda entries: entries.insert(1, entries[0]),
     ],
     ids=[
         "missing-key",
@@ -331,11 +336,16 @@ def _write_store_with_entry(path, mutate):
         "provenance-not-object",
         "unknown-kind",
         "missing-kind",
+        "float-exponent",
+        "repeated-monomial",
+        "bool-exponents",
+        "negative-term-denominator",
+        "repeated-n-b",
     ],
 )
 def test_malformed_entry_rejected(tmp_path, mutate):
     path = tmp_path / "bad.json"
-    _write_store_with_entry(path, mutate)
+    _write_store_with_entries(path, mutate)
     with pytest.raises(StoreIOError, match="malformed entry 1"):
         ResultStore.load(str(path))
 

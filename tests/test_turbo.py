@@ -94,7 +94,9 @@ def test_reduction_relation_n2_against_base_case():
     for h in range(-2, 3):
         b = (h, -h)
         # multinomial(a + e_2) / multinomial(a) = (1 + a_1 + a_2) / (1 + a_2)
-        num, factors, c = sum_term(c2_closed_form(b).R.shift_var(1, 1), one + a1 + a2)
+        R = c2_closed_form(b).R
+        raised = RatFunc.coprime(R.num.shift_var(1, 1), R.den.shift_var(1, 1))
+        num, factors, c = sum_term(raised, one + a1 + a2)
         terms = [
             (num, factors + [one + a2], c),
             sum_term(c2_closed_form(b).R, -one),
